@@ -165,7 +165,6 @@ def cmd_grid(args) -> int:
         texts_per_cell=args.texts_per_cell,
         max_new_tokens=args.max_new_tokens,
         idx=idx, base_seed=args.seed if args.seed is not None else 0,
-        jobs=args.jobs,
     )
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as fh:
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, out_required=False):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", required=out_required, default=None)
 
     p = sub.add_parser("train-tokenizer", help="learn a BPE vocabulary")

@@ -3,9 +3,8 @@
 Covers sliding-window perplexity, sampling-loop detection, ECC outcome
 bookkeeping with confusion matrices, self-BLEU-4, and a grid search that
 pairs the nucleus threshold and the temperature with the repetition
-penalty.  Grid cells are independent, deterministically seeded jobs; the
-merged report is ordered lexicographically so concurrency never changes
-the output.
+penalty.  Grid cells are independent and deterministically seeded; the
+report is ordered lexicographically by cell key.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 import math
 import statistics
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -416,33 +414,21 @@ def grid_search(
     max_new_tokens: int = 64,
     idx: NGramIndex | None = None,
     base_seed: int = 0,
-    jobs: int = 1,
 ) -> GridReport:
     """Generate from the bare OCC for every (category, params) cell.
 
     Each sample draws its rng stream from (base_seed, cell key, sample), so
-    results are independent of the execution order and of ``jobs``.
+    results are independent of the execution order.
     """
     for cat in categories:
         if cat not in v.control_ids:
             raise EvaluationError(f"category {cat!r} has no control codes")
-    tasks = [
-        (category, params)
+    cells = [
+        _run_cell(ckpt, v, category, params, texts_per_cell, max_new_tokens,
+                  base_seed, idx)
         for category in sorted(categories)
         for params in grid.cells()
     ]
-
-    def run(task):
-        category, params = task
-        return _run_cell(ckpt, v, category, params, texts_per_cell,
-                         max_new_tokens, base_seed, idx)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(run, tasks))
-    else:
-        cells = [run(t) for t in tasks]
-
     cells.sort(key=lambda c: c.key)
     confusion = EccConfusion()
     for cell in cells:

@@ -140,8 +140,10 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> Checkpoint:
     return Checkpoint(config=config, weights=weights, step=0, seed=seed)
 
 
-def positional_encoding(context: int, model_dim: int, dtype=np.float64) -> np.ndarray:
-    pos = np.arange(context, dtype=np.float64)[:, None]
+def positional_encoding(context: int, model_dim: int, dtype=np.float64,
+                        start: int = 0) -> np.ndarray:
+    """Sinusoidal encodings of positions start..start+context-1."""
+    pos = np.arange(start, start + context, dtype=np.float64)[:, None]
     dim = np.arange(0, model_dim, 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, dim / model_dim)
     pe = np.zeros((context, model_dim), dtype=np.float64)
@@ -198,23 +200,39 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool):
+def kv_cache(config: ModelConfig) -> list:
+    """Empty per-layer K/V cache for decoding one sequence.
+
+    Each layer's (keys, values) pair is allocated at its first write, shaped
+    (1, heads, context, head_dim) in the dtype the keys were computed in:
+    numpy's promotion can widen float32 activations, and the cache must
+    never round them.
+    """
+    return [None] * config.layers
+
+
+def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
+                   kv=None, start: int = 0):
     """Run the model on a (batch, time) id array.
 
-    Returns (logits, cache); cache is None unless ``keep_cache``.
+    Returns (logits, cache); cache is None unless ``keep_cache``.  With a
+    K/V cache ``kv`` from ``kv_cache``, the ids sit at positions
+    start..start+t: their keys and values are written there, attention
+    covers the cache up to start+t, and only the last row's logits are
+    computed.
     """
     cfg, W = ckpt.config, ckpt.weights
     b, t = ids.shape
-    if t < 1 or t > cfg.context:
+    if t < 1 or start < 0 or start + t > cfg.context:
         raise ModelError(
-            f"sequence length {t} outside the context window 1..{cfg.context}"
+            f"sequence length {start + t} outside the context window 1..{cfg.context}"
         )
     dtype = ckpt.dtype
     scale = np.asarray(np.sqrt(cfg.model_dim), dtype=dtype)
-    pe = positional_encoding(t, cfg.model_dim, dtype=dtype)
+    pe = positional_encoding(t, cfg.model_dim, dtype=dtype, start=start)
     x = scale * W["tok_emb"][ids] + pe
 
-    causal = np.tril(np.ones((t, t), dtype=bool))
+    causal = np.tril(np.ones((t, start + t), dtype=bool), k=start)
     att_scale = 1.0 / np.sqrt(cfg.head_dim)
     layer_caches = []
     for i in range(cfg.layers):
@@ -223,6 +241,14 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool):
         q = _split_heads(h @ W[p + "attn.wq"] + W[p + "attn.bq"], cfg.heads)
         k = _split_heads(h @ W[p + "attn.wk"] + W[p + "attn.bk"], cfg.heads)
         v = _split_heads(h @ W[p + "attn.wv"] + W[p + "attn.bv"], cfg.heads)
+        if kv is not None:
+            if kv[i] is None:
+                shape = (b, cfg.heads, cfg.context, cfg.head_dim)
+                kv[i] = (np.empty(shape, k.dtype), np.empty(shape, v.dtype))
+            k_all, v_all = kv[i]
+            k_all[:, :, start:start + t] = k
+            v_all[:, :, start:start + t] = v
+            k, v = k_all[:, :, :start + t], v_all[:, :, :start + t]
         scores = (q @ k.swapaxes(-1, -2)) * att_scale
         scores = np.where(causal, scores, -np.inf)
         attn = _softmax(scores)
@@ -243,6 +269,8 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool):
             )
         x = x_next
 
+    if kv is not None:
+        x = x[:, -1:]
     hf, lnf_cache = _layer_norm(x, W["lnf.g"], W["lnf.b"])
     logits = hf @ W["lm_head"]
     cache = None
@@ -315,11 +343,15 @@ def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, n
     return grads
 
 
-def forward(ckpt: Checkpoint, ids) -> np.ndarray:
+def forward(ckpt: Checkpoint, ids, kv=None, start: int = 0) -> np.ndarray:
     """Logits for one sequence, shape (len(ids), vocab_size).
 
-    Pure and read-only: repeated calls on the same checkpoint agree bitwise.
-    Row i depends only on ids[0..i].
+    Without a cache it is pure and read-only: repeated calls on the same
+    checkpoint agree bitwise.  Row i depends only on ids[0..i].
+
+    With a K/V cache from ``kv_cache`` holding the sequence's first
+    ``start`` tokens, ``ids`` continue it: their keys and values join the
+    cache, and only the last row is returned, shape (1, vocab_size).
     """
     arr = np.asarray(ids, dtype=np.int64)
     if arr.ndim != 1:
@@ -328,7 +360,8 @@ def forward(ckpt: Checkpoint, ids) -> np.ndarray:
         raise ModelError("forward expects at least one token")
     if np.any(arr < 0) or np.any(arr >= ckpt.config.vocab_size):
         raise ModelError("token id outside the vocabulary range")
-    logits, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False)
+    logits, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False, kv=kv,
+                               start=start)
     return logits[0]
 
 

@@ -2,8 +2,13 @@
 
 The distribution transforms apply in a fixed order: repetition penalty,
 temperature, softmax, nucleus truncation.  Free generation stops at any
-registered ending control code; greedy task decoding stops only at the
-task's own ECC and can block it at the first step.
+registered ending control code; greedy task decoding (temperature 0) stops
+only at the task's own ECC and blocks it at the first step.
+
+Decoding prefills the prompt into a per-layer K/V cache once, then runs
+one 1-token step per new token.  Positions are absolute sinusoids, so once
+the window is full and slides, every step re-prefills the last
+``context`` tokens; that is exact, and no slower than a full forward.
 """
 
 from __future__ import annotations
@@ -59,7 +64,9 @@ def preset(name: str, **overrides) -> SamplingParams:
     try:
         base = PRESETS[name]
     except KeyError:
-        raise SamplingError(f"unknown preset {name!r}; choose from M1, M2, M3") from None
+        raise SamplingError(
+            f"unknown preset {name!r}; choose from {', '.join(PRESETS)}"
+        ) from None
     return replace(base, **overrides)
 
 
@@ -152,18 +159,25 @@ def generate_ids(
     sp: SamplingParams,
     stop_ids: frozenset[int],
 ) -> GenerationResult:
+    """Decode a continuation of ``prompt_ids`` until an id in ``stop_ids``
+    or the budget; ``sp.block_first_ecc`` cannot be the first token."""
     n = ckpt.config.context
     if len(prompt_ids) > n:
         raise SamplingError(
             f"prompt of {len(prompt_ids)} tokens exceeds the context window {n}"
         )
     rng = np.random.default_rng(sp.rng_seed)
+    kv = M.kv_cache(ckpt.config)
+    cached = 0  # leading tokens of the window whose K/V are in ``kv``
     context = list(prompt_ids)
     generated: list[int] = []
     stop_reason, ecc_id = STOP_MAX, None
     for step in range(sp.max_new_tokens):
+        if len(context) > n:  # the window slid, so every position moved
+            cached = 0
         window = context[-n:]
-        logits = M.forward(ckpt, window)[-1]
+        logits = M.forward(ckpt, window[cached:], kv, cached)[-1]
+        cached = len(window)
         blocked = sp.block_first_ecc if step == 0 else None
         if sp.temperature == 0.0:
             if blocked is not None:
@@ -184,45 +198,6 @@ def generate_ids(
         context.append(nxt)
         generated.append(nxt)
         if nxt in stop_ids:
-            stop_reason, ecc_id = STOP_ECC, nxt
-            break
-    return GenerationResult(
-        prompt_ids=tuple(prompt_ids),
-        generated_ids=tuple(generated),
-        stop_reason=stop_reason,
-        ecc_id=ecc_id,
-    )
-
-
-def greedy_answer(
-    ckpt: M.Checkpoint,
-    v: Vocab,
-    prompt_ids: list[int],
-    task_ecc: int,
-    max_new_tokens: int,
-) -> GenerationResult:
-    """Pure argmax decoding for task evaluation.
-
-    The task ECC is masked at the first step so the model cannot answer with
-    an immediate end marker; decoding stops at that ECC or at the budget.
-    """
-    n = ckpt.config.context
-    if len(prompt_ids) > n:
-        raise SamplingError(
-            f"prompt of {len(prompt_ids)} tokens exceeds the context window {n}"
-        )
-    context = list(prompt_ids)
-    generated: list[int] = []
-    stop_reason, ecc_id = STOP_MAX, None
-    for step in range(max_new_tokens):
-        window = context[-n:]
-        logits = M.forward(ckpt, window)[-1].astype(np.float64, copy=True)
-        if step == 0:
-            logits[task_ecc] = -np.inf
-        nxt = int(np.argmax(logits))
-        context.append(nxt)
-        generated.append(nxt)
-        if nxt == task_ecc:
             stop_reason, ecc_id = STOP_ECC, nxt
             break
     return GenerationResult(

@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import agreement, model as M, trainer
-from .sampler import greedy_answer
+from . import agreement, model as M, sampler, trainer
 from .tokenizer import TokenizerError, Vocab, decode, encode
 
 LABEL = "label"
@@ -518,10 +517,12 @@ def evaluate(
             predictions=(),
         )
     ecc = v.ecc_id(spec.name)
+    sp = sampler.SamplingParams(temperature=0.0, max_new_tokens=max_new_tokens,
+                                block_first_ecc=ecc)
     golds, preds = [], []
     for dp in datapoints:
         prompt_ids = build_prompt(dp, spec, v, budget)
-        gr = greedy_answer(ckpt, v, prompt_ids, ecc, max_new_tokens)
+        gr = sampler.generate_ids(ckpt, v, prompt_ids, sp, stop_ids=frozenset({ecc}))
         body = [i for i in gr.generated_ids if i != ecc]
         preds.append(parse_label(decode(v, body), spec))
         gold = dp[spec.label_field]

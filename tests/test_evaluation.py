@@ -256,15 +256,6 @@ class TestGridSearch:
             )
             assert redone == cell
 
-    def test_jobs_do_not_change_results(self, two_genre):
-        grid = E.GridSpec(p_values=(0.9,), t_values=(), r_values=(1.0,))
-        kwargs = dict(texts_per_cell=2, max_new_tokens=12, base_seed=3)
-        serial = E.grid_search(two_genre.trained, two_genre.vocab,
-                               ["alpha", "beta"], grid, jobs=1, **kwargs)
-        threaded = E.grid_search(two_genre.trained, two_genre.vocab,
-                                 ["alpha", "beta"], grid, jobs=2, **kwargs)
-        assert serial.cells == threaded.cells
-
     def test_csv_shape(self, report):
         rep, _, _ = report
         lines = rep.to_csv().strip().split("\n")

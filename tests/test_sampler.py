@@ -110,7 +110,7 @@ class TestPresets:
         assert sp.repetition_penalty == 1.4
 
     def test_unknown_preset(self):
-        with pytest.raises(S.SamplingError):
+        with pytest.raises(S.SamplingError, match="choose from M1, M2, M3, GPT3$"):
             S.preset("M9")
 
     def test_param_ranges_validated(self):
@@ -198,6 +198,80 @@ class TestGenerate:
             assert len(gr.generated_ids) == 30
 
 
+def decode_task_answer(ckpt, v, prompt_ids, task_ecc, max_new_tokens):
+    """Greedy task decoding as ``tasks.evaluate`` runs it."""
+    sp = S.SamplingParams(temperature=0.0, max_new_tokens=max_new_tokens,
+                          block_first_ecc=task_ecc)
+    return S.generate_ids(ckpt, v, prompt_ids, sp, stop_ids=frozenset({task_ecc}))
+
+
+def float64_copy(ckpt):
+    """The same weights in a float64 checkpoint."""
+    wide = M.init_model(ckpt.config, seed=0, dtype=np.float64)
+    for name in M.param_shapes(ckpt.config):
+        wide.weights[name][...] = ckpt.weights[name]
+    return wide
+
+
+def full_window_decode(ckpt, prompt_ids, sp, stop_ids):
+    """Reference decoder: a full-window ``M.forward`` for every token."""
+    n = ckpt.config.context
+    rng = np.random.default_rng(sp.rng_seed)
+    context, generated = list(prompt_ids), []
+    for _ in range(sp.max_new_tokens):
+        logits = M.forward(ckpt, context[-n:])[-1]
+        if sp.temperature == 0.0:
+            scores = S.apply_repetition_penalty(logits, context, sp.repetition_penalty)
+            nxt = int(np.argmax(scores))
+        else:
+            probs = S.adjust_distribution(logits, context, sp)
+            nxt = int(rng.choice(len(probs), p=probs))
+        context.append(nxt)
+        generated.append(nxt)
+        if nxt in stop_ids:
+            break
+    return generated
+
+
+class TestKVCacheDecoding:
+    @pytest.mark.parametrize("sp", [
+        S.SamplingParams(temperature=0.9, nucleus_p=0.95, repetition_penalty=1.2,
+                         max_new_tokens=100, rng_seed=4),
+        S.SamplingParams(temperature=0.0, repetition_penalty=1.3, max_new_tokens=100),
+    ], ids=["sampled", "greedy"])
+    def test_stream_past_context_matches_full_window_loop(self, two_genre, sp):
+        ckpt = float64_copy(two_genre.trained)
+        v = two_genre.vocab
+        prompt = [v.occ_id("alpha")] + encode(v, "a1 a2 a3")
+        assert len(prompt) + sp.max_new_tokens > ckpt.config.context
+        gr = S.generate_ids(ckpt, v, prompt, sp, stop_ids=frozenset())
+        assert len(gr.generated_ids) == sp.max_new_tokens
+        assert list(gr.generated_ids) == full_window_decode(ckpt, prompt, sp, frozenset())
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("prefill", [1, 29, 64])
+    def test_prefill_and_steps_match_forward(self, two_genre, dtype, tol, prefill):
+        ckpt = two_genre.trained
+        if dtype == np.float64:
+            ckpt = float64_copy(ckpt)
+        n = ckpt.config.context
+        # Training documents back to back: OCC, text, ECC, OCC, ...
+        ids = np.concatenate([w.ids[:w.real_length] for w in two_genre.windows[:12]])[:n]
+        assert len(ids) == n
+        kv = M.kv_cache(ckpt.config)
+        cached = [M.forward(ckpt, ids[:prefill], kv)]
+        cached += [M.forward(ckpt, ids[j:j + 1], kv, j) for j in range(prefill, n)]
+        for end, got in enumerate(cached, start=prefill):
+            assert got.shape == (1, ckpt.config.vocab_size)
+            want = M.forward(ckpt, ids[:end])[-1]
+            assert np.max(np.abs(got[0] - want)) <= tol
+
+    def test_step_past_context_rejected(self, two_genre):
+        cfg = two_genre.config
+        with pytest.raises(M.ModelError):
+            M.forward(two_genre.trained, [0], M.kv_cache(cfg), cfg.context)
+
+
 class TestGreedyAnswer:
     def test_first_step_ecc_masked(self, two_genre):
         # The fixture would answer with the alpha ECC right away; blocking it
@@ -206,14 +280,14 @@ class TestGreedyAnswer:
         v = two_genre.vocab
         ecc = v.ecc_id("alpha")
         prompt = [v.occ_id("alpha")]
-        gr = S.greedy_answer(ckpt, v, prompt, ecc, max_new_tokens=4)
+        gr = decode_task_answer(ckpt, v, prompt, ecc, max_new_tokens=4)
         assert gr.generated_ids[0] != ecc
 
     def test_deterministic(self, two_genre):
         v = two_genre.vocab
         prompt = [v.occ_id("alpha")] + encode(v, "a1 a2")
-        a = S.greedy_answer(two_genre.trained, v, prompt, v.ecc_id("alpha"), 16)
-        b = S.greedy_answer(two_genre.trained, v, prompt, v.ecc_id("alpha"), 16)
+        a = decode_task_answer(two_genre.trained, v, prompt, v.ecc_id("alpha"), 16)
+        b = decode_task_answer(two_genre.trained, v, prompt, v.ecc_id("alpha"), 16)
         assert a == b
 
     def test_matches_exhaustive_argmax_oracle(self, two_genre):
@@ -235,14 +309,14 @@ class TestGreedyAnswer:
             ctx.append(best)
             if best == ecc:
                 break
-        gr = S.greedy_answer(ckpt, v, prompt, ecc, budget)
+        gr = decode_task_answer(ckpt, v, prompt, ecc, budget)
         assert list(gr.generated_ids) == expected
 
     def test_stops_only_at_task_ecc(self, two_genre):
-        # The beta ECC is the argmax, but greedy_answer only stops at the
-        # task's own ECC, so decoding runs to the budget.
+        # The beta ECC is the argmax, but greedy task decoding only stops at
+        # the task's own ECC, so decoding runs to the budget.
         ckpt = immediate_ecc_checkpoint(two_genre, category="beta")
         v = two_genre.vocab
-        gr = S.greedy_answer(ckpt, v, [v.occ_id("alpha")], v.ecc_id("alpha"), 5)
+        gr = decode_task_answer(ckpt, v, [v.occ_id("alpha")], v.ecc_id("alpha"), 5)
         assert gr.stop_reason == S.STOP_MAX
         assert len(gr.generated_ids) == 5
