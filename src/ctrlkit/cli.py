@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-
+from dataclasses import replace
 
 from . import (
     corpus,
@@ -63,8 +63,6 @@ def _sampling_params(args) -> sampler.SamplingParams:
         overrides["repetition_penalty"] = args.rep_penalty
     overrides["max_new_tokens"] = args.max_new_tokens
     overrides["rng_seed"] = args.seed if args.seed is not None else 0
-    from dataclasses import replace
-
     return replace(sp, **overrides)
 
 
@@ -79,19 +77,31 @@ def cmd_train_tokenizer(args) -> int:
 
 
 def _training_config(args) -> trainer.TrainingConfig:
-    from dataclasses import replace
-
     tc = trainer.parse_training_config(args.config) if args.config else trainer.TrainingConfig()
     overrides = {}
-    for field_name, arg_name in [
-        ("epochs", "epochs"), ("batch_size", "batch_size"), ("lr", "lr"),
-    ]:
-        value = getattr(args, arg_name, None)
+    for name in ("epochs", "batch_size", "lr"):
+        value = getattr(args, name, None)
         if value is not None:
-            overrides[field_name] = value
+            overrides[name] = value
     if args.seed is not None:
         overrides["seed"] = args.seed
     return replace(tc, **overrides)
+
+
+def _save_epochs(out: str, checkpoints: list[model.Checkpoint]) -> None:
+    """Create ``out`` and save each epoch's checkpoint in a numbered
+    directory under it, epoch 1 first."""
+    os.makedirs(out, exist_ok=True)
+    for epoch, ck in enumerate(checkpoints, start=1):
+        epoch_dir = os.path.join(out, f"ckpt-epoch{epoch:02d}")
+        os.makedirs(epoch_dir, exist_ok=True)
+        model.save_checkpoint(os.path.join(epoch_dir, "model.ckpt"), ck)
+
+
+def _read_texts(path: str) -> list[str]:
+    """The non-blank lines of a text file, corpus escapes undone."""
+    with open(path, encoding="utf-8") as fh:
+        return [corpus._unescape(line.rstrip("\n")) for line in fh if line.strip()]
 
 
 def cmd_train(args) -> int:
@@ -108,11 +118,7 @@ def cmd_train(args) -> int:
     tc = _training_config(args)
     ckpt = model.init_model(config, seed=args.seed if args.seed is not None else 0)
     checkpoints = trainer.train(ckpt, docs, vocab, tc)
-    os.makedirs(args.out, exist_ok=True)
-    for epoch, ck in enumerate(checkpoints, start=1):
-        epoch_dir = os.path.join(args.out, f"ckpt-epoch{epoch:02d}")
-        os.makedirs(epoch_dir, exist_ok=True)
-        model.save_checkpoint(os.path.join(epoch_dir, "model.ckpt"), ck)
+    _save_epochs(args.out, checkpoints)
     print(f"wrote {len(checkpoints)} checkpoints under {args.out}")
     return 0
 
@@ -123,8 +129,6 @@ def cmd_generate(args) -> int:
     base_seed = args.seed if args.seed is not None else 0
     lines = []
     for i in range(args.num):
-        from dataclasses import replace
-
         sp = replace(_sampling_params(args), rng_seed=base_seed + i)
         gr = sampler.generate(ckpt, vocab, args.prompt, args.occ, sp)
         body = [t for t in gr.generated_ids if t not in vocab.ecc_ids]
@@ -185,8 +189,7 @@ def cmd_grid(args) -> int:
 def cmd_perplexity(args) -> int:
     ckpt = model.load_checkpoint(args.ckpt)
     vocab = tokenizer.load_vocab(args.vocab)
-    with open(args.text_file, encoding="utf-8") as fh:
-        texts = [corpus._unescape(line.rstrip("\n")) for line in fh if line.strip()]
+    texts = _read_texts(args.text_file)
     window = args.window if args.window else ckpt.config.context
     lines = ["perplexity,window,token_count"]
     for text in texts:
@@ -220,8 +223,7 @@ def cmd_index_search(args) -> int:
 
 def cmd_index_overlap(args) -> int:
     idx = ngram.load_index(args.idx)
-    with open(args.eval, encoding="utf-8") as fh:
-        texts = [corpus._unescape(line.rstrip("\n")) for line in fh if line.strip()]
+    texts = _read_texts(args.eval)
     thresholds = [int(t) for t in args.threshold.split(",") if t]
     results = [ngram.overlap(texts, idx, threshold=t, unique=args.unique)
                for t in thresholds]
@@ -241,12 +243,8 @@ def cmd_finetune(args) -> int:
     datapoints = tasks.load_datapoints(args.data)
     tc = _training_config(args)
     vocab2, checkpoints = tasks.finetune(ckpt, vocab, spec, datapoints, tc)
-    os.makedirs(args.out, exist_ok=True)
+    _save_epochs(args.out, checkpoints)
     tokenizer.save_vocab(os.path.join(args.out, "vocab.txt"), vocab2)
-    for epoch, ck in enumerate(checkpoints, start=1):
-        epoch_dir = os.path.join(args.out, f"ckpt-epoch{epoch:02d}")
-        os.makedirs(epoch_dir, exist_ok=True)
-        model.save_checkpoint(os.path.join(epoch_dir, "model.ckpt"), ck)
     print(f"fine-tuned {spec.name} for {len(checkpoints)} epochs under {args.out}")
     return 0
 

@@ -55,19 +55,11 @@ def sliding_perplexity(ckpt: M.Checkpoint, v: Vocab, text: str, w: int) -> Perpl
     arr = np.asarray(ids, dtype=np.int64)
     t = len(arr)
 
-    def log_probs(logits: np.ndarray) -> np.ndarray:
-        shifted = logits.astype(np.float64) - logits.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-    total = 0.0
     head = min(w, t)
-    lp = log_probs(M.forward(ckpt, arr[:head]))
-    for i in range(1, head):
-        total += lp[i - 1, arr[i]]
+    lp = M.log_softmax(M.forward(ckpt, arr[:head])[:-1])
+    total = float(lp[np.arange(head - 1), arr[1:head]].sum())
     for i in range(w, t):
-        window = arr[i - w + 1:i]
-        lp_last = log_probs(M.forward(ckpt, window)[-1:])
-        total += lp_last[0, arr[i]]
+        total += M.log_softmax(M.forward(ckpt, arr[i - w + 1:i])[-1])[arr[i]]
 
     count = t - 1
     value = math.exp(-total / count)

@@ -168,6 +168,14 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def log_softmax(x) -> np.ndarray:
+    """Float64 log-probabilities over the last axis: ``x - max`` minus the
+    log of its summed exponentials, finite for any finite logits."""
+    x = np.asarray(x, dtype=np.float64)
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def _layer_norm(x, g, b):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
@@ -387,12 +395,7 @@ def batch_loss(
         raise ModelError("no unmasked target positions in the batch")
 
     logits, cache = _forward_batch(ckpt, ids, keep_cache=compute_grads)
-    pred = logits[:, :-1, :]
-    logz = pred - (
-        np.max(pred, axis=-1, keepdims=True)
-        + np.log(np.sum(np.exp(pred - np.max(pred, axis=-1, keepdims=True)),
-                        axis=-1, keepdims=True))
-    )
+    logz = log_softmax(logits[:, :-1, :])
     b_idx, t_idx = np.nonzero(target_mask)
     targets = ids[:, 1:][b_idx, t_idx]
     loss = -float(logz[b_idx, t_idx, targets].mean())

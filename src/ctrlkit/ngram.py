@@ -16,10 +16,6 @@ from .corpus import Document
 
 DEFAULT_K = 13
 
-# Below this many entries, substring search scans instead of using the
-# word-position index.
-_SCAN_THRESHOLD = 64
-
 
 class NGramIndexError(ValueError):
     pass
@@ -158,15 +154,12 @@ def search(idx: NGramIndex, query: str) -> list[SearchHit]:
     if not words:
         raise NGramIndexError("query must contain at least one word")
 
-    if len(idx.entries) < _SCAN_THRESHOLD:
-        candidates = idx.entries.keys()
-    else:
-        word_index = idx._ensure_word_index()
-        sets = [word_index.get(w) for w in set(words)]
-        if any(s is None for s in sets):
-            return []
-        sets.sort(key=len)
-        candidates = set.intersection(*sets) if sets else set()
+    word_index = idx._ensure_word_index()
+    sets = [word_index.get(w) for w in set(words)]
+    if any(s is None for s in sets):
+        return []
+    sets.sort(key=len)
+    candidates = set.intersection(*sets)
 
     m = len(words)
     hits = []

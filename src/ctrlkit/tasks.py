@@ -3,10 +3,11 @@
 Every datapoint renders as ``[OCC] [Prompt] [Label] [ECC]`` with
 task-specific opening/ending control tokens.  Prompts longer than the
 budget keep their head and tail around a ``[...]`` separator so the whole
-sequence fits the 256-token context.  Evaluation decodes greedily with the
-task ECC blocked at the first step, parses the continuation into a label,
-and scores gold-vs-predicted agreement; unparseable continuations count as
-missing annotations and are excluded from both sides.
+sequence fits the model's context, capped at 256 tokens.  Evaluation
+decodes greedily with the task ECC blocked at the first step, parses the
+continuation into a label, and scores gold-vs-predicted agreement;
+unparseable continuations count as missing annotations and are excluded
+from both sides.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ class PromptBudget:
     reserve: int = 5  # upper bound on the tokenized separator
     separator: str = "[...]"
     cap: int = 245  # prompt limit when everything fits comfortably
+
+    def fit(self, ckpt: M.Checkpoint) -> "PromptBudget":
+        """This budget narrowed to the checkpoint's context window."""
+        return replace(self, context=min(self.context, ckpt.config.context))
 
     def limit(self, prompt_len: int, label_len: int) -> int:
         if prompt_len + label_len + 2 <= self.context - self.reserve:
@@ -366,6 +371,7 @@ def finetune(
     if not datapoints:
         raise TaskError("no datapoints to fine-tune on")
     v2, ckpt2 = add_task_tokens(v, ckpt, spec, seed=tc.seed)
+    budget = budget.fit(ckpt2)
     windows = [
         trainer.pack_ids(training_ids(dp, spec, v2, budget), v2, ckpt2.config.context)[0]
         for dp in datapoints
@@ -377,13 +383,8 @@ def finetune(
 def _sequence_logprob(ckpt: M.Checkpoint, prefix: list[int], cont: list[int]) -> float:
     """Sum of log p over the continuation tokens given the prefix."""
     ids = np.asarray(prefix + cont, dtype=np.int64)
-    logits = M.forward(ckpt, ids[:-1]).astype(np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    total = 0.0
-    for pos in range(len(prefix) - 1, len(ids) - 1):
-        total += logz[pos, ids[pos + 1]]
-    return total
+    logz = M.log_softmax(M.forward(ckpt, ids[:-1])[len(prefix) - 1:])
+    return float(logz[np.arange(len(cont)), cont].sum())
 
 
 def answer_selection_accuracy(
@@ -403,6 +404,8 @@ def answer_selection_accuracy(
         raise TaskError(f"task {spec.name!r} is not an answer-selection task")
     yes = spec.labels[0]
     if scorer is None:
+        budget = budget.fit(ckpt)
+
         def scorer(dp):
             prompt_ids = build_prompt(dp, spec, v, budget)
             return _sequence_logprob(ckpt, prompt_ids, encode(v, " " + yes))
@@ -423,7 +426,7 @@ def answer_selection_accuracy(
     for members in groups.values():
         scores = [scorer(dp) for dp in members]
         picked = members[int(np.argmax(scores))]
-        if str(picked[spec.label_field]) == yes:
+        if spec.label_str(picked) == yes:
             correct += 1
     return correct / len(groups)
 
@@ -516,6 +519,7 @@ def evaluate(
             golds=(),
             predictions=(),
         )
+    budget = budget.fit(ckpt)
     ecc = v.ecc_id(spec.name)
     sp = sampler.SamplingParams(temperature=0.0, max_new_tokens=max_new_tokens,
                                 block_first_ecc=ecc)
@@ -525,8 +529,8 @@ def evaluate(
         gr = sampler.generate_ids(ckpt, v, prompt_ids, sp, stop_ids=frozenset({ecc}))
         body = [i for i in gr.generated_ids if i != ecc]
         preds.append(parse_label(decode(v, body), spec))
-        gold = dp[spec.label_field]
-        golds.append(float(gold) if spec.kind == SCORE else str(gold))
+        gold = spec.label_str(dp)
+        golds.append(float(gold) if spec.kind == SCORE else gold)
     return score_predictions(spec, golds, preds)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import special
 
 from ctrlkit import model as M
 
@@ -96,6 +97,31 @@ class TestForward:
         ckpt = M.init_model(cfg, seed=0)
         with pytest.raises(M.ModelError):
             M.forward(ckpt, [0] * (cfg.context + 1))
+
+
+class TestLogSoftmax:
+    def test_matches_scipy(self):
+        x = np.random.default_rng(0).normal(0.0, 5.0, size=(3, 4, 50))
+        npt.assert_allclose(M.log_softmax(x), special.log_softmax(x, axis=-1),
+                            rtol=0, atol=1e-12)
+
+    def test_rows_logsumexp_to_zero(self):
+        x = np.random.default_rng(1).normal(0.0, 5.0, size=(6, 50))
+        npt.assert_allclose(special.logsumexp(M.log_softmax(x), axis=-1), 0.0,
+                            atol=1e-12)
+
+    def test_finite_for_extreme_logits(self):
+        out = M.log_softmax(np.array([[1e4, -1e4, 0.0], [-1e4, -1e4, -1e4]]))
+        assert np.all(np.isfinite(out))
+        npt.assert_allclose(out[0], [0.0, -2e4, -1e4])
+        npt.assert_allclose(out[1], -np.log(3.0))
+
+    def test_float32_input_gives_float64(self):
+        x = np.random.default_rng(2).normal(size=(2, 50)).astype(np.float32)
+        out = M.log_softmax(x)
+        assert out.dtype == np.float64
+        npt.assert_allclose(out, special.log_softmax(x.astype(np.float64), axis=-1),
+                            rtol=0, atol=1e-12)
 
 
 class TestParamCount:

@@ -40,6 +40,18 @@ def brute_force_overlap(eval_texts, train_texts, k, threshold):
     return pct, short_pct
 
 
+def scan_search(idx, query):
+    """Reference search: test every indexed k-gram for the query run."""
+    words = tuple(query.split())
+    m = len(words)
+    hits = []
+    for ng, (tf, postings) in idx.entries.items():
+        if any(ng[i:i + m] == words for i in range(len(ng) - m + 1)):
+            meta = idx.doc_meta[postings[0]]
+            hits.append(ngram.SearchHit(ng, tf, meta.category, meta.provenance, meta.url))
+    return sorted(hits, key=lambda h: h.ngram)
+
+
 def random_texts(rng, n, vocab=20, max_len=25):
     words = [f"w{i}" for i in range(vocab)]
     return [
@@ -168,6 +180,21 @@ class TestSearch:
             for h in hits
         )
         assert hits  # the query came from an indexed document
+
+    @pytest.mark.parametrize("n_texts", [3, 150])
+    def test_matches_scan_of_entries(self, n_texts):
+        rng = np.random.default_rng(6)
+        texts = random_texts(rng, n_texts, vocab=30)
+        idx = ngram.build_index(docs_from_texts(texts), k=3)
+        assert (len(idx) < 64) == (n_texts == 3)
+        words = texts[0].split()
+        queries = [
+            words[0], words[-1], "w29",
+            " ".join(words[:2]), " ".join(words[1:4]), " ".join(words[:3]),
+            " ".join(reversed(words[:3])), "w0 w0 w0", "zz", "w1 zz",
+        ]
+        for query in queries:
+            assert ngram.search(idx, query) == scan_search(idx, query), query
 
     def test_stable_across_rebuilds(self):
         rng = np.random.default_rng(4)

@@ -251,6 +251,30 @@ class TestFinetuneEvaluate:
                                max_new_tokens=4)
         assert result == again
 
+    def test_small_context_model_truncates_prompts(self, monkeypatch):
+        # 12 words -> 23 prompt tokens; with label and control codes the
+        # sequence would need 27 of the model's 16 positions.
+        v = char_word_vocab()
+        cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16,
+                            context=16, vocab_size=len(v))
+        ckpt = M.init_model(cfg, seed=0)
+        dps = [{"text": "x y z w " * 3, "label": label} for label in ("x", "y")]
+        seen = []
+        real_train = trainer.train
+
+        def recording_train(*args, windows, **kwargs):
+            seen.extend(windows)
+            return real_train(*args, windows=windows, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", recording_train)
+        tc = trainer.TrainingConfig(batch_size=2, lr=1e-3, epochs=1)
+        v2, ckpts = tasks.finetune(ckpt, v, TOY_TASK, dps, tc)
+        assert len(seen) == len(dps)
+        for w in seen:
+            assert w.ids[w.real_length - 1] == v2.ecc_id("toy")
+        result = tasks.evaluate(ckpts[-1], v2, TOY_TASK, dps, max_new_tokens=4)
+        assert set(result.metrics) == {"alpha_nominal", "accuracy"}
+
 
 class TestAnswerSelection:
     def test_oracle_scorer_drives_selection(self):
@@ -265,6 +289,25 @@ class TestAnswerSelection:
             None, None, spec, datapoints, scorer=lambda dp: dp["s"]
         )
         assert acc == 0.5  # group 1 picked right, group 2 picked wrong
+
+    def test_missing_label_raises_task_error(self):
+        spec = tasks.get_task("swefaq")
+        datapoints = [{"question": "q", "answer": "a", "group": 1}]
+        with pytest.raises(tasks.TaskError, match="label"):
+            tasks.answer_selection_accuracy(None, None, spec, datapoints,
+                                            scorer=lambda dp: 0.0)
+
+    def test_small_context_model_truncates_prompts(self):
+        v = char_word_vocab()
+        spec = tasks.get_task("swefaq")
+        cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16,
+                            context=16, vocab_size=len(v))
+        v2, ckpt2 = tasks.add_task_tokens(v, M.init_model(cfg, seed=0), spec)
+        datapoints = [
+            {"question": "x y z w x y", "answer": a, "label": label, "group": 1}
+            for a, label in (("z", "Ja"), ("w", "Nej"))
+        ]
+        assert tasks.answer_selection_accuracy(ckpt2, v2, spec, datapoints) in (0.0, 1.0)
 
     def test_model_path_runs_deterministically(self):
         v = char_word_vocab()
