@@ -131,10 +131,9 @@ def cmd_generate(args) -> int:
     for i in range(args.num):
         sp = replace(_sampling_params(args), rng_seed=base_seed + i)
         gr = sampler.generate(ckpt, vocab, args.prompt, args.occ, sp)
-        body = [t for t in gr.generated_ids if t not in vocab.ecc_ids]
         record = {
             "prompt": args.prompt,
-            "text": tokenizer.decode(vocab, body),
+            "text": tokenizer.decode(vocab, gr.body),
             "stop_reason": gr.stop_reason,
             "params": {
                 "T": sp.temperature,

@@ -120,12 +120,6 @@ class CategoryTable:
     def orphans(self) -> tuple[ControlCategory, ...]:
         return tuple(c for c in self._categories if c.is_orphan)
 
-    def category_of_ecc(self, ecc: str) -> ControlCategory:
-        for c in self._categories:
-            if c.ecc_text == ecc:
-                return c
-        raise CorpusError(f"no category with ECC {ecc!r}")
-
 
 # (name, is_major, documents, tokens, characters), in published order.
 _DEFAULT_CATEGORIES = [

@@ -16,8 +16,6 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import model as M
 from .ngram import NGramIndex, overlap
 from .sampler import (
@@ -52,16 +50,12 @@ def sliding_perplexity(ckpt: M.Checkpoint, v: Vocab, text: str, w: int) -> Perpl
     ids = encode(v, text)
     if len(ids) < 2:
         raise EvaluationError("text must encode to at least 2 tokens")
-    arr = np.asarray(ids, dtype=np.int64)
-    t = len(arr)
 
-    head = min(w, t)
-    lp = M.log_softmax(M.forward(ckpt, arr[:head])[:-1])
-    total = float(lp[np.arange(head - 1), arr[1:head]].sum())
-    for i in range(w, t):
-        total += M.log_softmax(M.forward(ckpt, arr[i - w + 1:i])[-1])[arr[i]]
+    total = M.sequence_logprob(ckpt, ids[:w])
+    for i in range(w, len(ids)):
+        total += M.sequence_logprob(ckpt, ids[i - w + 1:i + 1], start=w - 1)
 
-    count = t - 1
+    count = len(ids) - 1
     value = math.exp(-total / count)
     return PerplexityResult(value=value, window=w, token_count=count)
 
@@ -383,11 +377,10 @@ def _run_cell(ckpt, v, category, params, texts_per_cell, max_new_tokens,
         )
         gr = generate(ckpt, v, "", category, sp)
         out = ecc_outcome(gr, category, v)
-        body = [i for i in gr.generated_ids if i not in v.ecc_ids]
         records.append(
             CellRecord(
                 prompt="",
-                text=decode(v, body),
+                text=decode(v, gr.body),
                 stop_reason=gr.stop_reason,
                 outcome=out.kind,
                 reached=(category if out.kind == OUTCOME_CORRECT else out.category),

@@ -6,8 +6,12 @@ residual connections), a final layer norm, and an output projection tied to
 the token embedding.  Attention logits are scaled by 1/sqrt(d/H).
 
 Forward and backward passes are written out explicitly; the backward pass is
-validated against central finite differences in the test suite.  Training
-and evaluation run in float32, gradient checks in float64.
+validated against central finite differences in the test suite.  Weights
+are float32 for training and evaluation and float64 for gradient checks.
+Under numpy 2 promotion the float64 scalars ``att_scale`` and
+``np.sqrt(2.0)`` widen float32 activations to float64 from layer 0's
+attention scores onward, so most of a float32 pass runs in float64 (see
+ROADMAP open item 3).
 """
 
 from __future__ import annotations
@@ -273,7 +277,7 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
         if keep_cache:
             layer_caches.append(
                 dict(h=h, ln1=ln1_cache, q=q, k=k, v=v, attn=attn, ctx=ctx,
-                     x_attn=x_attn, h2=h2, ln2=ln2_cache, z1=z1, act=act)
+                     h2=h2, ln2=ln2_cache, z1=z1, act=act)
             )
         x = x_next
 
@@ -371,6 +375,16 @@ def forward(ckpt: Checkpoint, ids, kv=None, start: int = 0) -> np.ndarray:
     logits, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False, kv=kv,
                                start=start)
     return logits[0]
+
+
+def sequence_logprob(ckpt: Checkpoint, ids, start: int = 1) -> float:
+    """Sum of log p(ids[j] | ids[:j]) over positions j >= start, from one
+    ``forward`` over ids[:-1]."""
+    arr = np.asarray(ids, dtype=np.int64)
+    if not 1 <= start < len(arr):
+        raise ModelError(f"start must be in [1, {len(arr) - 1}], got {start}")
+    logz = log_softmax(forward(ckpt, arr[:-1])[start - 1:])
+    return float(logz[np.arange(len(arr) - start), arr[start:]].sum())
 
 
 def batch_loss(

@@ -195,16 +195,25 @@ def save_index(path, idx: NGramIndex) -> None:
 
 
 def load_index(path) -> NGramIndex:
+    """Read a ``save_index`` file; malformed input raises NGramIndexError."""
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "ctrlkit-ngram-1":
-            raise NGramIndexError("unsupported index file format")
-        doc_meta = {
-            int(i): DocMeta(category=m[0], provenance=m[1], url=m[2])
-            for i, m in header["docs"].items()
-        }
-        entries = {}
-        for line in fh:
-            ng, tf, postings = json.loads(line)
-            entries[tuple(ng)] = (tf, tuple(postings))
-    return NGramIndex(k=header["k"], entries=entries, doc_meta=doc_meta)
+        try:
+            header = json.loads(fh.readline())
+            if header.get("format") != "ctrlkit-ngram-1":
+                raise NGramIndexError("unsupported index file format")
+            doc_meta = {
+                int(i): DocMeta(category=m[0], provenance=m[1], url=m[2])
+                for i, m in header["docs"].items()
+            }
+            k = header["k"]
+            if not isinstance(k, int) or k < 1:
+                raise NGramIndexError(f"index k must be a positive integer, got {k!r}")
+            entries = {}
+            for line in fh:
+                ng, tf, postings = json.loads(line)
+                entries[tuple(ng)] = (tf, tuple(postings))
+        except NGramIndexError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise NGramIndexError(f"malformed index file {path}: {exc!r}") from None
+    return NGramIndex(k=k, entries=entries, doc_meta=doc_meta)

@@ -1,9 +1,11 @@
 """Autoregressive decoding: temperature, nucleus, and repetition penalty.
 
-The distribution transforms apply in a fixed order: repetition penalty,
-temperature, softmax, nucleus truncation.  Free generation stops at any
-registered ending control code; greedy task decoding (temperature 0) stops
-only at the task's own ECC and blocks it at the first step.
+Each step picks its token by one rule.  At temperature 0 it takes the
+argmax of the repetition-penalized logits; otherwise it samples from the
+distribution after repetition penalty, temperature, softmax and nucleus
+truncation, in that order.  Free generation stops at any registered ending
+control code; greedy task decoding stops only at the task's own ECC and
+blocks it at the first step.
 
 Decoding prefills the prompt into a per-layer K/V cache once, then runs
 one 1-token step per new token.  Positions are absolute sinusoids, so once
@@ -27,7 +29,8 @@ class SamplingError(ValueError):
 
 @dataclass(frozen=True)
 class SamplingParams:
-    """temperature=0 selects the deterministic greedy path."""
+    """temperature=0 selects the deterministic greedy path, the only one
+    that takes ``block_first_ecc``."""
 
     temperature: float = 1.0
     nucleus_p: float = 1.0
@@ -47,6 +50,8 @@ class SamplingParams:
             )
         if self.max_new_tokens < 0:
             raise SamplingError("max_new_tokens must be nonnegative")
+        if self.block_first_ecc is not None and self.temperature != 0.0:
+            raise SamplingError("block_first_ecc needs temperature 0 (greedy decoding)")
 
 
 # Hyper-parameter combinations that performed well across categories, plus
@@ -80,6 +85,14 @@ class GenerationResult:
     generated_ids: tuple[int, ...]
     stop_reason: str  # STOP_ECC | STOP_MAX
     ecc_id: int | None = None
+
+    @property
+    def body(self) -> tuple[int, ...]:
+        """The generated ids without the ECC that stopped decoding; a stop
+        id can only be the last token."""
+        if self.stop_reason == STOP_ECC:
+            return self.generated_ids[:-1]
+        return self.generated_ids
 
 
 def apply_repetition_penalty(
@@ -129,11 +142,6 @@ def adjust_distribution(
     return nucleus
 
 
-def _greedy_pick(logits: np.ndarray, context_ids, r: float) -> int:
-    scores = apply_repetition_penalty(logits, context_ids, r)
-    return int(np.argmax(scores))
-
-
 def generate(
     ckpt: M.Checkpoint,
     v: Vocab,
@@ -178,22 +186,13 @@ def generate_ids(
         window = context[-n:]
         logits = M.forward(ckpt, window[cached:], kv, cached)[-1]
         cached = len(window)
-        blocked = sp.block_first_ecc if step == 0 else None
         if sp.temperature == 0.0:
-            if blocked is not None:
-                logits = logits.astype(np.float64, copy=True)
-                logits[blocked] = -np.inf
-            nxt = _greedy_pick(logits, context, sp.repetition_penalty)
+            scores = apply_repetition_penalty(logits, context, sp.repetition_penalty)
+            if step == 0 and sp.block_first_ecc is not None:
+                scores[sp.block_first_ecc] = -np.inf
+            nxt = int(np.argmax(scores))
         else:
             probs = adjust_distribution(logits, context, sp)
-            if blocked is not None:
-                probs[blocked] = 0.0
-                total = probs.sum()
-                if total == 0.0:  # blocked token was the whole nucleus
-                    probs = adjust_distribution(logits, context, replace(sp, nucleus_p=1.0))
-                    probs[blocked] = 0.0
-                    total = probs.sum()
-                probs /= total
             nxt = int(rng.choice(len(probs), p=probs))
         context.append(nxt)
         generated.append(nxt)

@@ -3,7 +3,9 @@
 Every datapoint renders as ``[OCC] [Prompt] [Label] [ECC]`` with
 task-specific opening/ending control tokens.  Prompts longer than the
 budget keep their head and tail around a ``[...]`` separator so the whole
-sequence fits the model's context, capped at 256 tokens.  Evaluation
+sequence fits the model's context.  Fine-tuning, greedy evaluation and
+answer selection share one budget, ``PromptBudget().fit(ckpt)``: 256
+tokens, or the checkpoint's context window when that is smaller.  Evaluation
 decodes greedily with the task ECC blocked at the first step, parses the
 continuation into a label, and scores gold-vs-predicted agreement;
 unparseable continuations count as missing annotations and are excluded
@@ -364,14 +366,13 @@ def finetune(
     spec: TaskSpec,
     datapoints: list[dict],
     tc: trainer.TrainingConfig,
-    budget: PromptBudget = PromptBudget(),
 ) -> tuple[Vocab, list[M.Checkpoint]]:
     """Fine-tune all weights on rendered task sequences; one checkpoint per
     epoch, deterministic given tc.seed."""
     if not datapoints:
         raise TaskError("no datapoints to fine-tune on")
     v2, ckpt2 = add_task_tokens(v, ckpt, spec, seed=tc.seed)
-    budget = budget.fit(ckpt2)
+    budget = PromptBudget().fit(ckpt2)
     windows = [
         trainer.pack_ids(training_ids(dp, spec, v2, budget), v2, ckpt2.config.context)[0]
         for dp in datapoints
@@ -380,19 +381,11 @@ def finetune(
     return v2, checkpoints
 
 
-def _sequence_logprob(ckpt: M.Checkpoint, prefix: list[int], cont: list[int]) -> float:
-    """Sum of log p over the continuation tokens given the prefix."""
-    ids = np.asarray(prefix + cont, dtype=np.int64)
-    logz = M.log_softmax(M.forward(ckpt, ids[:-1])[len(prefix) - 1:])
-    return float(logz[np.arange(len(cont)), cont].sum())
-
-
 def answer_selection_accuracy(
     ckpt: M.Checkpoint,
     v: Vocab,
     spec: TaskSpec,
     datapoints: list[dict],
-    budget: PromptBudget = PromptBudget(),
     scorer=None,
 ) -> float:
     """Share of groups whose highest-p('Ja') candidate is the gold answer.
@@ -404,11 +397,12 @@ def answer_selection_accuracy(
         raise TaskError(f"task {spec.name!r} is not an answer-selection task")
     yes = spec.labels[0]
     if scorer is None:
-        budget = budget.fit(ckpt)
+        budget = PromptBudget().fit(ckpt)
 
         def scorer(dp):
             prompt_ids = build_prompt(dp, spec, v, budget)
-            return _sequence_logprob(ckpt, prompt_ids, encode(v, " " + yes))
+            return M.sequence_logprob(ckpt, prompt_ids + encode(v, " " + yes),
+                                      start=len(prompt_ids))
 
     groups: dict = {}
     for dp in datapoints:
@@ -500,7 +494,6 @@ def evaluate(
     v: Vocab,
     spec: TaskSpec,
     datapoints: list[dict],
-    budget: PromptBudget = PromptBudget(),
     max_new_tokens: int = 32,
 ) -> TaskResult:
     """Greedy decoding with the task ECC blocked at step one, then scoring.
@@ -511,7 +504,7 @@ def evaluate(
     if not datapoints:
         raise TaskError("no datapoints to evaluate")
     if spec.group_field is not None:
-        acc = answer_selection_accuracy(ckpt, v, spec, datapoints, budget)
+        acc = answer_selection_accuracy(ckpt, v, spec, datapoints)
         return TaskResult(
             task=spec.name,
             metrics={"pseudo_alpha": agreement.pseudo_alpha(acc), "accuracy": acc},
@@ -519,7 +512,7 @@ def evaluate(
             golds=(),
             predictions=(),
         )
-    budget = budget.fit(ckpt)
+    budget = PromptBudget().fit(ckpt)
     ecc = v.ecc_id(spec.name)
     sp = sampler.SamplingParams(temperature=0.0, max_new_tokens=max_new_tokens,
                                 block_first_ecc=ecc)
@@ -527,8 +520,7 @@ def evaluate(
     for dp in datapoints:
         prompt_ids = build_prompt(dp, spec, v, budget)
         gr = sampler.generate_ids(ckpt, v, prompt_ids, sp, stop_ids=frozenset({ecc}))
-        body = [i for i in gr.generated_ids if i != ecc]
-        preds.append(parse_label(decode(v, body), spec))
+        preds.append(parse_label(decode(v, gr.body), spec))
         gold = spec.label_str(dp)
         golds.append(float(gold) if spec.kind == SCORE else gold)
     return score_predictions(spec, golds, preds)

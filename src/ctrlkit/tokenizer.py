@@ -272,12 +272,23 @@ def save_vocab(path, v: Vocab) -> None:
 
 
 def load_vocab(path) -> Vocab:
+    """Read a ``save_vocab`` file; malformed input raises TokenizerError."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            return _parse_vocab(fh.read().splitlines())
+        except TokenizerError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TokenizerError(f"malformed vocab file {path}: {exc!r}") from None
+
+
+def _parse_vocab(lines: list[str]) -> Vocab:
     pos = 0
 
     def take() -> str:
         nonlocal pos
+        if pos == len(lines):
+            raise TokenizerError(f"vocab file ends early, after {pos} lines")
         line = lines[pos]
         pos += 1
         return line

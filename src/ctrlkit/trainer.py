@@ -8,7 +8,7 @@ clipping; given a seed, training is fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,6 +42,12 @@ class TrainingConfig:
     weight_decay: float = 0.01
     epochs: int = 1
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise TrainingError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -207,8 +213,13 @@ def parse_training_config(path) -> TrainingConfig:
     tc = TrainingConfig()
     kwargs = {}
     for key, val in values.items():
-        if not hasattr(tc, key):
+        if key not in {f.name for f in fields(tc)}:
             raise TrainingError(f"unknown training config key {key!r}")
-        current = getattr(tc, key)
-        kwargs[key] = type(current)(val) if not isinstance(current, float) else float(val)
+        kind = type(getattr(tc, key))
+        try:
+            kwargs[key] = kind(val)
+        except ValueError:
+            raise TrainingError(
+                f"training config {key}={val!r} is not a valid {kind.__name__}"
+            ) from None
     return replace(tc, **kwargs)

@@ -120,6 +120,18 @@ class TestTokenizerAndTraining:
         assert rc == 0
         assert (out / "ckpt-epoch01" / "model.ckpt").exists()
 
+    def test_zero_epochs_rejected_before_writing(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main([
+            "train", "--corpus", str(workspace["corpus"]),
+            "--vocab", str(workspace["vocab"]), "--epochs", "0",
+            "--layers", "1", "--heads", "2", "--dim", "16", "--inner", "32",
+            "--context", "48", "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: TrainingError: epochs")
+        assert not out.exists()
+
 
 class TestPerplexity:
     def test_csv_output(self, workspace, tmp_path, capsys):

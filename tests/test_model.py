@@ -124,6 +124,25 @@ class TestLogSoftmax:
                             rtol=0, atol=1e-12)
 
 
+class TestSequenceLogprob:
+    IDS = np.random.default_rng(8).integers(0, 50, size=12)
+
+    @pytest.mark.parametrize("start", [1, 6, 11])
+    def test_matches_per_position_forward_loop(self, start):
+        ckpt = perturbed_checkpoint(M.toy_config())
+        want = sum(
+            special.log_softmax(M.forward(ckpt, self.IDS[:j])[-1])[self.IDS[j]]
+            for j in range(start, len(self.IDS))
+        )
+        got = M.sequence_logprob(ckpt, self.IDS, start=start)
+        assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("start", [0, 12])
+    def test_start_outside_sequence_rejected(self, start):
+        with pytest.raises(M.ModelError):
+            M.sequence_logprob(perturbed_checkpoint(M.toy_config()), self.IDS, start)
+
+
 class TestParamCount:
     def test_toy_count_matches_hand_enumeration(self):
         # L=2, H=2, d=8, f=16, V=50:

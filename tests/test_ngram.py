@@ -223,3 +223,27 @@ class TestSerialization:
         ngram.save_index(p1, idx)
         ngram.save_index(p2, ngram.load_index(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+HEADER = '{"docs": {"0": ["alpha", "manual", null]}, "format": "ctrlkit-ngram-1", "k": 2}'
+ENTRY = '[["a", "b"], 1, [0]]'
+MALFORMED_INDEX = {
+    "empty": "",
+    "header_not_json": "not json\n",
+    "header_not_object": "[1, 2]\n",
+    "missing_k": '{"docs": {}, "format": "ctrlkit-ngram-1"}\n' + ENTRY + "\n",
+    "k_not_integer": HEADER.replace('"k": 2', '"k": "2"') + "\n",
+    "blank_entry_line": HEADER + "\n\n" + ENTRY + "\n",
+    "bad_entry_json": HEADER + "\n" + '[["a", "b"], 1,' + "\n",
+    "short_entry": HEADER + "\n" + '[["a", "b"], 1]' + "\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_INDEX.values(), ids=MALFORMED_INDEX.keys())
+def test_malformed_index_file_raises_index_error(tmp_path, text):
+    path = tmp_path / "idx.jsonl"
+    path.write_text(HEADER + "\n" + ENTRY + "\n", encoding="utf-8")
+    assert ngram.load_index(path).tf(("a", "b")) == 1
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ngram.NGramIndexError):
+        ngram.load_index(path)

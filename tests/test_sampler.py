@@ -120,6 +120,8 @@ class TestPresets:
             S.SamplingParams(nucleus_p=0.0)
         with pytest.raises(S.SamplingError):
             S.SamplingParams(repetition_penalty=2.5)
+        with pytest.raises(S.SamplingError, match="block_first_ecc"):
+            S.SamplingParams(temperature=0.5, block_first_ecc=3)
 
 
 def immediate_ecc_checkpoint(setup, category="alpha"):
@@ -196,6 +198,19 @@ class TestGenerate:
             assert gr.ecc_id == gr.generated_ids[-1]
         else:
             assert len(gr.generated_ids) == 30
+
+    def test_body_drops_only_the_stopping_ecc(self, two_genre):
+        v = two_genre.vocab
+        sp = S.SamplingParams(temperature=0.0, max_new_tokens=10)
+        gr = S.generate(immediate_ecc_checkpoint(two_genre), v, "", "alpha", sp)
+        assert gr.generated_ids == (v.ecc_id("alpha"),)
+        assert gr.body == ()
+        sp = S.SamplingParams(max_new_tokens=7, rng_seed=2)
+        gr = S.generate_ids(two_genre.untrained, v, [v.occ_id("alpha")], sp,
+                            stop_ids=frozenset())
+        assert gr.stop_reason == S.STOP_MAX
+        assert gr.body == gr.generated_ids
+        assert len(gr.body) == 7
 
 
 def decode_task_answer(ckpt, v, prompt_ids, task_ecc, max_new_tokens):
@@ -320,3 +335,10 @@ class TestGreedyAnswer:
         gr = decode_task_answer(ckpt, v, [v.occ_id("alpha")], v.ecc_id("alpha"), 5)
         assert gr.stop_reason == S.STOP_MAX
         assert len(gr.generated_ids) == 5
+
+    def test_other_ecc_mid_stream_stays_in_body(self, two_genre):
+        ckpt = immediate_ecc_checkpoint(two_genre, category="beta")
+        v = two_genre.vocab
+        gr = decode_task_answer(ckpt, v, [v.occ_id("alpha")], v.ecc_id("alpha"), 5)
+        assert gr.body == gr.generated_ids
+        assert v.ecc_id("beta") in gr.body[:-1]

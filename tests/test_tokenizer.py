@@ -183,5 +183,39 @@ class TestSerialization:
         assert first == f"bpe-v1 {v.base_size}"
 
 
+def _replace_line(lines, index, line):
+    return lines[:index] + [line] + lines[index + 1:]
+
+
+# Edits of a valid vocab file's lines, each leaving the file malformed.
+MALFORMED_VOCAB = {
+    "empty": lambda lines: [],
+    "header_only": lambda lines: lines[:1],
+    "cut_in_alphabet": lambda lines: lines[:3],
+    "cut_in_controls": lambda lines: lines[:-2],
+    "header_without_size": lambda lines: _replace_line(lines, 0, "bpe-v1"),
+    "non_numeric_size": lambda lines: _replace_line(lines, 0, "bpe-v1 many"),
+    "non_numeric_count": lambda lines: _replace_line(lines, 1, "alphabet many"),
+    "bad_json_symbol": lambda lines: _replace_line(lines, 2, "{"),
+    # Line 1 is "alphabet <count>"; the first merge follows the merges line.
+    "merge_without_tab": lambda lines: _replace_line(
+        lines, 3 + int(lines[1].split()[1]), '"a"'),
+    "specials_without_unk": lambda lines: lines[:-1] + ["specials pad=54"],
+    "specials_without_value": lambda lines: lines[:-1] + ["specials pad"],
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_VOCAB.values(), ids=MALFORMED_VOCAB.keys())
+def test_malformed_vocab_file_raises_tokenizer_error(tmp_path, edit):
+    docs, table = make_docs(SWEDISH_SAMPLE)
+    v = T.add_control_codes(T.train_bpe(docs, 1, vocab_size=50), table)
+    path = tmp_path / "vocab.txt"
+    T.save_vocab(path, v)
+    lines = edit(path.read_text(encoding="utf-8").splitlines())
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(T.TokenizerError):
+        T.load_vocab(path)
+
+
 def test_full_scale_vocab_constant():
     assert T.FULL_SCALE_VOCAB_SIZE == 256_000

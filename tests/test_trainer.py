@@ -185,3 +185,23 @@ class TestTrainingConfigFile:
         path.write_text("learning_rate=1\n")
         with pytest.raises(trainer.TrainingError):
             trainer.parse_training_config(path)
+        path.write_text("__doc__=x\n")
+        with pytest.raises(trainer.TrainingError):
+            trainer.parse_training_config(path)
+
+    @pytest.mark.parametrize("line", ["epochs=abc", "lr=fast", "batch_size=2.5"])
+    def test_unparsable_value_rejected(self, tmp_path, line):
+        path = tmp_path / "train.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(trainer.TrainingError, match=line.split("=")[0]):
+            trainer.parse_training_config(path)
+
+
+class TestTrainingConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        dict(epochs=-3), dict(epochs=0), dict(batch_size=0),
+        dict(batch_size=-1, epochs=2),
+    ], ids=["epochs-3", "epochs0", "batch0", "batch-1"])
+    def test_nonpositive_epochs_or_batch_size_rejected(self, kwargs):
+        with pytest.raises(trainer.TrainingError, match="must be at least 1"):
+            trainer.TrainingConfig(**kwargs)
