@@ -26,19 +26,23 @@ from . import (
 )
 
 
-def _load_table(kind: str, corpus_path: str | None = None) -> corpus.CategoryTable:
-    if kind == "default":
-        return corpus.default_category_table()
-    if kind == "auto":
-        if corpus_path is None:
-            raise ValueError("--table auto needs a corpus file")
-        names: set[str] = set()
-        with open(corpus_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    names.add(line.split("\t", 1)[0])
-        return corpus.table_from_names(sorted(names))
-    raise ValueError(f"unknown table {kind!r}; use 'default' or 'auto'")
+def _load_docs(args) -> tuple[list[corpus.Document], corpus.CategoryTable]:
+    """The ``--corpus`` documents and the ``--table`` they were read with:
+    the bundled table (``default``) or the corpus's own names (``auto``)."""
+    if args.table == "default":
+        table = corpus.default_category_table()
+    elif args.table == "auto":
+        with open(args.corpus, encoding="utf-8") as fh:
+            names = {line.split("\t", 1)[0] for line in fh if line.strip()}
+        table = corpus.table_from_names(sorted(names))
+    else:
+        raise ValueError(f"unknown table {args.table!r}; use 'default' or 'auto'")
+    return corpus.load_corpus(args.corpus, table), table
+
+
+def _load_model(args) -> tuple[model.Checkpoint, tokenizer.Vocab]:
+    """The ``--ckpt`` checkpoint and the ``--vocab`` vocabulary."""
+    return model.load_checkpoint(args.ckpt), tokenizer.load_vocab(args.vocab)
 
 
 def _write(path: str | None, content: str) -> None:
@@ -67,8 +71,7 @@ def _sampling_params(args) -> sampler.SamplingParams:
 
 
 def cmd_train_tokenizer(args) -> int:
-    table = _load_table(args.table, args.corpus)
-    docs = corpus.load_corpus(args.corpus, table)
+    docs, table = _load_docs(args)
     vocab = tokenizer.train_bpe(docs, args.fraction, args.vocab_size)
     vocab = tokenizer.add_control_codes(vocab, table)
     tokenizer.save_vocab(args.out, vocab)
@@ -80,7 +83,7 @@ def _training_config(args) -> trainer.TrainingConfig:
     tc = trainer.parse_training_config(args.config) if args.config else trainer.TrainingConfig()
     overrides = {}
     for name in ("epochs", "batch_size", "lr"):
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is not None:
             overrides[name] = value
     if args.seed is not None:
@@ -98,15 +101,8 @@ def _save_epochs(out: str, checkpoints: list[model.Checkpoint]) -> None:
         model.save_checkpoint(os.path.join(epoch_dir, "model.ckpt"), ck)
 
 
-def _read_texts(path: str) -> list[str]:
-    """The non-blank lines of a text file, corpus escapes undone."""
-    with open(path, encoding="utf-8") as fh:
-        return [corpus._unescape(line.rstrip("\n")) for line in fh if line.strip()]
-
-
 def cmd_train(args) -> int:
-    table = _load_table(args.table, args.corpus)
-    docs = corpus.load_corpus(args.corpus, table)
+    docs, _ = _load_docs(args)
     vocab = tokenizer.load_vocab(args.vocab)
     if args.arch == "full":
         config = model.full_scale_config(vocab_size=len(vocab))
@@ -124,8 +120,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    ckpt = model.load_checkpoint(args.ckpt)
-    vocab = tokenizer.load_vocab(args.vocab)
+    ckpt, vocab = _load_model(args)
     base_seed = args.seed if args.seed is not None else 0
     lines = []
     for i in range(args.num):
@@ -154,8 +149,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def cmd_grid(args) -> int:
-    ckpt = model.load_checkpoint(args.ckpt)
-    vocab = tokenizer.load_vocab(args.vocab)
+    ckpt, vocab = _load_model(args)
     idx = ngram.load_index(args.idx) if args.idx else None
     grid = evaluation.GridSpec(
         p_values=_parse_floats(args.p_grid),
@@ -186,9 +180,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_perplexity(args) -> int:
-    ckpt = model.load_checkpoint(args.ckpt)
-    vocab = tokenizer.load_vocab(args.vocab)
-    texts = _read_texts(args.text_file)
+    ckpt, vocab = _load_model(args)
+    texts = corpus.load_texts(args.text_file)
     window = args.window if args.window else ckpt.config.context
     lines = ["perplexity,window,token_count"]
     for text in texts:
@@ -199,8 +192,7 @@ def cmd_perplexity(args) -> int:
 
 
 def cmd_index_build(args) -> int:
-    table = _load_table(args.table, args.corpus)
-    docs = corpus.load_corpus(args.corpus, table)
+    docs, _ = _load_docs(args)
     idx = ngram.build_index(docs, k=args.k)
     ngram.save_index(args.out, idx)
     print(f"indexed {len(idx)} {args.k}-grams from {len(docs)} documents")
@@ -222,7 +214,7 @@ def cmd_index_search(args) -> int:
 
 def cmd_index_overlap(args) -> int:
     idx = ngram.load_index(args.idx)
-    texts = _read_texts(args.eval)
+    texts = corpus.load_texts(args.eval)
     thresholds = [int(t) for t in args.threshold.split(",") if t]
     results = [ngram.overlap(texts, idx, threshold=t, unique=args.unique)
                for t in thresholds]
@@ -236,8 +228,7 @@ def cmd_index_overlap(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    ckpt = model.load_checkpoint(args.ckpt)
-    vocab = tokenizer.load_vocab(args.vocab)
+    ckpt, vocab = _load_model(args)
     spec = tasks.get_task(args.task)
     datapoints = tasks.load_datapoints(args.data)
     tc = _training_config(args)
@@ -249,8 +240,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval_task(args) -> int:
-    ckpt = model.load_checkpoint(args.ckpt)
-    vocab = tokenizer.load_vocab(args.vocab)
+    ckpt, vocab = _load_model(args)
     spec = tasks.get_task(args.task)
     datapoints = tasks.load_datapoints(args.data)
     result = tasks.evaluate(
@@ -275,6 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=out_required, default=None)
 
+    def training(p):
+        p.add_argument("--config", default=None, help="key=value training config file")
+        p.add_argument("--epochs", type=int, default=None)
+        p.add_argument("--batch-size", type=int, default=None)
+        p.add_argument("--lr", type=float, default=None)
+
     p = sub.add_parser("train-tokenizer", help="learn a BPE vocabulary")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab-size", type=int, required=True)
@@ -287,10 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--table", default="auto")
-    p.add_argument("--config", default=None, help="key=value training config file")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    training(p)
     p.add_argument("--arch", choices=["custom", "full"], default="custom")
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--heads", type=int, default=2)
@@ -361,10 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--task", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    training(p)
     common(p, out_required=True)
     p.set_defaults(func=cmd_finetune)
 

@@ -238,6 +238,12 @@ def load_corpus(path, table: CategoryTable) -> list[Document]:
     return docs
 
 
+def load_texts(path) -> list[str]:
+    """The non-blank lines of a text file, corpus escapes undone."""
+    with open(path, encoding="utf-8") as fh:
+        return [_unescape(line.rstrip("\n")) for line in fh if line.strip()]
+
+
 def save_corpus(path, docs: list[Document]) -> None:
     """Write documents in the line format accepted by :func:`load_corpus`."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import model as M
-from .ngram import NGramIndex, overlap
+from .ngram import NGramIndex, kgrams, overlap
 from .sampler import (
     STOP_ECC,
     GenerationResult,
@@ -162,12 +162,6 @@ class EccConfusion:
         return sum(c for (o, _), c in self.matrix.items() if o == occ)
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(
-        tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)
-    )
-
-
 def bleu4(candidate: str, references: list[str]) -> float:
     """BLEU-4 with uniform weights, brevity penalty, and add-one smoothing
     applied to any order whose clipped count is zero."""
@@ -179,9 +173,9 @@ def bleu4(candidate: str, references: list[str]) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, 5):
-        cand_counts = _ngrams(cand, n)
+        cand_counts = Counter(kgrams(cand, n))
         total = sum(cand_counts.values())
-        ref_counts = [_ngrams(r, n) for r in refs]
+        ref_counts = [Counter(kgrams(r, n)) for r in refs]
         clipped = sum(
             min(cnt, max(rc.get(ng, 0) for rc in ref_counts))
             for ng, cnt in cand_counts.items()

@@ -108,10 +108,17 @@ def param_count(config: ModelConfig) -> int:
 
 @dataclass
 class Checkpoint:
+    """Config, weights and training position; the tied ``ALIASES`` views
+    are attached to ``weights`` on construction."""
+
     config: ModelConfig
     weights: dict[str, np.ndarray]
     step: int = 0
     seed: int = 0
+
+    def __post_init__(self):
+        for alias, target in ALIASES.items():
+            self.weights[alias] = self.weights[target].T
 
     @property
     def dtype(self):
@@ -119,13 +126,7 @@ class Checkpoint:
 
     def copy(self) -> "Checkpoint":
         weights = {n: self.weights[n].copy() for n in param_shapes(self.config)}
-        _attach_aliases(weights)
         return Checkpoint(self.config, weights, self.step, self.seed)
-
-
-def _attach_aliases(weights: dict[str, np.ndarray]) -> None:
-    for alias, target in ALIASES.items():
-        weights[alias] = weights[target].T
 
 
 def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> Checkpoint:
@@ -140,7 +141,6 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> Checkpoint:
             weights[name] = np.zeros(shape, dtype=dtype)
         else:
             weights[name] = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
-    _attach_aliases(weights)
     return Checkpoint(config=config, weights=weights, step=0, seed=seed)
 
 
@@ -166,7 +166,8 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return cdf + x * pdf
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Probabilities over the last axis, computed in the input's dtype."""
     shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
@@ -235,6 +236,8 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
     """
     cfg, W = ckpt.config, ckpt.weights
     b, t = ids.shape
+    if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
+        raise ModelError("token id outside the vocabulary range")
     if t < 1 or start < 0 or start + t > cfg.context:
         raise ModelError(
             f"sequence length {start + t} outside the context window 1..{cfg.context}"
@@ -263,7 +266,7 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
             k, v = k_all[:, :, :start + t], v_all[:, :, :start + t]
         scores = (q @ k.swapaxes(-1, -2)) * att_scale
         scores = np.where(causal, scores, -np.inf)
-        attn = _softmax(scores)
+        attn = softmax(scores)
         ctx = _merge_heads(attn @ v)
         a_out = ctx @ W[p + "attn.wo"] + W[p + "attn.bo"]
         x_attn = x + a_out
@@ -370,8 +373,6 @@ def forward(ckpt: Checkpoint, ids, kv=None, start: int = 0) -> np.ndarray:
         raise ModelError("forward expects a flat id sequence")
     if arr.size == 0:
         raise ModelError("forward expects at least one token")
-    if np.any(arr < 0) or np.any(arr >= ckpt.config.vocab_size):
-        raise ModelError("token id outside the vocabulary range")
     logits, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False, kv=kv,
                                start=start)
     return logits[0]
@@ -457,19 +458,35 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a ``save_checkpoint`` file; malformed input raises ModelError."""
     with open(path, "rb") as fh:
-        magic = fh.readline().decode("ascii").strip()
-        if magic != CKPT_MAGIC:
-            raise ModelError(f"unsupported checkpoint format {magic!r}")
-        header = json.loads(fh.readline().decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        weights: dict[str, np.ndarray] = {}
-        for name, shape in header["tensors"]:
-            count = int(np.prod(shape))
-            buf = fh.read(count * 4)
-            if len(buf) != count * 4:
-                raise ModelError(f"checkpoint truncated while reading {name}")
-            weights[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
-    _attach_aliases(weights)
-    return Checkpoint(config=config, weights=weights,
-                      step=header["step"], seed=header["seed"])
+        try:
+            return _parse_checkpoint(fh)
+        except ModelError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"malformed checkpoint file {path}: {exc!r}") from None
+
+
+def _parse_checkpoint(fh) -> Checkpoint:
+    magic = fh.readline().decode("ascii").strip()
+    if magic != CKPT_MAGIC:
+        raise ModelError(f"unsupported checkpoint format {magic!r}")
+    header = json.loads(fh.readline().decode("utf-8"))
+    config = ModelConfig(**header["config"])
+    step, seed = header["step"], header["seed"]
+    if any(type(n) is not int for n in (step, seed, *asdict(config).values())):
+        raise ModelError("checkpoint header numbers must be integers")
+    shapes = param_shapes(config)
+    if header["tensors"] != [[n, list(s)] for n, s in shapes.items()]:
+        raise ModelError("checkpoint tensor list does not match its config")
+    weights: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        count = int(np.prod(shape))
+        buf = fh.read(count * 4)
+        if len(buf) != count * 4:
+            raise ModelError(f"checkpoint truncated while reading {name}")
+        weights[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
+    if fh.read(1):
+        raise ModelError("checkpoint has trailing bytes after its tensors")
+    return Checkpoint(config=config, weights=weights, step=step, seed=seed)

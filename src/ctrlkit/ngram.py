@@ -21,6 +21,12 @@ class NGramIndexError(ValueError):
     pass
 
 
+def kgrams(words: list[str], k: int) -> list[tuple[str, ...]]:
+    """The contiguous k-word runs of ``words`` in order; empty when there
+    are fewer than k words."""
+    return [tuple(words[i:i + k]) for i in range(len(words) - k + 1)]
+
+
 @dataclass(frozen=True)
 class DocMeta:
     category: str
@@ -89,20 +95,13 @@ def build_index(docs: list[Document], k: int = DEFAULT_K) -> NGramIndex:
             provenance=doc.provenance,
             url=doc.source_url,
         )
-        words = doc.text.split()
-        for i in range(len(words) - k + 1):
-            ng = tuple(words[i:i + k])
+        for ng in kgrams(doc.text.split(), k):
             counts[ng] += 1
             postings[ng].add(doc.id)
     entries = {
         ng: (counts[ng], tuple(sorted(postings[ng]))) for ng in counts
     }
     return NGramIndex(k=k, entries=entries, doc_meta=doc_meta)
-
-
-def _text_ngrams(text: str, k: int) -> list[tuple[str, ...]]:
-    words = text.split()
-    return [tuple(words[i:i + k]) for i in range(len(words) - k + 1)]
 
 
 def overlap(
@@ -123,7 +122,7 @@ def overlap(
     grams: list[tuple[str, ...]] = []
     n_short = 0
     for text in eval_texts:
-        text_grams = _text_ngrams(text, k)
+        text_grams = kgrams(text.split(), k)
         if not text_grams:
             n_short += 1
             continue

@@ -127,9 +127,7 @@ def adjust_distribution(
         raise SamplingError("logits must be finite")
     scores = apply_repetition_penalty(logits, context_ids, sp.repetition_penalty)
     scores /= sp.temperature
-    shifted = scores - scores.max()
-    probs = np.exp(shifted)
-    probs /= probs.sum()
+    probs = M.softmax(scores)
     if sp.nucleus_p >= 1.0:
         return probs
     order = np.argsort(-probs, kind="stable")

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import agreement, model as M, sampler, trainer
-from .tokenizer import TokenizerError, Vocab, decode, encode
+from . import agreement, corpus, model as M, sampler, trainer
+from .tokenizer import Vocab, add_control_pairs, decode, encode
 
 LABEL = "label"
 SCORE = "score"
@@ -73,11 +73,11 @@ class TaskSpec:
 
     @property
     def occ_text(self) -> str:
-        return ":" + self.name + ":"
+        return corpus.occ_text(self.name)
 
     @property
     def ecc_text(self) -> str:
-        return self.occ_text + "$"
+        return corpus.ecc_text(self.name)
 
     def render_prompt(self, dp: dict) -> str:
         try:
@@ -324,30 +324,11 @@ def add_task_tokens(
 
     The fixed seed makes the new embeddings identical across runs.
     """
-    for surface in (spec.occ_text, spec.ecc_text):
-        if surface in v.token_to_id:
-            raise TokenizerError(
-                f"task token {surface!r} collides with an existing token"
-            )
     if len(v.token_to_id) != ckpt.config.vocab_size:
         raise TaskError(
             "vocabulary and checkpoint disagree on the vocabulary size"
         )
-    next_id = len(v.token_to_id)
-    token_to_id = dict(v.token_to_id)
-    token_to_id[spec.occ_text] = next_id
-    token_to_id[spec.ecc_text] = next_id + 1
-    control_ids = dict(v.control_ids)
-    control_ids[spec.name] = (next_id, next_id + 1)
-    v2 = Vocab(
-        merges=v.merges,
-        token_to_id=token_to_id,
-        base_size=v.base_size,
-        pad_id=v.pad_id,
-        unk_id=v.unk_id,
-        control_ids=control_ids,
-    )
-
+    v2 = add_control_pairs(v, [spec.name])
     cfg2 = replace(ckpt.config, vocab_size=ckpt.config.vocab_size + 2)
     rng = np.random.default_rng(seed)
     new_rows = rng.normal(0.0, M.INIT_STD, size=(2, ckpt.config.model_dim))
@@ -355,7 +336,6 @@ def add_task_tokens(
     weights["tok_emb"] = np.concatenate(
         [weights["tok_emb"], new_rows.astype(ckpt.dtype)], axis=0
     )
-    M._attach_aliases(weights)
     ckpt2 = M.Checkpoint(config=cfg2, weights=weights, step=ckpt.step, seed=ckpt.seed)
     return v2, ckpt2
 

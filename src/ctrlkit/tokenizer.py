@@ -9,8 +9,10 @@ normalization is applied.
 Ids ``0 .. base_size-1`` are BPE tokens (alphabet first, sorted by code
 point, then merge outputs in training order).  Control-code ids and the
 pad/unk specials are appended contiguously on top by
-:func:`add_control_codes`.  ``encode`` never emits control or special ids
-for plain text; callers splice them in explicitly.
+:func:`add_control_codes`; task control codes follow later through
+:func:`add_control_pairs`, the one place control ids are assigned.
+``encode`` never emits control or special ids for plain text; callers
+splice them in explicitly.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .corpus import CategoryTable, Document
+from .corpus import CategoryTable, Document, ecc_text, occ_text
 
 _PIECE_RE = re.compile(r"\S+|\s+")
 
@@ -31,6 +33,9 @@ UNK_TOKEN = "<unk>"
 # Base vocabulary size of the full-scale setup; control codes and the two
 # specials sit on top of this.
 FULL_SCALE_VOCAB_SIZE = 256_000
+
+# Pieces whose encodings a Vocab memoizes before it starts over.
+ENCODE_CACHE_SIZE = 65_536
 
 
 class TokenizerError(ValueError):
@@ -47,9 +52,13 @@ class Vocab:
     pad_id: int | None = None
     unk_id: int | None = None
     control_ids: dict[str, tuple[int, int]] = field(default_factory=dict)
-    _id_to_token: dict[int, str] = field(default_factory=dict, repr=False)
-    _ranks: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
-    _cache: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    # Derived lookups and the encode memo; they take no part in ==.
+    _id_to_token: dict[int, str] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _ranks: dict[tuple[str, str], int] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _cache: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -197,6 +206,8 @@ def encode(v: Vocab, text: str) -> list[int]:
                     idx = v.unk_id
                 piece_ids.append(idx)
             cached = tuple(piece_ids)
+            if len(v._cache) >= ENCODE_CACHE_SIZE:
+                v._cache.clear()
             v._cache[piece] = cached
         ids.extend(cached)
     return ids
@@ -207,38 +218,40 @@ def decode(v: Vocab, ids: list[int]) -> str:
     return "".join(v.id_to_token(i) for i in ids)
 
 
+def add_control_pairs(v: Vocab, names: list[str]) -> Vocab:
+    """Append an OCC and an ECC id for each name after the last id.
+
+    Existing ids, control pairs and specials are kept; a surface that is
+    already a token raises TokenizerError.
+    """
+    token_to_id = dict(v.token_to_id)
+    control_ids = dict(v.control_ids)
+    for name in names:
+        for surface in (occ_text(name), ecc_text(name)):
+            if surface in token_to_id:
+                raise TokenizerError(
+                    f"control token {surface!r} collides with an existing token"
+                )
+            token_to_id[surface] = len(token_to_id)
+        control_ids[name] = (len(token_to_id) - 2, len(token_to_id) - 1)
+    return replace(v, token_to_id=token_to_id, control_ids=control_ids)
+
+
 def add_control_codes(v: Vocab, table: CategoryTable) -> Vocab:
     """Append one OCC and one ECC id per category, then pad and unk.
 
     Base ids are unchanged; the first control id equals ``base_size``.
     """
+    v = add_control_pairs(v, [cat.name for cat in table])
     token_to_id = dict(v.token_to_id)
-    control_ids: dict[str, tuple[int, int]] = {}
-    next_id = v.base_size
-    for cat in table:
-        for surface in (cat.occ_text, cat.ecc_text):
-            if surface in token_to_id:
-                raise TokenizerError(
-                    f"control token {surface!r} collides with an existing token"
-                )
-            token_to_id[surface] = next_id
-            next_id += 1
-        control_ids[cat.name] = (next_id - 2, next_id - 1)
     for surface in (PAD_TOKEN, UNK_TOKEN):
         if surface in token_to_id:
             raise TokenizerError(
                 f"special token {surface!r} collides with an existing token"
             )
-        token_to_id[surface] = next_id
-        next_id += 1
-    return Vocab(
-        merges=v.merges,
-        token_to_id=token_to_id,
-        base_size=v.base_size,
-        pad_id=next_id - 2,
-        unk_id=next_id - 1,
-        control_ids=control_ids,
-    )
+        token_to_id[surface] = len(token_to_id)
+    return replace(v, token_to_id=token_to_id, pad_id=len(token_to_id) - 2,
+                   unk_id=len(token_to_id) - 1)
 
 
 VOCAB_MAGIC = "bpe-v1"
@@ -313,8 +326,6 @@ def _parse_vocab(lines: list[str]) -> Vocab:
 
     _, count_s = take().split(" ")
     control_ids: dict[str, tuple[int, int]] = {}
-    from .corpus import ecc_text, occ_text  # avoid cycle at module import
-
     for _ in range(int(count_s)):
         name_s, occ_s, ecc_s = take().split("\t")
         name = json.loads(name_s)

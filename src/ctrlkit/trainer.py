@@ -132,9 +132,13 @@ class AdamW:
             m += (1.0 - tc.beta1) * g
             v *= tc.beta2
             v += (1.0 - tc.beta2) * g * g
-            if tc.weight_decay:
-                p *= 1.0 - tc.lr * tc.weight_decay
+            p *= 1.0 - tc.lr * tc.weight_decay
             p -= tc.lr * (m / bc1) / (np.sqrt(v / bc2) + tc.eps)
+
+
+def _stack(batch: list[Window]) -> tuple[np.ndarray, np.ndarray]:
+    """The (batch, time) id and mask arrays of a list of windows."""
+    return np.stack([w.ids for w in batch]), np.stack([w.mask for w in batch])
 
 
 def windows_from_docs(docs: list[Document], v: Vocab, n: int) -> list[Window]:
@@ -171,9 +175,7 @@ def train(
     for _ in range(tc.epochs):
         order = rng.permutation(len(windows))
         for start in range(0, len(order), tc.batch_size):
-            batch = [windows[i] for i in order[start:start + tc.batch_size]]
-            ids = np.stack([w.ids for w in batch])
-            mask = np.stack([w.mask for w in batch])
+            ids, mask = _stack([windows[i] for i in order[start:start + tc.batch_size]])
             loss, grads = M.batch_loss(ckpt, ids, mask)
             if not np.isfinite(loss):
                 raise TrainingDiverged(step, loss)
@@ -190,9 +192,7 @@ def mean_epoch_loss(ckpt: M.Checkpoint, windows: list[Window],
     """Dataset mean NLL, weighting every target position equally."""
     total, count = 0.0, 0
     for start in range(0, len(windows), batch_size):
-        batch = windows[start:start + batch_size]
-        ids = np.stack([w.ids for w in batch])
-        mask = np.stack([w.mask for w in batch])
+        ids, mask = _stack(windows[start:start + batch_size])
         n_targets = int(mask[:, 1:].sum())
         loss, _ = M.batch_loss(ckpt, ids, mask, compute_grads=False)
         total += loss * n_targets

@@ -70,6 +70,19 @@ class TestGenerate:
         assert record["params"]["T"] == 1.0  # temperature default
         assert record["stop_reason"] in ("ecc_reached", "max_length")
 
+    def test_sampling_flags_recorded_without_preset(self, workspace, tmp_path):
+        out = tmp_path / "gen.jsonl"
+        rc = main([
+            "generate", "--ckpt", str(workspace["ckpt"]),
+            "--vocab", str(workspace["vocab"]), "--occ", "beta",
+            "--temperature", "0.5", "--top-p", "0.7", "--rep-penalty", "1.3",
+            "--max-new-tokens", "6", "--seed", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        params = json.loads(out.read_text().strip())["params"]
+        assert (params["T"], params["p"], params["r"]) == (0.5, 0.7, 1.3)
+        assert (params["preset"], params["seed"], params["max_new_tokens"]) == (None, 2, 6)
+
     def test_same_seed_byte_identical(self, workspace, tmp_path):
         outs = []
         for name in ("a.jsonl", "b.jsonl"):
@@ -184,6 +197,21 @@ class TestIndexVerbs:
         k, short, o1, o10 = lines[1].split(",")
         assert k == "3"
         assert float(o1) >= float(o10)
+
+    def test_build_with_default_table(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.tsv"
+        corpus_path.write_text(
+            "news\tm\t-\tett två tre fyra\n"
+            "news/sport\ta\thttp://x/1\tett två fem\n"
+        )
+        idx_path = tmp_path / "idx.jsonl"
+        rc = main(["index-build", "--corpus", str(corpus_path), "--table", "default",
+                   "--k", "2", "--out", str(idx_path)])
+        assert rc == 0
+        assert capsys.readouterr().out == "indexed 4 2-grams from 2 documents\n"
+        rc = main(["index-search", "--idx", str(idx_path), "--query", "ett två"])
+        assert rc == 0
+        assert capsys.readouterr().out == "ett två\t2\tnews\tmanual\t-\n"
 
     def test_index_rebuild_byte_identical(self, workspace, tmp_path):
         paths = []

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -53,6 +55,14 @@ class TestInit:
         ckpt.weights["tok_emb"][0, :] = -7.0
         npt.assert_array_equal(ckpt.weights["lm_head"][:, 0], -7.0)
 
+    def test_checkpoint_attaches_tied_head(self):
+        cfg = M.toy_config()
+        ref = M.init_model(cfg, seed=0)
+        weights = {n: ref.weights[n].copy() for n in M.param_shapes(cfg)}
+        assert "lm_head" not in weights
+        ckpt = M.Checkpoint(cfg, weights)
+        npt.assert_array_equal(M.forward(ckpt, [1, 2, 3]), M.forward(ref, [1, 2, 3]))
+
 
 class TestForward:
     def test_output_shape(self):
@@ -97,6 +107,13 @@ class TestForward:
         ckpt = M.init_model(cfg, seed=0)
         with pytest.raises(M.ModelError):
             M.forward(ckpt, [0] * (cfg.context + 1))
+
+    @pytest.mark.parametrize("bad", [-1, 50])
+    def test_out_of_range_id_rejected_by_batch_loss(self, bad):
+        ckpt = M.init_model(M.toy_config(), seed=0)
+        ids = np.array([[3, bad, 4]])
+        with pytest.raises(M.ModelError, match="vocabulary range"):
+            M.batch_loss(ckpt, ids, np.ones_like(ids, dtype=bool))
 
 
 class TestLogSoftmax:
@@ -243,3 +260,48 @@ class TestCheckpointIO:
         loaded = M.load_checkpoint(path)
         loaded.weights["tok_emb"][2, :] = 9.0
         npt.assert_array_equal(loaded.weights["lm_head"][:, 2], 9.0)
+
+
+def _checkpoint_file(magic: bytes, header, payload: bytes) -> bytes:
+    return magic + b"\n" + json.dumps(header).encode("utf-8") + b"\n" + payload
+
+
+def _without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+# Edits of a valid checkpoint file's (magic, header, tensor bytes), each
+# leaving the file malformed.
+MALFORMED_CHECKPOINT = {
+    "empty": lambda m, h, p: b"",
+    "non_ascii_magic": lambda m, h, p: _checkpoint_file(m + "é".encode("utf-8"), h, p),
+    "missing_header": lambda m, h, p: m + b"\n",
+    "header_not_json": lambda m, h, p: m + b"\n{oops\n" + p,
+    "header_is_list": lambda m, h, p: _checkpoint_file(m, [h], p),
+    "no_config": lambda m, h, p: _checkpoint_file(m, _without(h, "config"), p),
+    "no_tensors": lambda m, h, p: _checkpoint_file(m, _without(h, "tensors"), p),
+    "config_missing_field": lambda m, h, p: _checkpoint_file(
+        m, {**h, "config": _without(h["config"], "layers")}, p),
+    "config_value_not_integer": lambda m, h, p: _checkpoint_file(
+        m, {**h, "config": {**h["config"], "heads": True}}, p),
+    "step_not_integer": lambda m, h, p: _checkpoint_file(m, {**h, "step": "7"}, p),
+    "dropped_tensor": lambda m, h, p: _checkpoint_file(
+        m, {**h, "tensors": h["tensors"][:-1]}, p),
+    "changed_shape": lambda m, h, p: _checkpoint_file(
+        m, {**h, "tensors": h["tensors"][:-1] + [["lnf.b", [4]]]}, p),
+    "truncated": lambda m, h, p: _checkpoint_file(m, h, p[:-4]),
+    "trailing_bytes": lambda m, h, p: _checkpoint_file(m, h, p + bytes(4)),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_CHECKPOINT.values(),
+                         ids=MALFORMED_CHECKPOINT.keys())
+def test_malformed_checkpoint_file_raises_model_error(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, M.init_model(M.toy_config(), seed=9))
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(_checkpoint_file(magic, json.loads(header), payload))
+    assert M.load_checkpoint(path).config == M.toy_config()
+    path.write_bytes(edit(magic, json.loads(header), payload))
+    with pytest.raises(M.ModelError):
+        M.load_checkpoint(path)

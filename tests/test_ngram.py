@@ -60,6 +60,15 @@ def random_texts(rng, n, vocab=20, max_len=25):
     ]
 
 
+class TestKgrams:
+    def test_contiguous_runs_in_order(self):
+        assert ngram.kgrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
+
+    def test_empty_when_k_exceeds_word_count(self):
+        assert ngram.kgrams(["a", "b", "c"], 4) == []
+        assert ngram.kgrams([], 1) == []
+
+
 class TestBuildIndex:
     def test_thirteen_word_doc_single_entry(self):
         text = " ".join(f"w{i}" for i in range(13))

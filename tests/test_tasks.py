@@ -202,6 +202,20 @@ class TestTaskTokens:
         assert loaded.control_ids == v2.control_ids
         assert (loaded.pad_id, loaded.unk_id) == (v2.pad_id, v2.unk_id)
 
+    def test_slash_in_task_name_survives_serialization(self, tmp_path):
+        spec = tasks.TaskSpec(name="qa/yes", template="{text}", kind=tasks.LABEL,
+                              labels=("x", "y"), metrics=("accuracy",))
+        v = char_word_vocab()
+        cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16,
+                            context=32, vocab_size=len(v))
+        v2, _ = tasks.add_task_tokens(v, M.init_model(cfg, seed=0), spec)
+        path = tmp_path / "vocab.txt"
+        T.save_vocab(path, v2)
+        loaded = T.load_vocab(path)
+        assert loaded == v2
+        ids = list(v2.control_ids["qa/yes"])
+        assert T.decode(loaded, ids) == T.decode(v2, ids) == spec.occ_text + spec.ecc_text
+
 
 def toy_datapoints(n=8):
     rng = np.random.default_rng(0)
@@ -362,6 +376,22 @@ class TestScorePredictions:
                               metrics=("alpha_interval",), score_granularity=0.5)
         result = tasks.score_predictions(spec, [1.0, 2.0, 3.0], [1.1, 2.2, 2.9])
         assert result.predictions == (1.0, 2.0, 3.0)
+
+    def test_spearman_matches_agreement(self):
+        spec = tasks.get_task("absabank-imm")
+        golds, preds = [1.0, 2.0, 3.0, 4.0, 5.0], [1.5, 3.0, None, 2.0, 4.5]
+        result = tasks.score_predictions(spec, golds, preds)
+        assert result.metrics["spearman"] == agreement.spearman_rho(golds, preds)
+
+    def test_rouge_l_is_mean_over_non_missing_pairs(self):
+        spec = tasks.get_task("swedn")
+        golds = ["en kort text", "vädret är bra", "sport och idrott"]
+        preds = ["en text", None, "idrott och sport"]
+        result = tasks.score_predictions(spec, golds, preds)
+        expected = (agreement.rouge_l("en text", "en kort text")
+                    + agreement.rouge_l("idrott och sport", "sport och idrott")) / 2
+        assert result.metrics["rouge_l"] == pytest.approx(expected)
+        assert 0.0 < expected < 1.0
 
     def test_results_csv_format(self):
         csv = tasks.results_csv([

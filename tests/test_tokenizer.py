@@ -174,6 +174,14 @@ class TestSerialization:
         text = SWEDISH_SAMPLE[2]
         assert T.encode(v2, text) == T.encode(v, text)
 
+    def test_equal_after_encoding(self, tmp_path):
+        docs, table = make_docs(SWEDISH_SAMPLE)
+        path = tmp_path / "vocab.txt"
+        T.save_vocab(path, T.add_control_codes(T.train_bpe(docs, 1, vocab_size=50), table))
+        a, b = T.load_vocab(path), T.load_vocab(path)
+        T.encode(a, SWEDISH_SAMPLE[0])
+        assert a == b
+
     def test_header_format(self, tmp_path):
         docs, _ = make_docs(["ab ab"])
         v = T.train_bpe(docs, 1, vocab_size=6)
@@ -181,6 +189,20 @@ class TestSerialization:
         T.save_vocab(path, v)
         first = path.read_text().splitlines()[0]
         assert first == f"bpe-v1 {v.base_size}"
+
+
+class TestEncodeCache:
+    def test_cache_stays_within_bound(self, monkeypatch):
+        docs, table = make_docs(SWEDISH_SAMPLE)
+        v = T.add_control_codes(T.train_bpe(docs, 1, vocab_size=50), table)
+        words = " ".join(SWEDISH_SAMPLE).split()
+        assert len(set(words)) > 4
+        expected = [T.encode(v, word) for word in words]  # unbounded memo
+        bounded = T.add_control_codes(T.train_bpe(docs, 1, vocab_size=50), table)
+        monkeypatch.setattr(T, "ENCODE_CACHE_SIZE", 4)
+        for word, ids in zip(words, expected):
+            assert T.encode(bounded, word) == ids
+            assert len(bounded._cache) <= 4
 
 
 def _replace_line(lines, index, line):
