@@ -1,9 +1,11 @@
 """Command-line entry point wiring all library modules together.
 
-Every verb validates its options before touching the filesystem, writes
-only to declared output paths, and fixes all randomness from ``--seed``;
-rerunning a command with the same inputs and seed produces byte-identical
-artifacts.  Errors exit nonzero with a one-line ``error: <type>: <message>``.
+Every verb validates its options before touching the filesystem and writes
+only to declared output paths.  The four verbs that use randomness
+(``train``, ``finetune``, ``generate`` and ``grid``) fix all of it from
+``--seed``, so rerunning any verb with the same inputs and seed produces
+byte-identical artifacts.  Errors exit nonzero with a one-line
+``error: <type>: <message>``.
 """
 
 from __future__ import annotations
@@ -53,21 +55,17 @@ def _write(path: str | None, content: str) -> None:
             fh.write(content)
 
 
-def _sampling_params(args) -> sampler.SamplingParams:
-    if args.preset:
-        sp = sampler.preset(args.preset)
-    else:
-        sp = sampler.SamplingParams()
-    overrides = {}
+def _sampling_params(args, seed: int) -> sampler.SamplingParams:
+    overrides = {"max_new_tokens": args.max_new_tokens, "rng_seed": seed}
     if args.temperature is not None:
         overrides["temperature"] = args.temperature
     if args.top_p is not None:
         overrides["nucleus_p"] = args.top_p
     if args.rep_penalty is not None:
         overrides["repetition_penalty"] = args.rep_penalty
-    overrides["max_new_tokens"] = args.max_new_tokens
-    overrides["rng_seed"] = args.seed if args.seed is not None else 0
-    return replace(sp, **overrides)
+    if args.preset:
+        return sampler.preset(args.preset, **overrides)
+    return sampler.SamplingParams(**overrides)
 
 
 def cmd_train_tokenizer(args) -> int:
@@ -121,10 +119,9 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     ckpt, vocab = _load_model(args)
-    base_seed = args.seed if args.seed is not None else 0
     lines = []
     for i in range(args.num):
-        sp = replace(_sampling_params(args), rng_seed=base_seed + i)
+        sp = _sampling_params(args, args.seed + i)
         gr = sampler.generate(ckpt, vocab, args.prompt, args.occ, sp)
         record = {
             "prompt": args.prompt,
@@ -161,7 +158,7 @@ def cmd_grid(args) -> int:
         ckpt, vocab, categories, grid,
         texts_per_cell=args.texts_per_cell,
         max_new_tokens=args.max_new_tokens,
-        idx=idx, base_seed=args.seed if args.seed is not None else 0,
+        idx=idx, base_seed=args.seed,
     )
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as fh:
@@ -185,7 +182,11 @@ def cmd_perplexity(args) -> int:
     window = args.window if args.window else ckpt.config.context
     lines = ["perplexity,window,token_count"]
     for text in texts:
-        res = evaluation.sliding_perplexity(ckpt, vocab, text, window)
+        try:
+            res = evaluation.sliding_perplexity(ckpt, vocab, text, window)
+        except evaluation.TextTooShort:
+            lines.append(f",{window},0")  # undefined: no token to predict
+            continue
         lines.append(f"{res.value:.6f},{res.window},{res.token_count}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0
@@ -261,22 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, out_required=False):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", required=out_required, default=None)
-
     def training(p):
         p.add_argument("--config", default=None, help="key=value training config file")
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--batch-size", type=int, default=None)
         p.add_argument("--lr", type=float, default=None)
+        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("train-tokenizer", help="learn a BPE vocabulary")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab-size", type=int, required=True)
     p.add_argument("--fraction", type=float, default=1 / 3)
     p.add_argument("--table", default="auto")
-    common(p, out_required=True)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_tokenizer)
 
     p = sub.add_parser("train", help="pretrain on OCC+text+ECC sequences")
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--inner", type=int, default=64)
     p.add_argument("--context", type=int, default=48)
-    common(p, out_required=True)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="sample text for a category")
@@ -304,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep-penalty", type=float, default=None)
     p.add_argument("--max-new-tokens", type=int, default=64)
     p.add_argument("--num", type=int, default=1)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("grid", help="hyper-parameter grid search")
@@ -317,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-grid", default="0.7,0.8,0.9,1.0")
     p.add_argument("--t-grid", default="0.2,0.4,0.6,0.8,1.0")
     p.add_argument("--r-grid", default="1.0,1.2,1.4,1.6,1.8,2.0")
-    common(p, out_required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("perplexity", help="sliding-window perplexity")
@@ -325,20 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--text-file", required=True)
     p.add_argument("--window", type=int, default=None)
-    common(p)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_perplexity)
 
     p = sub.add_parser("index-build", help="build a k-gram index")
     p.add_argument("--corpus", required=True)
     p.add_argument("--k", type=int, default=ngram.DEFAULT_K)
     p.add_argument("--table", default="auto")
-    common(p, out_required=True)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index_build)
 
     p = sub.add_parser("index-search", help="substring search in the index")
     p.add_argument("--idx", required=True)
     p.add_argument("--query", required=True)
-    common(p)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_index_search)
 
     p = sub.add_parser("index-overlap", help="k-gram overlap statistics")
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval", required=True)
     p.add_argument("--threshold", default="1,10,100")
     p.add_argument("--unique", action="store_true")
-    common(p)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_index_overlap)
 
     p = sub.add_parser("finetune", help="fine-tune on a benchmark task")
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True)
     p.add_argument("--data", required=True)
     training(p)
-    common(p, out_required=True)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval-task", help="score a fine-tuned model on a task")
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--max-new-tokens", type=int, default=32)
     p.add_argument("--epoch", default="-")
-    common(p)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_eval_task)
 
     return parser

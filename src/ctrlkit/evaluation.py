@@ -31,6 +31,10 @@ class EvaluationError(ValueError):
     pass
 
 
+class TextTooShort(EvaluationError):
+    """The text encodes to fewer than 2 tokens, leaving nothing to predict."""
+
+
 @dataclass(frozen=True)
 class PerplexityResult:
     value: float
@@ -49,7 +53,7 @@ def sliding_perplexity(ckpt: M.Checkpoint, v: Vocab, text: str, w: int) -> Perpl
         raise EvaluationError(f"window must be in [2, {n}], got {w}")
     ids = encode(v, text)
     if len(ids) < 2:
-        raise EvaluationError("text must encode to at least 2 tokens")
+        raise TextTooShort("text must encode to at least 2 tokens")
 
     total = M.sequence_logprob(ckpt, ids[:w])
     for i in range(w, len(ids)):
@@ -89,8 +93,12 @@ def _is_numeral(v: Vocab, token_id: int) -> bool:
     return decode(v, [token_id]).isdecimal()
 
 
-def detect_loops(ids, v: Vocab, max_phrase: int = 5) -> LoopReport:
-    """Maximal contiguous repetitions of a primitive phrase of length <= 5.
+LOOP_MAX_PHRASE = 5
+
+
+def detect_loops(ids, v: Vocab) -> LoopReport:
+    """Maximal contiguous repetitions of a primitive phrase of at most
+    ``LOOP_MAX_PHRASE`` tokens.
 
     A run whose tokens all decode to numerals is excluded from the loops and
     tallied in ``numeral_excluded_count`` instead.
@@ -99,7 +107,7 @@ def detect_loops(ids, v: Vocab, max_phrase: int = 5) -> LoopReport:
     n = len(seq)
     loops: list[Loop] = []
     excluded = 0
-    for length in range(1, max_phrase + 1):
+    for length in range(1, LOOP_MAX_PHRASE + 1):
         j = 0
         limit = n - length
         while j < limit:

@@ -63,7 +63,6 @@ class NGramIndex:
         self.k = k
         self.entries = entries
         self.doc_meta = doc_meta
-        self._word_index: dict[str, set[tuple[str, ...]]] | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -71,15 +70,6 @@ class NGramIndex:
     def tf(self, ngram: tuple[str, ...]) -> int:
         entry = self.entries.get(ngram)
         return entry[0] if entry else 0
-
-    def _ensure_word_index(self):
-        if self._word_index is None:
-            idx: dict[str, set] = defaultdict(set)
-            for ng in self.entries:
-                for word in set(ng):
-                    idx[word].add(ng)
-            self._word_index = dict(idx)
-        return self._word_index
 
 
 def build_index(docs: list[Document], k: int = DEFAULT_K) -> NGramIndex:
@@ -152,19 +142,10 @@ def search(idx: NGramIndex, query: str) -> list[SearchHit]:
     words = tuple(query.split())
     if not words:
         raise NGramIndexError("query must contain at least one word")
-
-    word_index = idx._ensure_word_index()
-    sets = [word_index.get(w) for w in set(words)]
-    if any(s is None for s in sets):
-        return []
-    sets.sort(key=len)
-    candidates = set.intersection(*sets)
-
     m = len(words)
     hits = []
-    for ng in candidates:
+    for ng, (tf, postings) in idx.entries.items():
         if any(ng[i:i + m] == words for i in range(len(ng) - m + 1)):
-            tf, postings = idx.entries[ng]
             meta = idx.doc_meta[postings[0]]
             hits.append(
                 SearchHit(ngram=ng, tf=tf, category=meta.category,
@@ -207,9 +188,19 @@ def load_index(path) -> NGramIndex:
             k = header["k"]
             if not isinstance(k, int) or k < 1:
                 raise NGramIndexError(f"index k must be a positive integer, got {k!r}")
+            word_types, doc_ids = (str,) * k, set(doc_meta)
             entries = {}
             for line in fh:
                 ng, tf, postings = json.loads(line)
+                if type(ng) is not list or tuple(map(type, ng)) != word_types:
+                    raise NGramIndexError(f"index entry {ng!r} is not {k} words")
+                if type(tf) is not int or tf < 1:
+                    raise NGramIndexError(
+                        f"index entry {ng!r} has tf {tf!r}, not a positive integer")
+                if not postings or not doc_ids.issuperset(postings):
+                    raise NGramIndexError(
+                        f"index entry {ng!r} has postings {postings!r}, "
+                        "not a non-empty list of the header's docs")
                 entries[tuple(ng)] = (tf, tuple(postings))
         except NGramIndexError:
             raise

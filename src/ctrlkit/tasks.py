@@ -5,7 +5,12 @@ task-specific opening/ending control tokens.  Prompts longer than the
 budget keep their head and tail around a ``[...]`` separator so the whole
 sequence fits the model's context.  Fine-tuning, greedy evaluation and
 answer selection share one budget, ``PromptBudget().fit(ckpt)``: 256
-tokens, or the checkpoint's context window when that is smaller.  Evaluation
+tokens, or the checkpoint's context window when that is smaller.  The
+budget's other terms are constants: ``PromptBudget.reserve`` (5 tokens)
+bounds the tokenized separator, which as one 5-character BPE piece cannot
+encode to more, and ``PromptBudget.cap`` (245 tokens) limits prompts that
+fit comfortably.  Every datapoint carries its gold answer in the
+``label`` field.  Evaluation
 decodes greedily with the task ECC blocked at the first step, parses the
 continuation into a label, and scores gold-vs-predicted agreement;
 unparseable continuations count as missing annotations and are excluded
@@ -17,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,6 +32,7 @@ from .tokenizer import Vocab, add_control_pairs, decode, encode
 LABEL = "label"
 SCORE = "score"
 SUMMARY = "summary"
+LABEL_FIELD = "label"
 
 
 class TaskError(ValueError):
@@ -38,9 +45,9 @@ class PromptBudget:
     inside the context window."""
 
     context: int = 256
-    reserve: int = 5  # upper bound on the tokenized separator
-    separator: str = "[...]"
-    cap: int = 245  # prompt limit when everything fits comfortably
+    reserve: ClassVar[int] = 5  # upper bound on the tokenized separator
+    separator: ClassVar[str] = "[...]"
+    cap: ClassVar[int] = 245  # prompt limit when everything fits comfortably
 
     def fit(self, ckpt: M.Checkpoint) -> "PromptBudget":
         """This budget narrowed to the checkpoint's context window."""
@@ -61,9 +68,7 @@ class TaskSpec:
     kind: str  # label | score | summary
     metrics: tuple[str, ...]
     labels: tuple[str, ...] = ()
-    label_field: str = "label"
     group_field: str | None = None  # set for answer-selection tasks
-    score_granularity: float | None = None
 
     def __post_init__(self):
         if self.kind not in (LABEL, SCORE, SUMMARY):
@@ -89,11 +94,9 @@ class TaskSpec:
 
     def label_str(self, dp: dict) -> str:
         try:
-            value = dp[self.label_field]
+            value = dp[LABEL_FIELD]
         except KeyError:
-            raise TaskError(
-                f"datapoint has no {self.label_field!r} field"
-            ) from None
+            raise TaskError(f"datapoint has no {LABEL_FIELD!r} field") from None
         return str(value)
 
     def render_example(self, dp: dict) -> str:
@@ -206,9 +209,14 @@ def load_datapoints(path) -> list[dict]:
             if not line:
                 continue
             try:
-                datapoints.append(json.loads(line))
+                dp = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TaskError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            if not isinstance(dp, dict):
+                raise TaskError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(dp).__name__}"
+                )
+            datapoints.append(dp)
     return datapoints
 
 
@@ -234,11 +242,6 @@ def build_prompt(dp: dict, spec: TaskSpec, v: Vocab, budget: PromptBudget) -> li
     limit = budget.limit(len(p_ids), label_len)
     if len(p_ids) > limit:
         sep_ids = encode(v, budget.separator)
-        if len(sep_ids) > budget.reserve:
-            raise TaskError(
-                f"separator tokenizes to {len(sep_ids)} tokens, above the "
-                f"reserve of {budget.reserve}"
-            )
         half = limit // 2
         p_ids = p_ids[:half] + sep_ids + p_ids[len(p_ids) - half:]
     return [v.occ_id(spec.name)] + p_ids
@@ -414,22 +417,12 @@ class TaskResult:
     predictions: tuple
 
 
-def _round_to_granularity(value: float, granularity: float | None) -> float:
-    if granularity is None:
-        return value
-    return round(value / granularity) * granularity
-
-
 def score_predictions(spec: TaskSpec, golds: list, preds: list) -> TaskResult:
     """Apply the task's metrics to aligned gold/predicted labels."""
     missing = sum(1 for p in preds if p is agreement.MISSING)
     n_missing_pct = 100.0 * missing / len(preds) if preds else 0.0
     if spec.kind == SCORE:
         golds = [None if g is None else float(g) for g in golds]
-        preds = [
-            None if p is None else _round_to_granularity(p, spec.score_granularity)
-            for p in preds
-        ]
     values: dict[str, float | None] = {}
     for metric in spec.metrics:
         try:

@@ -71,10 +71,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.token_to_id)
 
-    @property
-    def size(self) -> int:
-        return len(self.token_to_id)
-
     def id_to_token(self, idx: int) -> str:
         try:
             return self._id_to_token[idx]

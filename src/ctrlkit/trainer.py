@@ -18,6 +18,9 @@ from .tokenizer import Vocab, encode
 
 # Prime seed used for reproducible fine-tuning runs.
 DEFAULT_SEED = 87_178_291_199
+# Windows per forward pass of mean_epoch_loss; only the summation order
+# depends on it.
+EVAL_BATCH_SIZE = 16
 
 
 class TrainingError(RuntimeError):
@@ -187,12 +190,11 @@ def train(
     return checkpoints
 
 
-def mean_epoch_loss(ckpt: M.Checkpoint, windows: list[Window],
-                    batch_size: int = 16) -> float:
+def mean_epoch_loss(ckpt: M.Checkpoint, windows: list[Window]) -> float:
     """Dataset mean NLL, weighting every target position equally."""
     total, count = 0.0, 0
-    for start in range(0, len(windows), batch_size):
-        ids, mask = _stack(windows[start:start + batch_size])
+    for start in range(0, len(windows), EVAL_BATCH_SIZE):
+        ids, mask = _stack(windows[start:start + EVAL_BATCH_SIZE])
         n_targets = int(mask[:, 1:].sum())
         loss, _ = M.batch_loss(ckpt, ids, mask, compute_grads=False)
         total += loss * n_targets

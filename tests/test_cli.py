@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from ctrlkit.cli import main
+from ctrlkit.cli import build_parser, main
 from tests.conftest import make_two_genre_docs
 
 
@@ -37,6 +38,15 @@ def workspace(tmp_path_factory):
 
 
 class TestVerbBasics:
+    def test_seed_only_on_verbs_that_use_randomness(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        seeded = {
+            verb for verb, p in sub.choices.items()
+            if any("--seed" in a.option_strings for a in p._actions)
+        }
+        assert seeded == {"train", "finetune", "generate", "grid"}
+
     def test_unknown_verb_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -161,6 +171,36 @@ class TestPerplexity:
         assert len(out) == 3
         value = float(out[1].split(",")[0])
         assert value > 1.0
+
+    def test_short_line_gets_empty_row(self, workspace, tmp_path):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("a b c d e f\nx\n")
+        out = tmp_path / "ppl.csv"
+        rc = main([
+            "perplexity", "--ckpt", str(workspace["ckpt"]),
+            "--vocab", str(workspace["vocab"]), "--text-file", str(texts),
+            "--window", "8", "--out", str(out),
+        ])
+        assert rc == 0
+        header, first, second = out.read_text().strip().split("\n")
+        assert header == "perplexity,window,token_count"
+        value, window, count = first.split(",")
+        assert float(value) > 1.0 and window == "8" and int(count) > 0
+        assert second == ",8,0"
+
+    @pytest.mark.parametrize("window", ["1", "49"])
+    def test_out_of_range_window_writes_nothing(self, workspace, tmp_path, capsys, window):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("x\na b c d e f\n")
+        out = tmp_path / "ppl.csv"
+        rc = main([
+            "perplexity", "--ckpt", str(workspace["ckpt"]),
+            "--vocab", str(workspace["vocab"]), "--text-file", str(texts),
+            "--window", window, "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: EvaluationError: window")
+        assert not out.exists()
 
 
 class TestIndexVerbs:

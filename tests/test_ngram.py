@@ -181,7 +181,7 @@ class TestSearch:
         rng = np.random.default_rng(3)
         texts = random_texts(rng, 150, vocab=30)
         idx = ngram.build_index(docs_from_texts(texts), k=3)
-        assert len(idx) >= 64  # exercises the inverted-index path
+        assert len(idx) >= 64
         query = texts[0].split()[:2]
         hits = ngram.search(idx, " ".join(query))
         assert all(
@@ -245,6 +245,15 @@ MALFORMED_INDEX = {
     "blank_entry_line": HEADER + "\n\n" + ENTRY + "\n",
     "bad_entry_json": HEADER + "\n" + '[["a", "b"], 1,' + "\n",
     "short_entry": HEADER + "\n" + '[["a", "b"], 1]' + "\n",
+    "kgram_too_short": HEADER + "\n" + '[["a"], 1, [0]]' + "\n",
+    "kgram_too_long": HEADER + "\n" + '[["a", "b", "c"], 1, [0]]' + "\n",
+    "kgram_not_strings": HEADER + "\n" + '[["a", 2], 1, [0]]' + "\n",
+    "kgram_is_string": HEADER + "\n" + '["ab", 1, [0]]' + "\n",
+    "tf_zero": HEADER + "\n" + '[["a", "b"], 0, [0]]' + "\n",
+    "tf_not_integer": HEADER + "\n" + '[["a", "b"], 1.5, [0]]' + "\n",
+    "tf_boolean": HEADER + "\n" + '[["a", "b"], true, [0]]' + "\n",
+    "empty_postings": HEADER + "\n" + '[["a", "b"], 1, []]' + "\n",
+    "posting_not_in_docs": HEADER + "\n" + '[["a", "b"], 1, [7]]' + "\n",
 }
 
 

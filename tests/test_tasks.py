@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -78,12 +80,10 @@ class TestBuildPrompt:
         with pytest.raises(tasks.TaskError, match="label"):
             tasks.build_prompt(dp, TOY_TASK, v, tasks.PromptBudget())
 
-    def test_separator_over_reserve_rejected(self):
+    def test_missing_template_field_rejected(self):
         v = with_toy_task(char_word_vocab())[0]
-        budget = tasks.PromptBudget(reserve=2, cap=20)
-        dp = {"text": " ".join(["x"] * 40), "label": "x"}
-        with pytest.raises(tasks.TaskError, match="separator"):
-            tasks.build_prompt(dp, TOY_TASK, v, budget)
+        with pytest.raises(tasks.TaskError, match="missing field 'text' for task toy"):
+            tasks.build_prompt({"label": "x"}, TOY_TASK, v, tasks.PromptBudget())
 
     def test_swedn_example_rendering(self):
         spec = tasks.get_task("swedn")
@@ -98,6 +98,15 @@ class TestBuildPrompt:
         assert tasks.get_task("SweNLI").template.startswith("Situation:")
         with pytest.raises(tasks.TaskError):
             tasks.get_task("nosuch")
+
+
+class TestLoadDatapoints:
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "3", "null"])
+    def test_non_object_line_rejected(self, tmp_path, line):
+        path = tmp_path / "task.jsonl"
+        path.write_text('{"text": "x", "label": "y"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(tasks.TaskError, match=re.escape(f"{path}:2: expected a JSON object")):
+            tasks.load_datapoints(path)
 
 
 class TestParseLabel:
@@ -370,12 +379,6 @@ class TestScorePredictions:
         result = tasks.score_predictions(spec, ["Ja", "Nej"], [None, None])
         assert result.metrics["alpha_nominal"] is None
         assert result.n_missing_pct == 100.0
-
-    def test_score_granularity_rounding(self):
-        spec = tasks.TaskSpec(name="t3", template="{x}", kind=tasks.SCORE,
-                              metrics=("alpha_interval",), score_granularity=0.5)
-        result = tasks.score_predictions(spec, [1.0, 2.0, 3.0], [1.1, 2.2, 2.9])
-        assert result.predictions == (1.0, 2.0, 3.0)
 
     def test_spearman_matches_agreement(self):
         spec = tasks.get_task("absabank-imm")

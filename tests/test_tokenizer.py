@@ -132,9 +132,9 @@ class TestControlCodes:
         table = corpus.default_category_table()
         base = T.train_bpe(docs, 1, vocab_size=60)
         v = T.add_control_codes(base, table)
-        assert len(v) == base.size + 2 * 37 + 2
+        assert len(v) == len(base) + 2 * 37 + 2
         first_control = min(occ for occ, _ in v.control_ids.values())
-        assert first_control == base.size
+        assert first_control == len(base)
         # base ids unchanged
         for token, idx in base.token_to_id.items():
             assert v.token_to_id[token] == idx
