@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import (
     corpus,
@@ -28,18 +27,20 @@ from . import (
 )
 
 
-def _load_docs(args) -> tuple[list[corpus.Document], corpus.CategoryTable]:
-    """The ``--corpus`` documents and the ``--table`` they were read with:
-    the bundled table (``default``) or the corpus's own names (``auto``)."""
-    if args.table == "default":
-        table = corpus.default_category_table()
-    elif args.table == "auto":
-        with open(args.corpus, encoding="utf-8") as fh:
+def _load_docs(
+    path: str, table: str = "auto"
+) -> tuple[list[corpus.Document], corpus.CategoryTable]:
+    """The corpus at ``path`` and the category table it was read with: the
+    corpus's own names (``auto``) or the bundled table (``default``)."""
+    if table == "default":
+        categories = corpus.default_category_table()
+    elif table == "auto":
+        with open(path, encoding="utf-8") as fh:
             names = {line.split("\t", 1)[0] for line in fh if line.strip()}
-        table = corpus.table_from_names(sorted(names))
+        categories = corpus.table_from_names(sorted(names))
     else:
-        raise ValueError(f"unknown table {args.table!r}; use 'default' or 'auto'")
-    return corpus.load_corpus(args.corpus, table), table
+        raise ValueError(f"unknown table {table!r}; use 'default' or 'auto'")
+    return corpus.load_corpus(path, categories), categories
 
 
 def _load_model(args) -> tuple[model.Checkpoint, tokenizer.Vocab]:
@@ -69,7 +70,7 @@ def _sampling_params(args, seed: int) -> sampler.SamplingParams:
 
 
 def cmd_train_tokenizer(args) -> int:
-    docs, table = _load_docs(args)
+    docs, table = _load_docs(args.corpus, args.table)
     vocab = tokenizer.train_bpe(docs, args.fraction, args.vocab_size)
     vocab = tokenizer.add_control_codes(vocab, table)
     tokenizer.save_vocab(args.out, vocab)
@@ -78,15 +79,9 @@ def cmd_train_tokenizer(args) -> int:
 
 
 def _training_config(args) -> trainer.TrainingConfig:
-    tc = trainer.parse_training_config(args.config) if args.config else trainer.TrainingConfig()
-    overrides = {}
-    for name in ("epochs", "batch_size", "lr"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return replace(tc, **overrides)
+    """The ``TrainingConfig`` defaults, overridden by each flag given."""
+    given = {name: getattr(args, name) for name in ("epochs", "batch_size", "lr", "seed")}
+    return trainer.TrainingConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _save_epochs(out: str, checkpoints: list[model.Checkpoint]) -> None:
@@ -100,15 +95,12 @@ def _save_epochs(out: str, checkpoints: list[model.Checkpoint]) -> None:
 
 
 def cmd_train(args) -> int:
-    docs, _ = _load_docs(args)
+    docs, _ = _load_docs(args.corpus)
     vocab = tokenizer.load_vocab(args.vocab)
-    if args.arch == "full":
-        config = model.full_scale_config(vocab_size=len(vocab))
-    else:
-        config = model.ModelConfig(
-            layers=args.layers, heads=args.heads, model_dim=args.dim,
-            inner_dim=args.inner, context=args.context, vocab_size=len(vocab),
-        )
+    config = model.ModelConfig(
+        layers=args.layers, heads=args.heads, model_dim=args.dim,
+        inner_dim=args.inner, context=args.context, vocab_size=len(vocab),
+    )
     tc = _training_config(args)
     ckpt = model.init_model(config, seed=args.seed if args.seed is not None else 0)
     checkpoints = trainer.train(ckpt, docs, vocab, tc)
@@ -146,14 +138,14 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def cmd_grid(args) -> int:
-    ckpt, vocab = _load_model(args)
-    idx = ngram.load_index(args.idx) if args.idx else None
     grid = evaluation.GridSpec(
         p_values=_parse_floats(args.p_grid),
         t_values=_parse_floats(args.t_grid),
         r_values=_parse_floats(args.r_grid),
     )
     categories = [c for c in args.categories.split(",") if c]
+    ckpt, vocab = _load_model(args)
+    idx = ngram.load_index(args.idx) if args.idx else None
     report = evaluation.grid_search(
         ckpt, vocab, categories, grid,
         texts_per_cell=args.texts_per_cell,
@@ -193,7 +185,7 @@ def cmd_perplexity(args) -> int:
 
 
 def cmd_index_build(args) -> int:
-    docs, _ = _load_docs(args)
+    docs, _ = _load_docs(args.corpus)
     idx = ngram.build_index(docs, k=args.k)
     ngram.save_index(args.out, idx)
     print(f"indexed {len(idx)} {args.k}-grams from {len(docs)} documents")
@@ -214,9 +206,11 @@ def cmd_index_search(args) -> int:
 
 
 def cmd_index_overlap(args) -> int:
+    thresholds = [int(t) for t in args.threshold.split(",") if t]
+    if not thresholds:
+        raise ngram.NGramIndexError("--threshold needs at least one threshold")
     idx = ngram.load_index(args.idx)
     texts = corpus.load_texts(args.eval)
-    thresholds = [int(t) for t in args.threshold.split(",") if t]
     results = [ngram.overlap(texts, idx, threshold=t, unique=args.unique)
                for t in thresholds]
     header = "k,n_short_pct," + ",".join(f"O_{t}" for t in thresholds)
@@ -263,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def training(p):
-        p.add_argument("--config", default=None, help="key=value training config file")
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--batch-size", type=int, default=None)
         p.add_argument("--lr", type=float, default=None)
@@ -280,9 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="pretrain on OCC+text+ECC sequences")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--table", default="auto")
     training(p)
-    p.add_argument("--arch", choices=["custom", "full"], default="custom")
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--heads", type=int, default=2)
     p.add_argument("--dim", type=int, default=32)
@@ -307,15 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("grid", help="hyper-parameter grid search")
+    grid = evaluation.GridSpec()
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--categories", required=True)
     p.add_argument("--texts-per-cell", type=int, default=10)
     p.add_argument("--max-new-tokens", type=int, default=64)
     p.add_argument("--idx", default=None)
-    p.add_argument("--p-grid", default="0.7,0.8,0.9,1.0")
-    p.add_argument("--t-grid", default="0.2,0.4,0.6,0.8,1.0")
-    p.add_argument("--r-grid", default="1.0,1.2,1.4,1.6,1.8,2.0")
+    for flag, values in (("--p-grid", grid.p_values), ("--t-grid", grid.t_values),
+                         ("--r-grid", grid.r_values)):
+        p.add_argument(flag, default=",".join(map(str, values)))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grid)
@@ -331,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index-build", help="build a k-gram index")
     p.add_argument("--corpus", required=True)
     p.add_argument("--k", type=int, default=ngram.DEFAULT_K)
-    p.add_argument("--table", default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index_build)
 

@@ -216,6 +216,11 @@ class GridSpec:
     t_values: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
     r_values: tuple[float, ...] = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
 
+    def __post_init__(self):
+        if not self.cells():
+            raise EvaluationError(
+                "grid has no cells: give r values and p or T values")
+
     def cells(self) -> list[tuple[float, float, float]]:
         seen: dict[tuple[float, float, float], None] = {}
         for p in self.p_values:
@@ -407,6 +412,8 @@ def grid_search(
     Each sample draws its rng stream from (base_seed, cell key, sample), so
     results are independent of the execution order.
     """
+    if not categories:
+        raise EvaluationError("grid search needs at least one category")
     for cat in categories:
         if cat not in v.control_ids:
             raise EvaluationError(f"category {cat!r} has no control codes")

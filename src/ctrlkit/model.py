@@ -11,7 +11,7 @@ are float32 for training and evaluation and float64 for gradient checks.
 Under numpy 2 promotion the float64 scalars ``att_scale`` and
 ``np.sqrt(2.0)`` widen float32 activations to float64 from layer 0's
 attention scores onward, so most of a float32 pass runs in float64 (see
-ROADMAP open item 3).
+ROADMAP open item 4).
 """
 
 from __future__ import annotations

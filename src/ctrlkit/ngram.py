@@ -201,7 +201,10 @@ def load_index(path) -> NGramIndex:
                     raise NGramIndexError(
                         f"index entry {ng!r} has postings {postings!r}, "
                         "not a non-empty list of the header's docs")
-                entries[tuple(ng)] = (tf, tuple(postings))
+                key = tuple(ng)
+                if key in entries:
+                    raise NGramIndexError(f"index entry {ng!r} is listed twice")
+                entries[key] = (tf, tuple(postings))
         except NGramIndexError:
             raise
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:

@@ -3,12 +3,14 @@
 Documents are framed with their category's opening and ending control codes
 and chunked into fixed windows that never cross document boundaries.  The
 optimizer is AdamW with decoupled weight decay and global-norm gradient
-clipping; given a seed, training is fully deterministic.
+clipping at the published settings (the module constants below); a run
+varies only in its ``TrainingConfig``.  Given a seed, training is fully
+deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +20,13 @@ from .tokenizer import Vocab, encode
 
 # Prime seed used for reproducible fine-tuning runs.
 DEFAULT_SEED = 87_178_291_199
+# Published AdamW settings: moment decay rates, denominator epsilon,
+# decoupled weight decay, and the global gradient-norm clip.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+GRAD_CLIP_NORM = 1.0
 # Windows per forward pass of mean_epoch_loss; only the summation order
 # depends on it.
 EVAL_BATCH_SIZE = 16
@@ -38,11 +47,6 @@ class TrainingDiverged(TrainingError):
 class TrainingConfig:
     batch_size: int = 4
     lr: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    grad_clip_norm: float = 1.0
-    weight_decay: float = 0.01
     epochs: int = 1
     seed: int = DEFAULT_SEED
 
@@ -117,26 +121,26 @@ class AdamW:
     p *= (1 - lr*wd); p -= lr * mhat / (sqrt(vhat) + eps)."""
 
     def __init__(self, params: dict[str, np.ndarray], tc: TrainingConfig):
-        self.tc = tc
+        self.lr = tc.lr
         self.t = 0
         self.m = {n: np.zeros_like(p) for n, p in params.items()}
         self.v = {n: np.zeros_like(p) for n, p in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        tc = self.tc
+        lr = self.lr
         self.t += 1
-        bc1 = 1.0 - tc.beta1 ** self.t
-        bc2 = 1.0 - tc.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= tc.beta1
-            m += (1.0 - tc.beta1) * g
-            v *= tc.beta2
-            v += (1.0 - tc.beta2) * g * g
-            p *= 1.0 - tc.lr * tc.weight_decay
-            p -= tc.lr * (m / bc1) / (np.sqrt(v / bc2) + tc.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p *= 1.0 - lr * WEIGHT_DECAY
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _stack(batch: list[Window]) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +186,7 @@ def train(
             loss, grads = M.batch_loss(ckpt, ids, mask)
             if not np.isfinite(loss):
                 raise TrainingDiverged(step, loss)
-            clip_global_norm(grads, tc.grad_clip_norm)
+            clip_global_norm(grads, GRAD_CLIP_NORM)
             opt.step(trainable, grads)
             step += 1
         ckpt.step = step
@@ -200,28 +204,3 @@ def mean_epoch_loss(ckpt: M.Checkpoint, windows: list[Window]) -> float:
         total += loss * n_targets
         count += n_targets
     return total / count
-
-
-def parse_training_config(path) -> TrainingConfig:
-    """Read a key=value file mirroring TrainingConfig fields."""
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    tc = TrainingConfig()
-    kwargs = {}
-    for key, val in values.items():
-        if key not in {f.name for f in fields(tc)}:
-            raise TrainingError(f"unknown training config key {key!r}")
-        kind = type(getattr(tc, key))
-        try:
-            kwargs[key] = kind(val)
-        except ValueError:
-            raise TrainingError(
-                f"training config {key}={val!r} is not a valid {kind.__name__}"
-            ) from None
-    return replace(tc, **kwargs)

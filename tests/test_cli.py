@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from ctrlkit.cli import build_parser, main
+from ctrlkit.cli import _parse_floats, build_parser, main
+from ctrlkit.evaluation import GridSpec
 from tests.conftest import make_two_genre_docs
 
 
@@ -37,15 +38,23 @@ def workspace(tmp_path_factory):
     return dict(root=root, corpus=corpus_path, vocab=vocab_path, ckpt=ckpt_path)
 
 
+def _verbs_with(option: str) -> set[str]:
+    """The verbs whose parser declares ``option``."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        verb for verb, p in sub.choices.items()
+        if any(option in a.option_strings for a in p._actions)
+    }
+
+
 class TestVerbBasics:
     def test_seed_only_on_verbs_that_use_randomness(self):
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        seeded = {
-            verb for verb, p in sub.choices.items()
-            if any("--seed" in a.option_strings for a in p._actions)
-        }
-        assert seeded == {"train", "finetune", "generate", "grid"}
+        assert _verbs_with("--seed") == {"train", "finetune", "generate", "grid"}
+
+    def test_table_only_where_it_picks_control_codes(self):
+        assert _verbs_with("--table") == {"train-tokenizer"}
+        assert _verbs_with("--config") == _verbs_with("--arch") == set()
 
     def test_unknown_verb_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -130,19 +139,6 @@ class TestTokenizerAndTraining:
             outs.append((out / "ckpt-epoch01" / "model.ckpt").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_config_file_accepted(self, workspace, tmp_path):
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text("epochs=1\nbatch_size=8\nlr=0.001\n")
-        out = tmp_path / "run"
-        rc = main([
-            "train", "--corpus", str(workspace["corpus"]),
-            "--vocab", str(workspace["vocab"]), "--config", str(cfg),
-            "--layers", "1", "--heads", "2", "--dim", "16", "--inner", "32",
-            "--context", "48", "--seed", "1", "--out", str(out),
-        ])
-        assert rc == 0
-        assert (out / "ckpt-epoch01" / "model.ckpt").exists()
-
     def test_zero_epochs_rejected_before_writing(self, workspace, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main([
@@ -153,6 +149,46 @@ class TestTokenizerAndTraining:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: TrainingError: epochs")
+        assert not out.exists()
+
+
+class TestGrid:
+    def test_default_grid_flags_parse_to_gridspec_defaults(self):
+        args = build_parser().parse_args([
+            "grid", "--ckpt", "m.ckpt", "--vocab", "v.txt", "--categories", "alpha",
+            "--out", "grid",
+        ])
+        grid = GridSpec(
+            p_values=_parse_floats(args.p_grid),
+            t_values=_parse_floats(args.t_grid),
+            r_values=_parse_floats(args.r_grid),
+        )
+        assert grid.cells() == GridSpec().cells()
+
+    @pytest.mark.parametrize("flags", [
+        ["--r-grid", ""], ["--p-grid", "", "--t-grid", ""],
+    ], ids=["no-r", "no-p-or-T"])
+    def test_empty_grid_rejected_before_reading(self, tmp_path, capsys, flags):
+        out = tmp_path / "grid"
+        rc = main([
+            "grid", "--ckpt", str(tmp_path / "missing.ckpt"),
+            "--vocab", str(tmp_path / "missing.txt"), "--categories", "alpha",
+            *flags, "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: EvaluationError: grid has no cells")
+        assert not out.exists()
+
+    def test_no_categories_rejected(self, workspace, tmp_path, capsys):
+        out = tmp_path / "grid"
+        rc = main([
+            "grid", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+            "--categories", ",", "--p-grid", "0.9", "--t-grid", "", "--r-grid", "1.0",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: EvaluationError: grid search needs at least one category")
         assert not out.exists()
 
 
@@ -245,13 +281,21 @@ class TestIndexVerbs:
             "news/sport\ta\thttp://x/1\tett två fem\n"
         )
         idx_path = tmp_path / "idx.jsonl"
-        rc = main(["index-build", "--corpus", str(corpus_path), "--table", "default",
+        rc = main(["index-build", "--corpus", str(corpus_path),
                    "--k", "2", "--out", str(idx_path)])
         assert rc == 0
         assert capsys.readouterr().out == "indexed 4 2-grams from 2 documents\n"
         rc = main(["index-search", "--idx", str(idx_path), "--query", "ett två"])
         assert rc == 0
         assert capsys.readouterr().out == "ett två\t2\tnews\tmanual\t-\n"
+
+    def test_empty_threshold_list_rejected_before_reading(self, tmp_path, capsys):
+        rc = main([
+            "index-overlap", "--idx", str(tmp_path / "missing.jsonl"),
+            "--eval", str(tmp_path / "missing.txt"), "--threshold", "",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: NGramIndexError: --threshold")
 
     def test_index_rebuild_byte_identical(self, workspace, tmp_path):
         paths = []

@@ -213,6 +213,15 @@ class TestBleu4:
             E.self_bleu4(["only one"])
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("kwargs", [
+        dict(r_values=()), dict(p_values=(), t_values=()),
+    ], ids=["no-r", "no-p-or-T"])
+    def test_no_cells_rejected(self, kwargs):
+        with pytest.raises(E.EvaluationError, match="no cells"):
+            E.GridSpec(**kwargs)
+
+
 @pytest.fixture(scope="module")
 def report(two_genre):
     grid = E.GridSpec(p_values=(0.8,), t_values=(0.0,), r_values=(1.0, 1.6))
@@ -263,6 +272,10 @@ class TestGridSearch:
         assert len(lines) == 1 + len(rep.cells)
         for line in lines[1:]:
             assert len(line.split(",")) == 11
+
+    def test_no_categories_rejected(self, two_genre):
+        with pytest.raises(E.EvaluationError, match="at least one category"):
+            E.grid_search(two_genre.trained, two_genre.vocab, [])
 
     def test_trained_model_reaches_correct_ecc_in_greedy_cells(self, report):
         rep, _, _ = report

@@ -254,6 +254,7 @@ MALFORMED_INDEX = {
     "tf_boolean": HEADER + "\n" + '[["a", "b"], true, [0]]' + "\n",
     "empty_postings": HEADER + "\n" + '[["a", "b"], 1, []]' + "\n",
     "posting_not_in_docs": HEADER + "\n" + '[["a", "b"], 1, [7]]' + "\n",
+    "duplicate_kgram": HEADER + "\n" + ENTRY + "\n" + '[["a", "b"], 5, [0]]' + "\n",
 }
 
 

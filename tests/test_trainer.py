@@ -163,38 +163,13 @@ class TestTrain:
 
 
 class TestTrainingConfigFile:
-    def test_parse_key_value(self, tmp_path):
-        path = tmp_path / "train.cfg"
-        path.write_text("lr = 0.001\nepochs = 7\nbatch_size=2\n# comment\n\nseed=5\n")
-        tc = trainer.parse_training_config(path)
-        assert tc.lr == 0.001
-        assert tc.epochs == 7
-        assert tc.batch_size == 2
-        assert tc.seed == 5
-        assert tc.beta1 == 0.9  # untouched default
-
     def test_defaults_match_published_setup(self):
         tc = trainer.TrainingConfig()
         assert tc.lr == 5e-5
-        assert (tc.beta1, tc.beta2, tc.eps) == (0.9, 0.999, 1e-8)
-        assert tc.grad_clip_norm == 1.0
+        assert (trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS) == (0.9, 0.999, 1e-8)
+        assert trainer.WEIGHT_DECAY == 0.01
+        assert trainer.GRAD_CLIP_NORM == 1.0
         assert tc.seed == 87_178_291_199
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "train.cfg"
-        path.write_text("learning_rate=1\n")
-        with pytest.raises(trainer.TrainingError):
-            trainer.parse_training_config(path)
-        path.write_text("__doc__=x\n")
-        with pytest.raises(trainer.TrainingError):
-            trainer.parse_training_config(path)
-
-    @pytest.mark.parametrize("line", ["epochs=abc", "lr=fast", "batch_size=2.5"])
-    def test_unparsable_value_rejected(self, tmp_path, line):
-        path = tmp_path / "train.cfg"
-        path.write_text(line + "\n")
-        with pytest.raises(trainer.TrainingError, match=line.split("=")[0]):
-            trainer.parse_training_config(path)
 
 
 class TestTrainingConfigValidation:
