@@ -57,7 +57,11 @@ def _write(path: str | None, content: str) -> None:
 
 
 def _sampling_params(args, seed: int) -> sampler.SamplingParams:
-    overrides = {"max_new_tokens": args.max_new_tokens, "rng_seed": seed}
+    """The ``--preset`` parameters (else the ``SamplingParams`` defaults),
+    overridden by each sampling flag given."""
+    overrides = {"rng_seed": seed}
+    if args.max_new_tokens is not None:
+        overrides["max_new_tokens"] = args.max_new_tokens
     if args.temperature is not None:
         overrides["temperature"] = args.temperature
     if args.top_p is not None:
@@ -291,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--top-p", type=float, default=None)
     p.add_argument("--rep-penalty", type=float, default=None)
-    p.add_argument("--max-new-tokens", type=int, default=64)
+    p.add_argument("--max-new-tokens", type=int, default=None)
     p.add_argument("--num", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -6,9 +6,13 @@ residual connections), a final layer norm, and an output projection tied to
 the token embedding.  Attention logits are scaled by 1/sqrt(d/H).
 
 Forward and backward passes are written out explicitly; the backward pass is
-validated against central finite differences in the test suite.  Weights
-are float32 for training and evaluation and float64 for gradient checks.
-Under numpy 2 promotion the float64 scalars ``att_scale`` and
+validated against central finite differences in the test suite.
+``batch_loss`` sends only its target positions through the final layer norm
+and the tied LM head, so the head's cost follows the real tokens, not the
+padding.
+
+Weights are float32 for training and evaluation and float64 for gradient
+checks.  Under numpy 2 promotion the float64 scalars ``att_scale`` and
 ``np.sqrt(2.0)`` widen float32 activations to float64 from layer 0's
 attention scores onward, so most of a float32 pass runs in float64 (see
 ROADMAP open item 4).
@@ -225,14 +229,19 @@ def kv_cache(config: ModelConfig) -> list:
 
 
 def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
-                   kv=None, start: int = 0):
+                   kv=None, start: int = 0, rows=None):
     """Run the model on a (batch, time) id array.
 
     Returns (logits, cache); cache is None unless ``keep_cache``.  With a
     K/V cache ``kv`` from ``kv_cache``, the ids sit at positions
-    start..start+t: their keys and values are written there, attention
-    covers the cache up to start+t, and only the last row's logits are
-    computed.
+    start..start+t: their keys and values are written there and attention
+    covers the cache up to start+t.
+
+    ``rows`` indexes the (batch, time) positions whose logits are wanted;
+    only those rows go through the final layer norm and the LM head, and
+    logits are shaped as ``x[rows]``.  ``batch_loss`` passes its target
+    positions, cached decoding the last row; without ``rows`` every
+    position gets logits.
     """
     cfg, W = ckpt.config, ckpt.weights
     b, t = ids.shape
@@ -284,30 +293,53 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
             )
         x = x_next
 
-    if kv is not None:
-        x = x[:, -1:]
+    if rows is not None:
+        x = x[rows]
     hf, lnf_cache = _layer_norm(x, W["lnf.g"], W["lnf.b"])
     logits = hf @ W["lm_head"]
     cache = None
     if keep_cache:
         cache = dict(ids=ids, layers=layer_caches, hf=hf, lnf=lnf_cache,
-                     scale=scale)
+                     scale=scale, rows=rows)
     return logits, cache
 
 
+def _wgrad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Weight gradient sum_rows a[row]^T b[row] over every leading axis,
+    as one BLAS matmul."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """out[ids[i]] += rows[i] for every i, repeated ids included.
+
+    A stable sort groups equal ids; each group's rows are summed in the
+    rows' dtype and added to ``out`` once.
+    """
+    ids = ids.reshape(-1)
+    rows = rows.reshape(len(ids), -1)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    out[sorted_ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
+
+
 def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, np.ndarray]:
+    """Parameter gradients, given the loss gradient ``dlogits`` of the
+    logits rows that ``cache["rows"]`` selected."""
     cfg, W = ckpt.config, ckpt.weights
     ids = cache["ids"]
-    b, t = ids.shape
     att_scale = 1.0 / np.sqrt(cfg.head_dim)
     grads = {n: np.zeros_like(W[n]) for n in param_shapes(cfg)}
 
-    hf = cache["hf"]
-    grads["tok_emb"] += np.einsum("btv,btd->vd", dlogits, hf)
+    grads["tok_emb"] += _wgrad(dlogits, cache["hf"])
     dhf = dlogits @ W["tok_emb"]
-    dx, dg, db = _layer_norm_backward(dhf, W["lnf.g"], cache["lnf"])
+    dx_rows, dg, db = _layer_norm_backward(dhf, W["lnf.g"], cache["lnf"])
     grads["lnf.g"] += dg
     grads["lnf.b"] += db
+    # Positions outside the selected rows get no gradient from the head.
+    dx = np.zeros(ids.shape + (cfg.model_dim,), dtype=dx_rows.dtype)
+    dx[cache["rows"]] = dx_rows
 
     for i in reversed(range(cfg.layers)):
         p = f"h{i}."
@@ -315,11 +347,11 @@ def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, n
 
         # Feed-forward residual branch.
         dff = dx
-        grads[p + "ffn.w2"] += np.einsum("btf,btd->fd", c["act"], dff)
+        grads[p + "ffn.w2"] += _wgrad(c["act"], dff)
         grads[p + "ffn.b2"] += dff.sum(axis=(0, 1))
         dact = dff @ W[p + "ffn.w2"].T
         dz1 = dact * gelu_grad(c["z1"])
-        grads[p + "ffn.w1"] += np.einsum("btd,btf->df", c["h2"], dz1)
+        grads[p + "ffn.w1"] += _wgrad(c["h2"], dz1)
         grads[p + "ffn.b1"] += dz1.sum(axis=(0, 1))
         dh2 = dz1 @ W[p + "ffn.w1"].T
         dx_attn, dg, db = _layer_norm_backward(dh2, W[p + "ln2.g"], c["ln2"])
@@ -329,7 +361,7 @@ def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, n
 
         # Attention residual branch.
         da_out = dx_attn
-        grads[p + "attn.wo"] += np.einsum("btd,bte->de", c["ctx"], da_out)
+        grads[p + "attn.wo"] += _wgrad(c["ctx"], da_out)
         grads[p + "attn.bo"] += da_out.sum(axis=(0, 1))
         dctx = _split_heads(da_out @ W[p + "attn.wo"].T, cfg.heads)
         dattn = dctx @ c["v"].swapaxes(-1, -2)
@@ -344,7 +376,7 @@ def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, n
         dh = np.zeros_like(c["h"])
         for name, dproj in (("wq", dq), ("wk", dk), ("wv", dv)):
             dproj = _merge_heads(dproj)
-            grads[p + "attn." + name] += np.einsum("btd,bte->de", c["h"], dproj)
+            grads[p + "attn." + name] += _wgrad(c["h"], dproj)
             grads[p + "attn.b" + name[1]] += dproj.sum(axis=(0, 1))
             dh += dproj @ W[p + "attn." + name].T
         dx_ln1, dg, db = _layer_norm_backward(dh, W[p + "ln1.g"], c["ln1"])
@@ -353,8 +385,7 @@ def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, n
         dx = dx_attn + dx_ln1
 
     # Embedding lookup: x0 = sqrt(d) * E[ids] + PE.
-    demb = cache["scale"] * dx
-    np.add.at(grads["tok_emb"], ids.reshape(-1), demb.reshape(-1, cfg.model_dim))
+    _scatter_add(grads["tok_emb"], ids, cache["scale"] * dx)
     return grads
 
 
@@ -373,8 +404,9 @@ def forward(ckpt: Checkpoint, ids, kv=None, start: int = 0) -> np.ndarray:
         raise ModelError("forward expects a flat id sequence")
     if arr.size == 0:
         raise ModelError("forward expects at least one token")
+    rows = np.s_[:, -1:] if kv is not None else None
     logits, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False, kv=kv,
-                               start=start)
+                               start=start, rows=rows)
     return logits[0]
 
 
@@ -409,23 +441,20 @@ def batch_loss(
     if n_targets == 0:
         raise ModelError("no unmasked target positions in the batch")
 
-    logits, cache = _forward_batch(ckpt, ids, keep_cache=compute_grads)
-    logz = log_softmax(logits[:, :-1, :])
     b_idx, t_idx = np.nonzero(target_mask)
-    targets = ids[:, 1:][b_idx, t_idx]
-    loss = -float(logz[b_idx, t_idx, targets].mean())
+    logits, cache = _forward_batch(ckpt, ids, keep_cache=compute_grads,
+                                   rows=(b_idx, t_idx))
+    logz = log_softmax(logits)
+    targets = ids[b_idx, t_idx + 1]
+    rows = np.arange(n_targets)
+    loss = -float(logz[rows, targets].mean())
 
     if not compute_grads:
         return loss, None
 
-    probs = np.exp(logz)
-    dpred = np.zeros_like(logits[:, :-1, :])
-    dpred[b_idx, t_idx] = probs[b_idx, t_idx]
-    dpred[b_idx, t_idx, targets] -= 1.0
-    dpred /= n_targets
-    dlogits = np.concatenate(
-        [dpred, np.zeros_like(logits[:, :1, :])], axis=1
-    )
+    dlogits = np.exp(logz)
+    dlogits[rows, targets] -= 1.0
+    dlogits /= n_targets
     grads = _backward_batch(ckpt, dlogits, cache)
     return loss, grads
 

@@ -35,7 +35,7 @@ class SamplingParams:
     temperature: float = 1.0
     nucleus_p: float = 1.0
     repetition_penalty: float = 1.0
-    max_new_tokens: int = 128
+    max_new_tokens: int = 64
     rng_seed: int = 0
     block_first_ecc: int | None = None
 

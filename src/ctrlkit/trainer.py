@@ -10,6 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,8 @@ class TrainingConfig:
             value = getattr(self, name)
             if value < 1:
                 raise TrainingError(f"{name} must be at least 1, got {value}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise TrainingError(f"lr must be finite and positive, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,18 @@ class AdamW:
 
 
 def _stack(batch: list[Window]) -> tuple[np.ndarray, np.ndarray]:
-    """The (batch, time) id and mask arrays of a list of windows."""
-    return np.stack([w.ids for w in batch]), np.stack([w.mask for w in batch])
+    """The (batch, time) id and mask arrays of a list of windows, cut after
+    the last column in which any mask is set.
+
+    Attention is causal, so a later column cannot change an earlier one:
+    the cut drops only work whose result the loss never reads, whatever the
+    mask's pattern (masked columns before the cut are kept).
+    """
+    ids = np.stack([w.ids for w in batch])
+    mask = np.stack([w.mask for w in batch])
+    used = np.flatnonzero(mask.any(axis=0))
+    end = used[-1] + 1 if used.size else mask.shape[1]
+    return ids[:, :end], mask[:, :end]
 
 
 def windows_from_docs(docs: list[Document], v: Vocab, n: int) -> list[Window]:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ctrlkit.cli import _parse_floats, build_parser, main
+from ctrlkit.cli import _parse_floats, _sampling_params, build_parser, main
 from ctrlkit.evaluation import GridSpec
 from tests.conftest import make_two_genre_docs
 
@@ -102,6 +102,16 @@ class TestGenerate:
         assert (params["T"], params["p"], params["r"]) == (0.5, 0.7, 1.3)
         assert (params["preset"], params["seed"], params["max_new_tokens"]) == (None, 2, 6)
 
+    @pytest.mark.parametrize("preset,expected", [(None, 64), ("M2", 64), ("GPT3", 256)])
+    def test_max_new_tokens_from_preset_unless_given(self, preset, expected):
+        argv = ["generate", "--ckpt", "m.ckpt", "--vocab", "v.txt", "--occ", "alpha"]
+        if preset:
+            argv += ["--preset", preset]
+        args = build_parser().parse_args(argv)
+        assert _sampling_params(args, 0).max_new_tokens == expected
+        args = build_parser().parse_args(argv + ["--max-new-tokens", "9"])
+        assert _sampling_params(args, 0).max_new_tokens == 9
+
     def test_same_seed_byte_identical(self, workspace, tmp_path):
         outs = []
         for name in ("a.jsonl", "b.jsonl"):
@@ -149,6 +159,18 @@ class TestTokenizerAndTraining:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: TrainingError: epochs")
+        assert not out.exists()
+
+    def test_negative_lr_rejected_before_writing(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main([
+            "train", "--corpus", str(workspace["corpus"]),
+            "--vocab", str(workspace["vocab"]), "--lr", "-1",
+            "--layers", "1", "--heads", "2", "--dim", "16", "--inner", "32",
+            "--context", "48", "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: TrainingError: lr")
         assert not out.exists()
 
 

@@ -1,7 +1,4 @@
-"""Smoke test: the quick demos run to completion as standalone scripts.
-
-Demos 02 and 04 train models for several seconds each and are left out.
-"""
+"""Smoke test: every demo runs to completion as a standalone script."""
 
 import os
 import subprocess
@@ -18,7 +15,9 @@ SRC = Path(ctrlkit.__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("name", [
     "01_tokenizer_and_control_codes.py",
+    "02_train_controllable_model.py",
     "03_sampling_strategies.py",
+    "04_evaluation_metrics.py",
     "05_overlap_index.py",
     "06_task_finetuning.py",
 ])

@@ -230,6 +230,78 @@ class TestGradients:
         assert np.abs(grads["tok_emb"][used]).sum() > 0
 
 
+def _mask_cases():
+    """(batch, time) masks: tail padding, an interior hole, and a row with a
+    single target (position 1)."""
+    tail = np.ones((3, 10), dtype=bool)
+    tail[1, 6:] = False
+    tail[2, 8:] = False
+    hole = np.ones((2, 10), dtype=bool)
+    hole[0, 3:6] = False
+    hole[1, 9:] = False
+    single = np.ones((2, 10), dtype=bool)
+    single[1, 2:] = False
+    return {"tail-padding": tail, "interior-hole": hole, "single-target": single}
+
+
+def _full_logits_batch_loss(ckpt, ids, mask):
+    """Reference: logits, log-softmax and dlogits at every position of the
+    untrimmed batch, non-targets carrying zero gradient."""
+    target_mask = mask[:, 1:]
+    n_targets = int(target_mask.sum())
+    logits, cache = M._forward_batch(ckpt, ids, keep_cache=True, rows=np.s_[:, :])
+    logz = M.log_softmax(logits[:, :-1, :])
+    b_idx, t_idx = np.nonzero(target_mask)
+    targets = ids[:, 1:][b_idx, t_idx]
+    loss = -float(logz[b_idx, t_idx, targets].mean())
+    probs = np.exp(logz)
+    dpred = np.zeros_like(logits[:, :-1, :])
+    dpred[b_idx, t_idx] = probs[b_idx, t_idx]
+    dpred[b_idx, t_idx, targets] -= 1.0
+    dpred /= n_targets
+    dlogits = np.concatenate([dpred, np.zeros_like(logits[:, :1, :])], axis=1)
+    return loss, M._backward_batch(ckpt, dlogits, cache)
+
+
+class TestFastPaths:
+    """Each fast path of the training step against the slow form it replaced,
+    in float64."""
+
+    def test_wgrad_matches_einsum(self):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(3, 7, 5))
+        b = rng.normal(size=(3, 7, 4))
+        npt.assert_allclose(M._wgrad(a, b), np.einsum("btd,bte->de", a, b),
+                            rtol=0, atol=1e-12)
+
+    def test_scatter_add_matches_add_at(self):
+        rng = np.random.default_rng(1)
+        ids = np.array([[4, 1, 4, 9], [0, 4, 1, 6]])  # 4 and 1 repeat; 9, 0, 6 once
+        rows = rng.normal(size=(2, 4, 3))
+        start = rng.normal(size=(10, 3))
+        expected = start.copy()
+        np.add.at(expected, ids.reshape(-1), rows.reshape(-1, 3))
+        got = start.copy()
+        M._scatter_add(got, ids, rows)
+        npt.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        untouched = [2, 3, 5, 7, 8]
+        npt.assert_array_equal(got[untouched], start[untouched])
+
+    @pytest.mark.parametrize("case", list(_mask_cases()))
+    def test_batch_loss_matches_full_logits_reference(self, case):
+        mask = _mask_cases()[case]
+        cfg = M.toy_config()
+        ckpt = perturbed_checkpoint(cfg)
+        ids = np.random.default_rng(2).integers(0, cfg.vocab_size, size=mask.shape)
+        ref_loss, ref_grads = _full_logits_batch_loss(ckpt, ids, mask)
+        loss, grads = M.batch_loss(ckpt, ids, mask)
+        assert abs(loss - ref_loss) <= 1e-12
+        assert M.batch_loss(ckpt, ids, mask, compute_grads=False)[0] == loss
+        for name in M.param_shapes(cfg):
+            npt.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
+                                err_msg=name)
+
+
 class TestCheckpointIO:
     def test_round_trip_bitwise(self, tmp_path):
         ckpt = M.init_model(M.toy_config(), seed=9)

@@ -180,3 +180,50 @@ class TestTrainingConfigValidation:
     def test_nonpositive_epochs_or_batch_size_rejected(self, kwargs):
         with pytest.raises(trainer.TrainingError, match="must be at least 1"):
             trainer.TrainingConfig(**kwargs)
+
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_nonpositive_or_nonfinite_lr_rejected(self, lr):
+        with pytest.raises(trainer.TrainingError, match="lr must be finite and positive"):
+            trainer.TrainingConfig(lr=lr)
+
+
+def _window(ids, real):
+    """A window whose mask is set exactly at the positions in ``real``."""
+    mask = np.zeros(len(ids), dtype=bool)
+    mask[list(real)] = True
+    return trainer.Window(ids=np.asarray(ids, dtype=np.int64), mask=mask)
+
+
+class TestStack:
+    def test_cut_after_last_masked_column_keeping_holes(self):
+        windows = [
+            _window([1, 2, 3, 0, 0, 0, 0, 0], range(3)),
+            _window([4, 5, 0, 6, 7, 0, 0, 0], [0, 1, 3, 4]),  # hole at column 2
+            _window([8, 9, 0, 0, 0, 0, 0, 0], range(2)),
+        ]
+        ids, mask = trainer._stack(windows)
+        assert ids.shape == mask.shape == (3, 5)
+        npt.assert_array_equal(ids, np.stack([w.ids[:5] for w in windows]))
+        npt.assert_array_equal(mask, np.stack([w.mask[:5] for w in windows]))
+
+    def test_trimmed_batch_loss_matches_untrimmed(self):
+        cfg = M.toy_config()
+        ckpt = M.init_model(cfg, seed=4, dtype=np.float64)
+        rng = np.random.default_rng(4)
+        for name in M.param_shapes(cfg):
+            ckpt.weights[name] += rng.normal(0.0, 0.1, size=ckpt.weights[name].shape)
+        windows = [
+            _window(rng.integers(0, cfg.vocab_size, 12), range(7)),
+            _window(rng.integers(0, cfg.vocab_size, 12), [0, 1, 2, 5, 6, 7, 8]),
+            _window(rng.integers(0, cfg.vocab_size, 12), range(2)),
+        ]
+        full_ids = np.stack([w.ids for w in windows])
+        full_mask = np.stack([w.mask for w in windows])
+        ids, mask = trainer._stack(windows)
+        assert ids.shape == (3, 9)
+        ref_loss, ref_grads = M.batch_loss(ckpt, full_ids, full_mask)
+        loss, grads = M.batch_loss(ckpt, ids, mask)
+        assert abs(loss - ref_loss) <= 1e-12
+        for name in M.param_shapes(cfg):
+            npt.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
+                                err_msg=name)
