@@ -12,15 +12,18 @@ and the tied LM head, so the head's cost follows the real tokens, not the
 padding.
 
 Weights are float32 for training and evaluation and float64 for gradient
-checks.  Under numpy 2 promotion the float64 scalars ``att_scale`` and
-``np.sqrt(2.0)`` widen float32 activations to float64 from layer 0's
-attention scores onward, so most of a float32 pass runs in float64 (see
-ROADMAP open item 4).
+checks, and a pass computes in its checkpoint's dtype: float32 weights give
+float32 activations, logits, K/V and gradients from the embedding to the
+logits and back.  Scalar constants are Python floats, which numpy 2
+promotion casts to the array's dtype.  Only ``log_softmax`` and the loss
+value are float64; ``batch_loss`` casts the loss gradient back to the
+checkpoint's dtype before the backward pass.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -160,16 +163,6 @@ def positional_encoding(context: int, model_dim: int, dtype=np.float64,
     return pe.astype(dtype)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return cdf + x * pdf
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Probabilities over the last axis, computed in the input's dtype."""
     shifted = x - np.max(x, axis=-1, keepdims=True)
@@ -217,15 +210,14 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-def kv_cache(config: ModelConfig) -> list:
-    """Empty per-layer K/V cache for decoding one sequence.
-
-    Each layer's (keys, values) pair is allocated at its first write, shaped
-    (1, heads, context, head_dim) in the dtype the keys were computed in:
-    numpy's promotion can widen float32 activations, and the cache must
-    never round them.
-    """
-    return [None] * config.layers
+def kv_cache(ckpt: Checkpoint) -> list:
+    """Empty K/V cache for decoding one sequence with ``ckpt``: one
+    (keys, values) pair per layer, each shaped (1, heads, context, head_dim)
+    in the checkpoint's dtype."""
+    cfg = ckpt.config
+    shape = (1, cfg.heads, cfg.context, cfg.head_dim)
+    return [(np.empty(shape, ckpt.dtype), np.empty(shape, ckpt.dtype))
+            for _ in range(cfg.layers)]
 
 
 def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
@@ -244,20 +236,19 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
     position gets logits.
     """
     cfg, W = ckpt.config, ckpt.weights
-    b, t = ids.shape
+    t = ids.shape[1]
     if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
         raise ModelError("token id outside the vocabulary range")
     if t < 1 or start < 0 or start + t > cfg.context:
         raise ModelError(
             f"sequence length {start + t} outside the context window 1..{cfg.context}"
         )
-    dtype = ckpt.dtype
-    scale = np.asarray(np.sqrt(cfg.model_dim), dtype=dtype)
-    pe = positional_encoding(t, cfg.model_dim, dtype=dtype, start=start)
+    scale = math.sqrt(cfg.model_dim)
+    pe = positional_encoding(t, cfg.model_dim, dtype=ckpt.dtype, start=start)
     x = scale * W["tok_emb"][ids] + pe
 
     causal = np.tril(np.ones((t, start + t), dtype=bool), k=start)
-    att_scale = 1.0 / np.sqrt(cfg.head_dim)
+    att_scale = 1.0 / math.sqrt(cfg.head_dim)
     layer_caches = []
     for i in range(cfg.layers):
         p = f"h{i}."
@@ -266,9 +257,6 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
         k = _split_heads(h @ W[p + "attn.wk"] + W[p + "attn.bk"], cfg.heads)
         v = _split_heads(h @ W[p + "attn.wv"] + W[p + "attn.bv"], cfg.heads)
         if kv is not None:
-            if kv[i] is None:
-                shape = (b, cfg.heads, cfg.context, cfg.head_dim)
-                kv[i] = (np.empty(shape, k.dtype), np.empty(shape, v.dtype))
             k_all, v_all = kv[i]
             k_all[:, :, start:start + t] = k
             v_all[:, :, start:start + t] = v
@@ -282,14 +270,15 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
 
         h2, ln2_cache = _layer_norm(x_attn, W[p + "ln2.g"], W[p + "ln2.b"])
         z1 = h2 @ W[p + "ffn.w1"] + W[p + "ffn.b1"]
-        act = gelu(z1)
+        cdf = 0.5 * (1.0 + erf(z1 / math.sqrt(2.0)))  # GELU: z1 * Phi(z1)
+        act = z1 * cdf
         ff = act @ W[p + "ffn.w2"] + W[p + "ffn.b2"]
         x_next = x_attn + ff
 
         if keep_cache:
             layer_caches.append(
                 dict(h=h, ln1=ln1_cache, q=q, k=k, v=v, attn=attn, ctx=ctx,
-                     h2=h2, ln2=ln2_cache, z1=z1, act=act)
+                     h2=h2, ln2=ln2_cache, z1=z1, cdf=cdf, act=act)
             )
         x = x_next
 
@@ -329,7 +318,7 @@ def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, n
     logits rows that ``cache["rows"]`` selected."""
     cfg, W = ckpt.config, ckpt.weights
     ids = cache["ids"]
-    att_scale = 1.0 / np.sqrt(cfg.head_dim)
+    att_scale = 1.0 / math.sqrt(cfg.head_dim)
     grads = {n: np.zeros_like(W[n]) for n in param_shapes(cfg)}
 
     grads["tok_emb"] += _wgrad(dlogits, cache["hf"])
@@ -350,7 +339,9 @@ def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, n
         grads[p + "ffn.w2"] += _wgrad(c["act"], dff)
         grads[p + "ffn.b2"] += dff.sum(axis=(0, 1))
         dact = dff @ W[p + "ffn.w2"].T
-        dz1 = dact * gelu_grad(c["z1"])
+        z1 = c["z1"]
+        pdf = np.exp(-0.5 * z1 * z1) / math.sqrt(2.0 * math.pi)
+        dz1 = dact * (c["cdf"] + z1 * pdf)
         grads[p + "ffn.w1"] += _wgrad(c["h2"], dz1)
         grads[p + "ffn.b1"] += dz1.sum(axis=(0, 1))
         dh2 = dz1 @ W[p + "ffn.w1"].T
@@ -455,7 +446,7 @@ def batch_loss(
     dlogits = np.exp(logz)
     dlogits[rows, targets] -= 1.0
     dlogits /= n_targets
-    grads = _backward_batch(ckpt, dlogits, cache)
+    grads = _backward_batch(ckpt, dlogits.astype(ckpt.dtype, copy=False), cache)
     return loss, grads
 
 

@@ -173,7 +173,7 @@ def generate_ids(
             f"prompt of {len(prompt_ids)} tokens exceeds the context window {n}"
         )
     rng = np.random.default_rng(sp.rng_seed)
-    kv = M.kv_cache(ckpt.config)
+    kv = M.kv_cache(ckpt)
     cached = 0  # leading tokens of the window whose K/V are in ``kv``
     context = list(prompt_ids)
     generated: list[int] = []

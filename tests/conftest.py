@@ -28,6 +28,12 @@ def make_two_genre_docs(n_per_genre=200, seed=1234):
     return docs, table
 
 
+def float64_copy(ckpt):
+    """The same weights in a float64 checkpoint."""
+    weights = {n: ckpt.weights[n].astype(np.float64) for n in M.param_shapes(ckpt.config)}
+    return M.Checkpoint(ckpt.config, weights, ckpt.step, ckpt.seed)
+
+
 def held_out_prompts(genre, count, n_words=3, seed=7000):
     prompts = []
     for trial in range(count):

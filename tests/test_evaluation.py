@@ -6,6 +6,7 @@ import pytest
 
 from ctrlkit import corpus, evaluation as E, model as M, ngram, tokenizer as T, trainer
 from ctrlkit.sampler import STOP_ECC, STOP_MAX, GenerationResult
+from tests.conftest import float64_copy, held_out_prompts
 
 
 def brute_force_loops(seq, v, max_phrase=5):
@@ -62,7 +63,9 @@ class TestSlidingPerplexity:
 
     def test_three_token_chain_rule(self, two_genre):
         # Direct product of conditionals, computed from raw forward calls.
-        v, ckpt = two_genre.vocab, two_genre.trained
+        # In float64 the 2-row forward inside ``sliding_perplexity`` agrees
+        # with these 1-row forwards to rounding.
+        v, ckpt = two_genre.vocab, float64_copy(two_genre.trained)
         text = "a1 a2"
         ids = T.encode(v, text)
         assert len(ids) == 3
@@ -82,6 +85,22 @@ class TestSlidingPerplexity:
         expected_w2 = math.exp(-(logp(ids[:1], ids[1]) + logp(ids[1:2], ids[2])) / 2)
         res2 = E.sliding_perplexity(ckpt, v, text, w=2)
         npt.assert_allclose(res2.value, expected_w2, rtol=1e-9)
+
+    @pytest.mark.parametrize("w", [8, 2])
+    def test_float32_chain_rule_matches_float64(self, two_genre, w):
+        v, text = two_genre.vocab, "a1 a2"
+        narrow = E.sliding_perplexity(two_genre.trained, v, text, w=w)
+        wide = E.sliding_perplexity(float64_copy(two_genre.trained), v, text, w=w)
+        npt.assert_allclose(narrow.value, wide.value, rtol=1e-5)
+
+    def test_float32_matches_float64_on_long_text(self, two_genre):
+        # The float tolerance the benchmark checks its perplexity against.
+        v = two_genre.vocab
+        text = " ".join(held_out_prompts("alpha", 8, n_words=6))
+        narrow = E.sliding_perplexity(two_genre.trained, v, text, w=16)
+        wide = E.sliding_perplexity(float64_copy(two_genre.trained), v, text, w=16)
+        assert narrow.token_count > 16
+        assert abs(narrow.value - wide.value) <= 1e-4 * wide.value
 
     def test_window_equals_context_matches_lm_loss(self, two_genre):
         v, ckpt = two_genre.vocab, two_genre.trained

@@ -230,6 +230,59 @@ class TestGradients:
         assert np.abs(grads["tok_emb"][used]).sum() > 0
 
 
+def _float_arrays(tree):
+    """Every floating-point array in a nest of dicts, lists and tuples."""
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        return [a for item in tree for a in _float_arrays(item)]
+    if isinstance(tree, np.ndarray) and tree.dtype.kind == "f":
+        return [tree]
+    return []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestDtypeContract:
+    """A pass computes in its checkpoint's dtype: no float64 scalar may widen
+    a float32 pass."""
+
+    IDS = [5, 1, 9, 3, 7, 2]
+
+    def test_forward_logits(self, dtype):
+        ckpt = perturbed_checkpoint(M.toy_config(), dtype=dtype)
+        assert M.forward(ckpt, self.IDS).dtype == dtype
+        kv = M.kv_cache(ckpt)
+        assert M.forward(ckpt, self.IDS[:4], kv).dtype == dtype
+        assert M.forward(ckpt, self.IDS[4:5], kv, 4).dtype == dtype
+        assert {a.dtype for a in _float_arrays(kv)} == {np.dtype(dtype)}
+
+    def test_forward_cache(self, dtype):
+        ckpt = perturbed_checkpoint(M.toy_config(), dtype=dtype)
+        _, cache = M._forward_batch(ckpt, np.array([self.IDS]), keep_cache=True)
+        arrays = _float_arrays(cache)
+        assert len(arrays) > 12 * ckpt.config.layers
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+
+    def test_batch_loss_gradients(self, dtype, monkeypatch):
+        # Gradients accumulate into arrays of the weights' dtype, which would
+        # hide a widened backward; every weight-gradient product shows it.
+        operand_dtypes = set()
+        wgrad = M._wgrad
+
+        def recording_wgrad(a, b):
+            operand_dtypes.update((a.dtype, b.dtype))
+            return wgrad(a, b)
+
+        monkeypatch.setattr(M, "_wgrad", recording_wgrad)
+        cfg = M.toy_config()
+        ckpt = perturbed_checkpoint(cfg, dtype=dtype)
+        ids = np.array([self.IDS, self.IDS[::-1]])
+        _, grads = M.batch_loss(ckpt, ids, np.ones_like(ids, dtype=bool))
+        assert set(grads) == set(M.param_shapes(cfg))
+        assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+        assert operand_dtypes == {np.dtype(dtype)}
+
+
 def _mask_cases():
     """(batch, time) masks: tail padding, an interior hole, and a row with a
     single target (position 1)."""

@@ -4,6 +4,7 @@ import pytest
 
 from ctrlkit import model as M, sampler as S
 from ctrlkit.tokenizer import encode
+from tests.conftest import float64_copy
 
 
 def softmax(x):
@@ -220,14 +221,6 @@ def decode_task_answer(ckpt, v, prompt_ids, task_ecc, max_new_tokens):
     return S.generate_ids(ckpt, v, prompt_ids, sp, stop_ids=frozenset({task_ecc}))
 
 
-def float64_copy(ckpt):
-    """The same weights in a float64 checkpoint."""
-    wide = M.init_model(ckpt.config, seed=0, dtype=np.float64)
-    for name in M.param_shapes(ckpt.config):
-        wide.weights[name][...] = ckpt.weights[name]
-    return wide
-
-
 def full_window_decode(ckpt, prompt_ids, sp, stop_ids):
     """Reference decoder: a full-window ``M.forward`` for every token."""
     n = ckpt.config.context
@@ -273,7 +266,7 @@ class TestKVCacheDecoding:
         # Training documents back to back: OCC, text, ECC, OCC, ...
         ids = np.concatenate([w.ids[:w.real_length] for w in two_genre.windows[:12]])[:n]
         assert len(ids) == n
-        kv = M.kv_cache(ckpt.config)
+        kv = M.kv_cache(ckpt)
         cached = [M.forward(ckpt, ids[:prefill], kv)]
         cached += [M.forward(ckpt, ids[j:j + 1], kv, j) for j in range(prefill, n)]
         for end, got in enumerate(cached, start=prefill):
@@ -284,7 +277,7 @@ class TestKVCacheDecoding:
     def test_step_past_context_rejected(self, two_genre):
         cfg = two_genre.config
         with pytest.raises(M.ModelError):
-            M.forward(two_genre.trained, [0], M.kv_cache(cfg), cfg.context)
+            M.forward(two_genre.trained, [0], M.kv_cache(two_genre.trained), cfg.context)
 
 
 class TestGreedyAnswer:

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from ctrlkit import corpus, model as M, tokenizer as T, trainer
+from tests.conftest import float64_copy
 
 
 def tiny_vocab_and_table(texts, category="alpha", vocab_size=40):
@@ -141,6 +142,11 @@ class TestTrain:
 
     def test_final_loss_below_initial(self, two_genre):
         assert two_genre.final_loss < two_genre.initial_loss
+
+    def test_float32_loss_matches_float64(self, two_genre):
+        # The float tolerance the benchmark checks its training loss against.
+        wide = trainer.mean_epoch_loss(float64_copy(two_genre.trained), two_genre.windows)
+        assert abs(two_genre.final_loss - wide) <= 1e-4 * abs(wide)
 
     def test_divergence_aborts_with_step(self):
         docs, v, _ = tiny_vocab_and_table(["c d e"], vocab_size=20)
