@@ -55,4 +55,4 @@ report = E.grid_search(ckpt, vocab, ["alpha", "beta"], grid,
                        texts_per_cell=4, max_new_tokens=32, idx=idx, base_seed=0)
 print(report.to_csv())
 print("ECC confusion (alpha row):",
-      {k[1]: v for k, v in report.confusion.matrix.items() if k[0] == "alpha"})
+      {reached: n for (occ, reached), n in report.confusion.items() if occ == "alpha"})

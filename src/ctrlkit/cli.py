@@ -114,6 +114,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.num < 1:
+        raise sampler.SamplingError(f"--num must be at least 1, got {args.num}")
     ckpt, vocab = _load_model(args)
     lines = []
     for i in range(args.num):
@@ -175,7 +177,7 @@ def cmd_grid(args) -> int:
 def cmd_perplexity(args) -> int:
     ckpt, vocab = _load_model(args)
     texts = corpus.load_texts(args.text_file)
-    window = args.window if args.window else ckpt.config.context
+    window = args.window if args.window is not None else ckpt.config.context
     lines = ["perplexity,window,token_count"]
     for text in texts:
         try:

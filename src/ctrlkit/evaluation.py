@@ -1,10 +1,10 @@
 """Automatic generation metrics and the hyper-parameter grid search.
 
-Covers sliding-window perplexity, sampling-loop detection, ECC outcome
-bookkeeping with confusion matrices, self-BLEU-4, and a grid search that
-pairs the nucleus threshold and the temperature with the repetition
-penalty.  Grid cells are independent and deterministically seeded; the
-report is ordered lexicographically by cell key.
+Covers sliding-window perplexity, sampling-loop detection, the ECC outcome
+of a generation, self-BLEU-4, and a grid search that pairs the nucleus
+threshold and the temperature with the repetition penalty.  Grid cells
+are independent and deterministically seeded; the report is ordered
+lexicographically by cell key.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ OUTCOME_NONE = "none"
 @dataclass(frozen=True)
 class EccOutcome:
     kind: str  # correct | wrong | none
-    category: str | None = None  # reached category when kind == wrong
+    category: str | None = None  # reached category unless kind == none
 
 
 def ecc_outcome(gr: GenerationResult, occ: str, v: Vocab) -> EccOutcome:
@@ -149,25 +149,7 @@ def ecc_outcome(gr: GenerationResult, occ: str, v: Vocab) -> EccOutcome:
     if gr.stop_reason != STOP_ECC:
         return EccOutcome(OUTCOME_NONE)
     reached = v.category_of_ecc_id(gr.ecc_id)
-    if reached == occ:
-        return EccOutcome(OUTCOME_CORRECT)
-    return EccOutcome(OUTCOME_WRONG, category=reached)
-
-
-class EccConfusion:
-    """Counts of reached ECC category (or none) per opening category."""
-
-    def __init__(self):
-        self.matrix: Counter = Counter()
-
-    def add(self, occ: str, outcome: EccOutcome):
-        reached = occ if outcome.kind == OUTCOME_CORRECT else (
-            outcome.category if outcome.kind == OUTCOME_WRONG else OUTCOME_NONE
-        )
-        self.matrix[occ, reached] += 1
-
-    def row_total(self, occ: str) -> int:
-        return sum(c for (o, _), c in self.matrix.items() if o == occ)
+    return EccOutcome(OUTCOME_CORRECT if reached == occ else OUTCOME_WRONG, reached)
 
 
 def bleu4(candidate: str, references: list[str]) -> float:
@@ -303,7 +285,14 @@ class CellReport:
 @dataclass(frozen=True)
 class GridReport:
     cells: tuple[CellReport, ...]
-    confusion: EccConfusion
+
+    @property
+    def confusion(self) -> Counter:
+        """Texts per (opening category, reached category or "none")."""
+        return Counter(
+            (cell.category, rec.reached or OUTCOME_NONE)
+            for cell in self.cells for rec in cell.records
+        )
 
     CSV_HEADER = (
         "category,T,p,r,ecc_correct,ecc_wrong,ecc_none,"
@@ -390,7 +379,7 @@ def _run_cell(ckpt, v, category, params, texts_per_cell, max_new_tokens,
                 text=decode(v, gr.body),
                 stop_reason=gr.stop_reason,
                 outcome=out.kind,
-                reached=(category if out.kind == OUTCOME_CORRECT else out.category),
+                reached=out.category,
                 token_ids=tuple(gr.generated_ids),
             )
         )
@@ -414,6 +403,8 @@ def grid_search(
     """
     if not categories:
         raise EvaluationError("grid search needs at least one category")
+    if texts_per_cell < 1:
+        raise EvaluationError(f"texts_per_cell must be at least 1, got {texts_per_cell}")
     for cat in categories:
         if cat not in v.control_ids:
             raise EvaluationError(f"category {cat!r} has no control codes")
@@ -424,11 +415,4 @@ def grid_search(
         for params in grid.cells()
     ]
     cells.sort(key=lambda c: c.key)
-    confusion = EccConfusion()
-    for cell in cells:
-        for rec in cell.records:
-            confusion.add(
-                cell.category,
-                EccOutcome(rec.outcome, rec.reached if rec.outcome == OUTCOME_WRONG else None),
-            )
-    return GridReport(cells=tuple(cells), confusion=confusion)
+    return GridReport(cells=tuple(cells))

@@ -81,10 +81,13 @@ STOP_MAX = "max_length"
 
 @dataclass(frozen=True)
 class GenerationResult:
-    prompt_ids: tuple[int, ...]
     generated_ids: tuple[int, ...]
     stop_reason: str  # STOP_ECC | STOP_MAX
-    ecc_id: int | None = None
+
+    @property
+    def ecc_id(self) -> int | None:
+        """The ECC that stopped decoding, or None at the budget."""
+        return self.generated_ids[-1] if self.stop_reason == STOP_ECC else None
 
     @property
     def body(self) -> tuple[int, ...]:
@@ -177,7 +180,7 @@ def generate_ids(
     cached = 0  # leading tokens of the window whose K/V are in ``kv``
     context = list(prompt_ids)
     generated: list[int] = []
-    stop_reason, ecc_id = STOP_MAX, None
+    stop_reason = STOP_MAX
     for step in range(sp.max_new_tokens):
         if len(context) > n:  # the window slid, so every position moved
             cached = 0
@@ -195,11 +198,6 @@ def generate_ids(
         context.append(nxt)
         generated.append(nxt)
         if nxt in stop_ids:
-            stop_reason, ecc_id = STOP_ECC, nxt
+            stop_reason = STOP_ECC
             break
-    return GenerationResult(
-        prompt_ids=tuple(prompt_ids),
-        generated_ids=tuple(generated),
-        stop_reason=stop_reason,
-        ecc_id=ecc_id,
-    )
+    return GenerationResult(tuple(generated), stop_reason)

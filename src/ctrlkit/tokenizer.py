@@ -338,9 +338,8 @@ def _parse_vocab(lines: list[str]) -> Vocab:
         token_to_id[UNK_TOKEN] = unk_id
 
     expected = base_size + 2 * len(control_ids) + (2 if pad_id is not None else 0)
-    ids = list(token_to_id.values())
-    if len(token_to_id) != expected or len(set(ids)) != len(ids):
-        raise TokenizerError("vocab file has colliding or missing token ids")
+    if sorted(token_to_id.values()) != list(range(expected)):
+        raise TokenizerError(f"vocab file token ids are not exactly 0..{expected - 1}")
 
     return Vocab(
         merges=tuple(merges),

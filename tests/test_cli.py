@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ctrlkit import tokenizer
 from ctrlkit.cli import _parse_floats, _sampling_params, build_parser, main
 from ctrlkit.evaluation import GridSpec
 from tests.conftest import make_two_genre_docs
@@ -112,6 +113,20 @@ class TestGenerate:
         args = build_parser().parse_args(argv + ["--max-new-tokens", "9"])
         assert _sampling_params(args, 0).max_new_tokens == 9
 
+    @pytest.mark.parametrize("num", ["0", "-2"])
+    def test_count_below_one_rejected_before_reading(self, tmp_path, capsys, num):
+        out = tmp_path / "gen.jsonl"
+        rc = main([
+            "generate", "--ckpt", str(tmp_path / "missing.ckpt"),
+            "--vocab", str(tmp_path / "missing.txt"), "--occ", "alpha",
+            "--num", num, "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SamplingError: --num must be at least 1")
+        assert len(err.strip().split("\n")) == 1
+        assert not out.exists()
+
     def test_same_seed_byte_identical(self, workspace, tmp_path):
         outs = []
         for name in ("a.jsonl", "b.jsonl"):
@@ -134,6 +149,26 @@ class TestTokenizerAndTraining:
             "--vocab-size", "90", "--fraction", "1.0", "--out", str(out),
         ])
         assert out.read_bytes() == workspace["vocab"].read_bytes()
+
+    def test_default_table_adds_every_bundled_category(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.tsv"
+        corpus_path.write_text("news\tm\t-\tett två tre\nwiki\ta\t-\tfyra fem sex\n")
+        vocabs = {}
+        for name, flags in (("default", ["--table", "default"]), ("auto", [])):
+            out = tmp_path / f"vocab-{name}.txt"
+            assert main(["train-tokenizer", "--corpus", str(corpus_path), "--vocab-size",
+                         "30", *flags, "--out", str(out)]) == 0
+            vocabs[name] = tokenizer.load_vocab(out).control_ids
+        assert len(vocabs["default"]) == 37
+        assert {"news", "wiki", "blogs/tech"} <= set(vocabs["default"])
+        assert set(vocabs["auto"]) == {"news", "wiki"}
+
+        out = tmp_path / "vocab-unknown.txt"
+        rc = main(["train-tokenizer", "--corpus", str(corpus_path), "--vocab-size", "30",
+                   "--table", "bundled", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ValueError: unknown table")
+        assert not out.exists()
 
     def test_train_rerun_byte_identical(self, workspace, tmp_path):
         outs = []
@@ -213,6 +248,19 @@ class TestGrid:
             "error: EvaluationError: grid search needs at least one category")
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_texts_per_cell_below_one_rejected(self, workspace, tmp_path, capsys, n):
+        out = tmp_path / "grid"
+        rc = main([
+            "grid", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+            "--categories", "alpha", "--texts-per-cell", n,
+            "--p-grid", "0.9", "--t-grid", "", "--r-grid", "1.0", "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: EvaluationError: texts_per_cell must be at least 1")
+        assert not out.exists()
+
 
 class TestPerplexity:
     def test_csv_output(self, workspace, tmp_path, capsys):
@@ -246,7 +294,7 @@ class TestPerplexity:
         assert float(value) > 1.0 and window == "8" and int(count) > 0
         assert second == ",8,0"
 
-    @pytest.mark.parametrize("window", ["1", "49"])
+    @pytest.mark.parametrize("window", ["0", "1", "49"])
     def test_out_of_range_window_writes_nothing(self, workspace, tmp_path, capsys, window):
         texts = tmp_path / "texts.txt"
         texts.write_text("x\na b c d e f\n")

@@ -170,28 +170,39 @@ class TestDetectLoops:
 class TestEccOutcome:
     def test_correct(self, two_genre):
         v = two_genre.vocab
-        gr = GenerationResult((), (v.ecc_id("alpha"),), STOP_ECC, v.ecc_id("alpha"))
+        gr = GenerationResult((v.ecc_id("alpha"),), STOP_ECC)
         out = E.ecc_outcome(gr, "alpha", v)
         assert out.kind == E.OUTCOME_CORRECT
+        assert out.category == "alpha"
 
     def test_wrong_carries_reached_category(self, two_genre):
         v = two_genre.vocab
-        gr = GenerationResult((), (v.ecc_id("beta"),), STOP_ECC, v.ecc_id("beta"))
+        gr = GenerationResult((v.ecc_id("beta"),), STOP_ECC)
         out = E.ecc_outcome(gr, "alpha", v)
         assert out.kind == E.OUTCOME_WRONG
         assert out.category == "beta"
 
     def test_max_length_is_none(self, two_genre):
-        gr = GenerationResult((), (1, 2, 3), STOP_MAX, None)
-        assert E.ecc_outcome(gr, "alpha", two_genre.vocab).kind == E.OUTCOME_NONE
+        gr = GenerationResult((1, 2, 3), STOP_MAX)
+        out = E.ecc_outcome(gr, "alpha", two_genre.vocab)
+        assert out == E.EccOutcome(E.OUTCOME_NONE, None)
 
-    def test_confusion_row_sums(self):
-        conf = E.EccConfusion()
-        for kind, cat in [("correct", None), ("wrong", "beta"), ("none", None)]:
-            conf.add("alpha", E.EccOutcome(kind, cat))
-        assert conf.row_total("alpha") == 3
-        assert conf.matrix["alpha", "beta"] == 1
-        assert conf.matrix["alpha", "none"] == 1
+    def test_confusion_keys(self, two_genre):
+        # One correct, one wrong and one none text under the alpha OCC, each
+        # recorded from ecc_outcome the way the grid's _run_cell records it.
+        v = two_genre.vocab
+        records = []
+        for gr in (GenerationResult((v.ecc_id("alpha"),), STOP_ECC),
+                   GenerationResult((v.ecc_id("beta"),), STOP_ECC),
+                   GenerationResult((1, 2), STOP_MAX)):
+            out = E.ecc_outcome(gr, "alpha", v)
+            records.append(E.CellRecord("", "", gr.stop_reason, out.kind,
+                                        out.category, gr.generated_ids))
+        cell = E.summarize_cell(v, "alpha", (1.0, 1.0, 1.0), records)
+        rep = E.GridReport(cells=(cell,))
+        assert rep.confusion == {
+            ("alpha", "alpha"): 1, ("alpha", "beta"): 1, ("alpha", "none"): 1,
+        }
 
 
 class TestBleu4:
@@ -270,8 +281,9 @@ class TestGridSearch:
     def test_confusion_rows_match_text_counts(self, report):
         rep, grid, _ = report
         per_category = len(grid.cells()) * 3
-        assert rep.confusion.row_total("alpha") == per_category
-        assert rep.confusion.row_total("beta") == per_category
+        for occ in ("alpha", "beta"):
+            row = sum(n for (o, _), n in rep.confusion.items() if o == occ)
+            assert row == per_category
 
     def test_aggregates_recomputable_from_dump(self, report, two_genre):
         rep, _, idx = report

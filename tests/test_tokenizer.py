@@ -224,6 +224,9 @@ MALFORMED_VOCAB = {
         lines, 3 + int(lines[1].split()[1]), '"a"'),
     "specials_without_unk": lambda lines: lines[:-1] + ["specials pad=54"],
     "specials_without_value": lambda lines: lines[:-1] + ["specials pad"],
+    # A unique id past the end of the vocab still leaves a gap in 0..len-1.
+    "special_id_out_of_range": lambda lines: lines[:-1] + [
+        "specials pad=9999 " + lines[-1].split(" ")[2]],
 }
 
 
