@@ -33,9 +33,6 @@ ckpt = model.init_model(config, seed=0)
 windows = trainer.windows_from_docs(docs, vocab, config.context)
 tc = trainer.TrainingConfig(batch_size=16, lr=2e-3, epochs=10, seed=99)
 print(f"initial loss: {trainer.mean_epoch_loss(ckpt, windows):.3f}")
-checkpoints = trainer.train(ckpt, docs, vocab, tc)
-print(f"final loss:   {trainer.mean_epoch_loss(checkpoints[-1], windows):.3f}")
-print()
 
 
 def matching_rate(ck, trials=20):
@@ -50,12 +47,22 @@ def matching_rate(ck, trials=20):
     return hits / trials
 
 
-for epoch in (1, 5, 10):
-    rate = matching_rate(checkpoints[epoch - 1])
+rates = {}  # training updates ckpt in place, so measure epochs as they end
+
+
+def measure(epoch, ck):
+    if epoch in (1, 5, 10):
+        rates[epoch] = matching_rate(ck)
+
+
+trainer.train(ckpt, docs, vocab, tc, on_epoch=measure)
+print(f"final loss:   {trainer.mean_epoch_loss(ckpt, windows):.3f}")
+print()
+for epoch, rate in rates.items():
     print(f"epoch {epoch:2d}: matching-ECC rate on held-out prompts = {rate:.0%}")
 
 sp = sampler.SamplingParams(temperature=0.0, max_new_tokens=60)
-gr = sampler.generate(checkpoints[-1], vocab, "a3 a7 a1", "alpha", sp)
+gr = sampler.generate(ckpt, vocab, "a3 a7 a1", "alpha", sp)
 print()
 print("greedy continuation of ':alpha: a3 a7 a1':")
 print("  ", tokenizer.decode(vocab, list(gr.generated_ids)))

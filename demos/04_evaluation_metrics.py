@@ -21,7 +21,7 @@ config = model.ModelConfig(layers=2, heads=2, model_dim=32, inner_dim=64,
                            context=64, vocab_size=len(vocab))
 ckpt = model.init_model(config, seed=0)
 tc = trainer.TrainingConfig(batch_size=16, lr=2e-3, epochs=6, seed=1)
-ckpt = trainer.train(ckpt, docs, vocab, tc)[-1]
+trainer.train(ckpt, docs, vocab, tc)
 
 print("-- sliding-window perplexity --")
 for text in ("a1 a2 a3 a4 a5", "b1 b2 b3 b4 b5", "a1 b1 a2 b2 a3"):

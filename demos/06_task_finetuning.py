@@ -55,18 +55,26 @@ config = model.ModelConfig(layers=2, heads=2, model_dim=32, inner_dim=64,
 base = model.init_model(config, seed=0)
 
 tc = trainer.TrainingConfig(batch_size=8, lr=2e-3, epochs=4)
-vocab_ft, checkpoints = tasks.finetune(base, vocab, task, train_points, tc)
-print(f"fine-tuned for {len(checkpoints)} epochs "
-      f"(task ids {vocab_ft.control_ids['genre-check']})")
+ft_vocab = tokenizer.add_control_pairs(vocab, [task.name])  # what finetune grows
+results = {}  # the first and last epoch, scored as they end
+
+
+def score_epoch(epoch, ckpt):
+    if epoch in (1, tc.epochs):
+        results[epoch] = tasks.evaluate(ckpt, ft_vocab, task, test_points,
+                                        max_new_tokens=4)
+
+
+tasks.finetune(base, vocab, task, train_points, tc, on_epoch=score_epoch)
+print(f"fine-tuned for {tc.epochs} epochs "
+      f"(task ids {ft_vocab.control_ids['genre-check']})")
 print()
 
 print("-- evaluation --")
 golds = [dp["label"] for dp in test_points]
 preds, value = tasks.majority_baseline(golds)
 print(f"majority baseline accuracy: {value:.3f} (always {preds[0]!r})")
-for epoch in (1, len(checkpoints)):
-    result = tasks.evaluate(checkpoints[epoch - 1], vocab_ft, task, test_points,
-                            max_new_tokens=4)
+for epoch, result in results.items():
     parts = ", ".join(
         f"{m}={'NA' if v is None else f'{v:.3f}'}" for m, v in result.metrics.items()
     )

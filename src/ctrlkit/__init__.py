@@ -11,6 +11,7 @@ Submodules:
 - ``ngram``: k-gram provenance index, overlap statistics, search
 - ``agreement``: Krippendorff alpha, pseudo-alpha, Spearman, ROUGE-L
 - ``tasks``: prompt-based benchmark fine-tuning and scoring
+- ``fileio``: atomic file writes
 - ``cli``: the ``ctrlkit`` command
 """
 
@@ -18,6 +19,7 @@ from . import (
     agreement,
     corpus,
     evaluation,
+    fileio,
     model,
     ngram,
     sampler,
@@ -30,6 +32,7 @@ __all__ = [
     "agreement",
     "corpus",
     "evaluation",
+    "fileio",
     "model",
     "ngram",
     "sampler",

@@ -1,7 +1,10 @@
 """Command-line entry point wiring all library modules together.
 
 Every verb validates its options before touching the filesystem and writes
-only to declared output paths.  The four verbs that use randomness
+only to declared output paths.  ``train`` and ``finetune`` write each
+epoch's checkpoint when the epoch ends (``finetune`` its grown vocabulary
+just before the first), so a run that fails keeps the epochs it finished.
+Checkpoints and vocabularies are written atomically.  The four verbs that use randomness
 (``train``, ``finetune``, ``generate`` and ``grid``) fix all of it from
 ``--seed``, so rerunning any verb with the same inputs and seed produces
 byte-identical artifacts.  Errors exit nonzero with a one-line
@@ -11,6 +14,7 @@ byte-identical artifacts.  Errors exit nonzero with a one-line
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -56,6 +60,12 @@ def _write(path: str | None, content: str) -> None:
             fh.write(content)
 
 
+def _at_least(name: str, value: int, low: int, error: type[Exception]) -> None:
+    """Raise ``error`` for a count option below ``low``."""
+    if value < low:
+        raise error(f"{name} must be at least {low}, got {value}")
+
+
 def _sampling_params(args, seed: int) -> sampler.SamplingParams:
     """The ``--preset`` parameters (else the ``SamplingParams`` defaults),
     overridden by each sampling flag given."""
@@ -74,6 +84,8 @@ def _sampling_params(args, seed: int) -> sampler.SamplingParams:
 
 
 def cmd_train_tokenizer(args) -> int:
+    _at_least("vocab_size", args.vocab_size, 1, tokenizer.TokenizerError)
+    tokenizer.sample_fraction([], args.fraction)  # rejects a fraction outside (0, 1]
     docs, table = _load_docs(args.corpus, args.table)
     vocab = tokenizer.train_bpe(docs, args.fraction, args.vocab_size)
     vocab = tokenizer.add_control_codes(vocab, table)
@@ -88,38 +100,40 @@ def _training_config(args) -> trainer.TrainingConfig:
     return trainer.TrainingConfig(**{k: v for k, v in given.items() if v is not None})
 
 
-def _save_epochs(out: str, checkpoints: list[model.Checkpoint]) -> None:
-    """Create ``out`` and save each epoch's checkpoint in a numbered
-    directory under it, epoch 1 first."""
-    os.makedirs(out, exist_ok=True)
-    for epoch, ck in enumerate(checkpoints, start=1):
+def _epoch_writer(out: str, vocab: tokenizer.Vocab | None = None):
+    """The ``on_epoch`` callback that saves each epoch's checkpoint under
+    ``out`` as the epoch ends, with ``vocab``, if given, written just before
+    the first."""
+    def save(epoch: int, ckpt: model.Checkpoint) -> None:
         epoch_dir = os.path.join(out, f"ckpt-epoch{epoch:02d}")
         os.makedirs(epoch_dir, exist_ok=True)
-        model.save_checkpoint(os.path.join(epoch_dir, "model.ckpt"), ck)
+        if vocab is not None and epoch == 1:
+            tokenizer.save_vocab(os.path.join(out, "vocab.txt"), vocab)
+        model.save_checkpoint(os.path.join(epoch_dir, "model.ckpt"), ckpt)
+    return save
 
 
 def cmd_train(args) -> int:
+    tc = _training_config(args)
+    config = model.ModelConfig(  # the vocabulary's size is set once it is read
+        layers=args.layers, heads=args.heads, model_dim=args.dim,
+        inner_dim=args.inner, context=args.context, vocab_size=1,
+    )
     docs, _ = _load_docs(args.corpus)
     vocab = tokenizer.load_vocab(args.vocab)
-    config = model.ModelConfig(
-        layers=args.layers, heads=args.heads, model_dim=args.dim,
-        inner_dim=args.inner, context=args.context, vocab_size=len(vocab),
-    )
-    tc = _training_config(args)
+    config = dataclasses.replace(config, vocab_size=len(vocab))
     ckpt = model.init_model(config, seed=args.seed if args.seed is not None else 0)
-    checkpoints = trainer.train(ckpt, docs, vocab, tc)
-    _save_epochs(args.out, checkpoints)
-    print(f"wrote {len(checkpoints)} checkpoints under {args.out}")
+    trainer.train(ckpt, docs, vocab, tc, on_epoch=_epoch_writer(args.out))
+    print(f"wrote {tc.epochs} checkpoints under {args.out}")
     return 0
 
 
 def cmd_generate(args) -> int:
-    if args.num < 1:
-        raise sampler.SamplingError(f"--num must be at least 1, got {args.num}")
+    _at_least("--num", args.num, 1, sampler.SamplingError)
+    params = [_sampling_params(args, args.seed + i) for i in range(args.num)]
     ckpt, vocab = _load_model(args)
     lines = []
-    for i in range(args.num):
-        sp = _sampling_params(args, args.seed + i)
+    for sp in params:
         gr = sampler.generate(ckpt, vocab, args.prompt, args.occ, sp)
         record = {
             "prompt": args.prompt,
@@ -150,6 +164,7 @@ def cmd_grid(args) -> int:
         r_values=_parse_floats(args.r_grid),
     )
     categories = [c for c in args.categories.split(",") if c]
+    evaluation.check_grid(categories, grid, args.texts_per_cell, args.max_new_tokens)
     ckpt, vocab = _load_model(args)
     idx = ngram.load_index(args.idx) if args.idx else None
     report = evaluation.grid_search(
@@ -175,9 +190,12 @@ def cmd_grid(args) -> int:
 
 
 def cmd_perplexity(args) -> int:
+    if args.window is not None:
+        _at_least("window", args.window, 2, evaluation.EvaluationError)
     ckpt, vocab = _load_model(args)
-    texts = corpus.load_texts(args.text_file)
     window = args.window if args.window is not None else ckpt.config.context
+    evaluation.check_window(window, ckpt.config.context)
+    texts = corpus.load_texts(args.text_file)
     lines = ["perplexity,window,token_count"]
     for text in texts:
         try:
@@ -191,6 +209,7 @@ def cmd_perplexity(args) -> int:
 
 
 def cmd_index_build(args) -> int:
+    _at_least("k", args.k, 1, ngram.NGramIndexError)
     docs, _ = _load_docs(args.corpus)
     idx = ngram.build_index(docs, k=args.k)
     ngram.save_index(args.out, idx)
@@ -199,6 +218,8 @@ def cmd_index_build(args) -> int:
 
 
 def cmd_index_search(args) -> int:
+    if not args.query.split():
+        raise ngram.NGramIndexError("--query must contain at least one word")
     idx = ngram.load_index(args.idx)
     hits = ngram.search(idx, args.query)
     lines = [
@@ -215,6 +236,7 @@ def cmd_index_overlap(args) -> int:
     thresholds = [int(t) for t in args.threshold.split(",") if t]
     if not thresholds:
         raise ngram.NGramIndexError("--threshold needs at least one threshold")
+    _at_least("--threshold", min(thresholds), 1, ngram.NGramIndexError)
     idx = ngram.load_index(args.idx)
     texts = corpus.load_texts(args.eval)
     results = [ngram.overlap(texts, idx, threshold=t, unique=args.unique)
@@ -229,20 +251,21 @@ def cmd_index_overlap(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    ckpt, vocab = _load_model(args)
     spec = tasks.get_task(args.task)
-    datapoints = tasks.load_datapoints(args.data)
     tc = _training_config(args)
-    vocab2, checkpoints = tasks.finetune(ckpt, vocab, spec, datapoints, tc)
-    _save_epochs(args.out, checkpoints)
-    tokenizer.save_vocab(os.path.join(args.out, "vocab.txt"), vocab2)
-    print(f"fine-tuned {spec.name} for {len(checkpoints)} epochs under {args.out}")
+    ckpt, vocab = _load_model(args)
+    datapoints = tasks.load_datapoints(args.data)
+    ft_vocab = tokenizer.add_control_pairs(vocab, [spec.name])  # as finetune grows it
+    tasks.finetune(ckpt, vocab, spec, datapoints, tc,
+                   on_epoch=_epoch_writer(args.out, ft_vocab))
+    print(f"fine-tuned {spec.name} for {tc.epochs} epochs under {args.out}")
     return 0
 
 
 def cmd_eval_task(args) -> int:
-    ckpt, vocab = _load_model(args)
     spec = tasks.get_task(args.task)
+    _at_least("max_new_tokens", args.max_new_tokens, 0, sampler.SamplingError)
+    ckpt, vocab = _load_model(args)
     datapoints = tasks.load_datapoints(args.data)
     result = tasks.evaluate(
         ckpt, vocab, spec, datapoints, max_new_tokens=args.max_new_tokens

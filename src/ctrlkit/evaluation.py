@@ -42,15 +42,19 @@ class PerplexityResult:
     token_count: int  # predicted positions entering the average
 
 
+def check_window(w: int, context: int) -> None:
+    """Raise EvaluationError unless 2 <= w <= context."""
+    if not 2 <= w <= context:
+        raise EvaluationError(f"window must be in [2, {context}], got {w}")
+
+
 def sliding_perplexity(ckpt: M.Checkpoint, v: Vocab, text: str, w: int) -> PerplexityResult:
     """exp of the mean NLL with every token conditioned on a w-token window.
 
     Position i conditions on the previous min(i, w-1) tokens; the stride is
     1, so each position beyond the first window gets its own forward pass.
     """
-    n = ckpt.config.context
-    if not 2 <= w <= n:
-        raise EvaluationError(f"window must be in [2, {n}], got {w}")
+    check_window(w, ckpt.config.context)
     ids = encode(v, text)
     if len(ids) < 2:
         raise TextTooShort("text must encode to at least 2 tokens")
@@ -386,6 +390,20 @@ def _run_cell(ckpt, v, category, params, texts_per_cell, max_new_tokens,
     return summarize_cell(v, category, params, records, idx)
 
 
+def check_grid(categories: list[str], grid: GridSpec, texts_per_cell: int,
+               max_new_tokens: int) -> None:
+    """Raise for a grid that cannot run, before any model is read: no
+    category, no text per cell, or a cell whose sampling parameters
+    ``SamplingParams`` rejects."""
+    if not categories:
+        raise EvaluationError("grid search needs at least one category")
+    if texts_per_cell < 1:
+        raise EvaluationError(f"texts_per_cell must be at least 1, got {texts_per_cell}")
+    for t, p, r in grid.cells():
+        SamplingParams(temperature=t, nucleus_p=p, repetition_penalty=r,
+                       max_new_tokens=max_new_tokens)
+
+
 def grid_search(
     ckpt: M.Checkpoint,
     v: Vocab,
@@ -401,10 +419,7 @@ def grid_search(
     Each sample draws its rng stream from (base_seed, cell key, sample), so
     results are independent of the execution order.
     """
-    if not categories:
-        raise EvaluationError("grid search needs at least one category")
-    if texts_per_cell < 1:
-        raise EvaluationError(f"texts_per_cell must be at least 1, got {texts_per_cell}")
+    check_grid(categories, grid, texts_per_cell, max_new_tokens)
     for cat in categories:
         if cat not in v.control_ids:
             raise EvaluationError(f"category {cat!r} has no control codes")

@@ -29,6 +29,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import erf
 
+from .fileio import atomic_open
+
 LN_EPS = 1e-5
 INIT_STD = 0.02
 
@@ -130,10 +132,6 @@ class Checkpoint:
     @property
     def dtype(self):
         return self.weights["tok_emb"].dtype
-
-    def copy(self) -> "Checkpoint":
-        weights = {n: self.weights[n].copy() for n in param_shapes(self.config)}
-        return Checkpoint(self.config, weights, self.step, self.seed)
 
 
 def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> Checkpoint:
@@ -455,7 +453,8 @@ CKPT_MAGIC = "ctrlkit-ckpt-1"
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Versioned binary format: JSON header, then little-endian float32
-    tensors in manifest order.  Aliased tensors are stored once."""
+    tensors in manifest order.  Aliased tensors are stored once.  The write
+    is atomic (``fileio.atomic_open``)."""
     names = list(param_shapes(ckpt.config))
     for n in names:
         if ckpt.weights[n].dtype != np.float32:
@@ -470,7 +469,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "tensors": [[n, list(ckpt.weights[n].shape)] for n in names],
         "aliases": ALIASES,
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write((CKPT_MAGIC + "\n").encode("ascii"))
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for n in names:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -349,9 +350,11 @@ def finetune(
     spec: TaskSpec,
     datapoints: list[dict],
     tc: trainer.TrainingConfig,
-) -> tuple[Vocab, list[M.Checkpoint]]:
-    """Fine-tune all weights on rendered task sequences; one checkpoint per
-    epoch, deterministic given tc.seed."""
+    on_epoch: Callable[[int, M.Checkpoint], None] | None = None,
+) -> tuple[Vocab, M.Checkpoint]:
+    """Fine-tune all weights on rendered task sequences, deterministic given
+    tc.seed; the grown vocabulary and the checkpoint, which ``trainer.train``
+    hands to ``on_epoch`` as each epoch ends."""
     if not datapoints:
         raise TaskError("no datapoints to fine-tune on")
     v2, ckpt2 = add_task_tokens(v, ckpt, spec, seed=tc.seed)
@@ -360,8 +363,8 @@ def finetune(
         trainer.pack_ids(training_ids(dp, spec, v2, budget), v2, ckpt2.config.context)[0]
         for dp in datapoints
     ]
-    checkpoints = trainer.train(ckpt2, [], v2, tc, windows=windows)
-    return v2, checkpoints
+    trainer.train(ckpt2, [], v2, tc, windows=windows, on_epoch=on_epoch)
+    return v2, ckpt2
 
 
 def answer_selection_accuracy(

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .corpus import CategoryTable, Document, ecc_text, occ_text
+from .fileio import atomic_open
 
 _PIECE_RE = re.compile(r"\S+|\s+")
 
@@ -254,11 +255,12 @@ VOCAB_MAGIC = "bpe-v1"
 
 
 def save_vocab(path, v: Vocab) -> None:
-    """Text serialization: header, alphabet, merges, control/special blocks."""
+    """Text serialization: header, alphabet, merges, control/special blocks,
+    written atomically (``fileio.atomic_open``)."""
     alphabet = [
         v.id_to_token(i) for i in range(v.base_size - len(v.merges))
     ]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{VOCAB_MAGIC} {v.base_size}\n")
         fh.write(f"alphabet {len(alphabet)}\n")
         for ch in alphabet:

@@ -6,11 +6,16 @@ optimizer is AdamW with decoupled weight decay and global-norm gradient
 clipping at the published settings (the module constants below); a run
 varies only in its ``TrainingConfig``.  Given a seed, training is fully
 deterministic.
+
+``train`` updates its checkpoint in place and hands each finished epoch to
+an ``on_epoch`` callback, so memory does not grow with the number of
+epochs and a caller can save every epoch as it ends.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,8 +179,9 @@ def train(
     v: Vocab,
     tc: TrainingConfig,
     windows: list[Window] | None = None,
-) -> list[M.Checkpoint]:
-    """Train in place and return one checkpoint copy per epoch.
+    on_epoch: Callable[[int, M.Checkpoint], None] | None = None,
+) -> None:
+    """Train ``ckpt`` in place, calling ``on_epoch(epoch, ckpt)`` after epochs 1, 2, ...
 
     Deterministic given tc.seed: the only randomness is the per-epoch
     shuffle.  Non-finite loss aborts with the offending step.
@@ -190,21 +196,18 @@ def train(
     trainable = {n: ckpt.weights[n] for n in M.param_shapes(ckpt.config)}
     opt = AdamW(trainable, tc)
     rng = np.random.default_rng(tc.seed)
-    checkpoints: list[M.Checkpoint] = []
-    step = ckpt.step
-    for _ in range(tc.epochs):
+    for epoch in range(1, tc.epochs + 1):
         order = rng.permutation(len(windows))
         for start in range(0, len(order), tc.batch_size):
             ids, mask = _stack([windows[i] for i in order[start:start + tc.batch_size]])
             loss, grads = M.batch_loss(ckpt, ids, mask)
             if not np.isfinite(loss):
-                raise TrainingDiverged(step, loss)
+                raise TrainingDiverged(ckpt.step, loss)
             clip_global_norm(grads, GRAD_CLIP_NORM)
             opt.step(trainable, grads)
-            step += 1
-        ckpt.step = step
-        checkpoints.append(ckpt.copy())
-    return checkpoints
+            ckpt.step += 1
+        if on_epoch is not None:
+            on_epoch(epoch, ckpt)
 
 
 def mean_epoch_loss(ckpt: M.Checkpoint, windows: list[Window]) -> float:

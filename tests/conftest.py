@@ -55,10 +55,10 @@ class TwoGenreSetup:
         self.windows = trainer.windows_from_docs(self.docs, self.vocab, self.config.context)
         self.tc = trainer.TrainingConfig(batch_size=16, lr=2e-3, epochs=10, seed=99)
         self.initial_loss = trainer.mean_epoch_loss(self.untrained, self.windows)
-        self.checkpoints = trainer.train(
-            self.untrained.copy(), self.docs, self.vocab, self.tc
-        )
-        self.trained = self.checkpoints[-1]
+        self.trained = M.init_model(self.config, seed=0)
+        self.epoch_steps = []  # (epoch, step) as each on_epoch call saw them
+        trainer.train(self.trained, self.docs, self.vocab, self.tc,
+                      on_epoch=lambda epoch, ck: self.epoch_steps.append((epoch, ck.step)))
         self.final_loss = trainer.mean_epoch_loss(self.trained, self.windows)
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ctrlkit import tokenizer
+from ctrlkit import tokenizer, trainer
 from ctrlkit.cli import _parse_floats, _sampling_params, build_parser, main
 from ctrlkit.evaluation import GridSpec
 from tests.conftest import make_two_genre_docs
@@ -39,14 +39,88 @@ def workspace(tmp_path_factory):
     return dict(root=root, corpus=corpus_path, vocab=vocab_path, ckpt=ckpt_path)
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each verb's parser, by verb."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _verbs_with(option: str) -> set[str]:
     """The verbs whose parser declares ``option``."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     return {
-        verb for verb, p in sub.choices.items()
+        verb for verb, p in _subparsers().items()
         if any(option in a.option_strings for a in p._actions)
     }
+
+
+# Per verb: its input flags, then (bad options, the error each must raise).
+BAD_OPTIONS = {
+    "train-tokenizer": (["--corpus"], [
+        (["--vocab-size", "0"], "TokenizerError"),
+        (["--vocab-size", "90", "--fraction", "0"], "TokenizerError"),
+        (["--vocab-size", "90", "--table", "bundled"], "ValueError"),
+    ]),
+    "train": (["--corpus", "--vocab"], [
+        (["--lr", "-1"], "TrainingError"),
+        (["--epochs", "0"], "TrainingError"),
+        (["--layers", "0"], "ModelError"),
+        (["--dim", "30", "--heads", "4"], "ModelError"),
+    ]),
+    "generate": (["--ckpt", "--vocab"], [
+        (["--occ", "alpha", "--max-new-tokens", "-1"], "SamplingError"),
+        (["--occ", "alpha", "--num", "0"], "SamplingError"),
+        (["--occ", "alpha", "--temperature", "2"], "SamplingError"),
+    ]),
+    "grid": (["--ckpt", "--vocab"], [
+        (["--categories", "alpha", "--texts-per-cell", "0"], "EvaluationError"),
+        (["--categories", ","], "EvaluationError"),
+        (["--categories", "alpha", "--r-grid", ""], "EvaluationError"),
+        (["--categories", "alpha", "--max-new-tokens", "-1"], "SamplingError"),
+        (["--categories", "alpha", "--t-grid", "5"], "SamplingError"),
+    ]),
+    "perplexity": (["--ckpt", "--vocab", "--text-file"], [
+        (["--window", "0"], "EvaluationError"),
+        (["--window", "1"], "EvaluationError"),
+    ]),
+    "index-build": (["--corpus"], [
+        (["--k", "0"], "NGramIndexError"),
+    ]),
+    "index-search": (["--idx"], [
+        (["--query", " "], "NGramIndexError"),
+    ]),
+    "index-overlap": (["--idx", "--eval"], [
+        (["--threshold", "0"], "NGramIndexError"),
+        (["--threshold", "1,0"], "NGramIndexError"),
+        (["--threshold", ""], "NGramIndexError"),
+    ]),
+    "finetune": (["--ckpt", "--vocab", "--data"], [
+        (["--task", "nosuch"], "TaskError"),
+        (["--task", "swewinograd", "--epochs", "0"], "TrainingError"),
+        (["--task", "swewinograd", "--batch-size", "0"], "TrainingError"),
+    ]),
+    "eval-task": (["--ckpt", "--vocab", "--data"], [
+        (["--task", "nosuch"], "TaskError"),
+        (["--task", "swewinograd", "--max-new-tokens", "-1"], "SamplingError"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_subparsers()))
+def test_every_verb_checks_options_before_reading(tmp_path, capsys, verb):
+    """A bad option gets its own error even when every input is missing,
+    and nothing is written."""
+    inputs, cases = BAD_OPTIONS[verb]  # a new verb must add its cases here
+    missing = tmp_path / "missing"
+    work = tmp_path / "work"
+    work.mkdir()
+    for flags, error in cases:
+        argv = [verb, *(x for flag in inputs for x in (flag, str(missing / flag[2:]))),
+                *flags, "--out", str(work / "out")]
+        assert main(argv) == 1, flags
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: "), (flags, err)
+        assert list(work.iterdir()) == [], flags
+    assert not missing.exists()
 
 
 class TestVerbBasics:
@@ -309,6 +383,21 @@ class TestPerplexity:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("window", ["0", "49"])
+    def test_window_checked_without_any_text(self, workspace, tmp_path, capsys, window):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("\n  \n")
+        out = tmp_path / "ppl.csv"
+        rc = main([
+            "perplexity", "--ckpt", str(workspace["ckpt"]),
+            "--vocab", str(workspace["vocab"]), "--text-file", str(texts),
+            "--window", window, "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: EvaluationError: window")
+        assert not out.exists()
+
+
 class TestIndexVerbs:
     def test_build_search_overlap(self, workspace, tmp_path, capsys):
         idx_path = tmp_path / "idx.jsonl"
@@ -377,21 +466,25 @@ class TestIndexVerbs:
         assert paths[0] == paths[1]
 
 
+def _winograd_data(path):
+    """Eight swewinograd datapoints over the workspace's words."""
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(8):
+        words = " ".join(rng.choice(["a1", "a2", "b1", "b2"], size=3))
+        rows.append(json.dumps({
+            "text": words,
+            "word1": "a1",
+            "word2": "b1",
+            "label": "Ja" if i % 2 else "Nej",
+        }))
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 class TestTaskVerbs:
     def test_finetune_then_eval(self, workspace, tmp_path, capsys):
-        data = tmp_path / "task.jsonl"
-        rng = np.random.default_rng(0)
-        rows = []
-        for i in range(8):
-            words = " ".join(rng.choice(["a1", "a2", "b1", "b2"], size=3))
-            rows.append(json.dumps({
-                "text": words,
-                "word1": "a1",
-                "word2": "b1",
-                "label": "Ja" if i % 2 else "Nej",
-            }))
-        data.write_text("\n".join(rows) + "\n")
-
+        data = _winograd_data(tmp_path / "task.jsonl")
         ft_out = tmp_path / "ft"
         rc = main([
             "finetune", "--ckpt", str(workspace["ckpt"]),
@@ -414,3 +507,33 @@ class TestTaskVerbs:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "task,epoch,metric,value,N_missing%"
         assert any(line.startswith("swewinograd,E1,alpha_nominal,") for line in lines)
+
+    def test_failed_finetune_keeps_finished_epochs(self, workspace, tmp_path, capsys,
+                                                   monkeypatch):
+        real_train = trainer.train
+
+        def train_then_poison(*args, on_epoch, **kwargs):
+            def poison(epoch, ck):  # after the CLI has written the epoch
+                on_epoch(epoch, ck)
+                ck.weights["tok_emb"][0, 0] = np.nan
+            return real_train(*args, on_epoch=poison, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", train_then_poison)
+        data = _winograd_data(tmp_path / "task.jsonl")
+        ft_out = tmp_path / "ft"
+        rc = main([
+            "finetune", "--ckpt", str(workspace["ckpt"]),
+            "--vocab", str(workspace["vocab"]), "--task", "swewinograd",
+            "--data", str(data), "--epochs", "3", "--batch-size", "4",
+            "--lr", "0.001", "--out", str(ft_out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: TrainingDiverged")
+        assert sorted(p.name for p in ft_out.iterdir()) == ["ckpt-epoch01", "vocab.txt"]
+        rc = main([
+            "eval-task", "--ckpt", str(ft_out / "ckpt-epoch01" / "model.ckpt"),
+            "--vocab", str(ft_out / "vocab.txt"), "--task", "swewinograd",
+            "--data", str(data), "--max-new-tokens", "4", "--epoch", "E1",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("task,epoch,metric,value,N_missing%\n")

@@ -236,14 +236,18 @@ def toy_datapoints(n=8):
 
 
 class TestFinetuneEvaluate:
-    def test_finetune_returns_epoch_checkpoints(self):
+    def test_finetune_reports_each_epoch(self):
         v = char_word_vocab()
         cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16,
                             context=256, vocab_size=len(v))
         ckpt = M.init_model(cfg, seed=0)
         tc = trainer.TrainingConfig(batch_size=4, lr=1e-3, epochs=3)
-        v2, ckpts = tasks.finetune(ckpt, v, TOY_TASK, toy_datapoints(), tc)
-        assert len(ckpts) == 3
+        seen = []
+        v2, ft = tasks.finetune(ckpt, v, TOY_TASK, toy_datapoints(), tc,
+                                on_epoch=lambda epoch, ck: seen.append((epoch, ck.step, ck)))
+        assert [(epoch, step) for epoch, step, _ in seen] == [(1, 2), (2, 4), (3, 6)]
+        assert all(ck is ft for _, _, ck in seen)
+        assert ft.config.vocab_size == len(v2) == len(v) + 2
         assert "toy" in v2.control_ids
 
     def test_finetune_deterministic(self):
@@ -254,8 +258,7 @@ class TestFinetuneEvaluate:
         finals = []
         for _ in range(2):
             ckpt = M.init_model(cfg, seed=0)
-            _, ckpts = tasks.finetune(ckpt, v, TOY_TASK, toy_datapoints(), tc)
-            finals.append(ckpts[-1])
+            finals.append(tasks.finetune(ckpt, v, TOY_TASK, toy_datapoints(), tc)[1])
         for name in M.param_shapes(finals[0].config):
             npt.assert_array_equal(finals[0].weights[name], finals[1].weights[name])
 
@@ -265,13 +268,11 @@ class TestFinetuneEvaluate:
                             context=256, vocab_size=len(v))
         ckpt = M.init_model(cfg, seed=0)
         tc = trainer.TrainingConfig(batch_size=4, lr=1e-3, epochs=1)
-        v2, ckpts = tasks.finetune(ckpt, v, TOY_TASK, toy_datapoints(), tc)
-        result = tasks.evaluate(ckpts[-1], v2, TOY_TASK, toy_datapoints(4),
-                                max_new_tokens=4)
+        v2, ft = tasks.finetune(ckpt, v, TOY_TASK, toy_datapoints(), tc)
+        result = tasks.evaluate(ft, v2, TOY_TASK, toy_datapoints(4), max_new_tokens=4)
         assert set(result.metrics) == {"alpha_nominal", "accuracy"}
         assert 0.0 <= result.n_missing_pct <= 100.0
-        again = tasks.evaluate(ckpts[-1], v2, TOY_TASK, toy_datapoints(4),
-                               max_new_tokens=4)
+        again = tasks.evaluate(ft, v2, TOY_TASK, toy_datapoints(4), max_new_tokens=4)
         assert result == again
 
     def test_small_context_model_truncates_prompts(self, monkeypatch):
@@ -291,11 +292,11 @@ class TestFinetuneEvaluate:
 
         monkeypatch.setattr(trainer, "train", recording_train)
         tc = trainer.TrainingConfig(batch_size=2, lr=1e-3, epochs=1)
-        v2, ckpts = tasks.finetune(ckpt, v, TOY_TASK, dps, tc)
+        v2, ft = tasks.finetune(ckpt, v, TOY_TASK, dps, tc)
         assert len(seen) == len(dps)
         for w in seen:
             assert w.ids[w.real_length - 1] == v2.ecc_id("toy")
-        result = tasks.evaluate(ckpts[-1], v2, TOY_TASK, dps, max_new_tokens=4)
+        result = tasks.evaluate(ft, v2, TOY_TASK, dps, max_new_tokens=4)
         assert set(result.metrics) == {"alpha_nominal", "accuracy"}
 
 

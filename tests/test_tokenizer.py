@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,21 @@ def test_malformed_vocab_file_raises_tokenizer_error(tmp_path, edit):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with pytest.raises(T.TokenizerError):
         T.load_vocab(path)
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path):
+    docs, table = make_docs(SWEDISH_SAMPLE)
+    v = T.add_control_codes(T.train_bpe(docs, 1, vocab_size=50), table)
+    path = tmp_path / "vocab.txt"
+    T.save_vocab(path, v)
+    before = path.read_bytes()
+    # A control name JSON cannot encode fails after the alphabet and merges.
+    occ, ecc = len(v), len(v) + 1
+    broken = replace(v, control_ids={**v.control_ids, object(): (occ, ecc)})
+    with pytest.raises(TypeError):
+        T.save_vocab(path, broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
 
 def test_full_scale_vocab_constant():

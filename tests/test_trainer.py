@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from ctrlkit import corpus, model as M, tokenizer as T, trainer
+from ctrlkit.cli import _epoch_writer
 from tests.conftest import float64_copy
 
 
@@ -120,25 +122,26 @@ class TestTrain:
         windows = trainer.windows_from_docs(docs, v, cfg.context)
         before = trainer.lm_loss(ckpt, windows[0])
         tc = trainer.TrainingConfig(batch_size=1, lr=1e-2, epochs=1, seed=0)
-        ckpts = trainer.train(ckpt, docs, v, tc)
-        assert trainer.lm_loss(ckpts[-1], windows[0]) < before
+        assert trainer.train(ckpt, docs, v, tc) is None
+        assert trainer.lm_loss(ckpt, windows[0]) < before
 
     def test_same_seed_identical_weights(self):
         docs, v, _ = tiny_vocab_and_table(["c d e", "f g h", "c f g"], vocab_size=20)
         cfg = M.ModelConfig(layers=1, heads=2, model_dim=16, inner_dim=32,
                             context=16, vocab_size=len(v))
         tc = trainer.TrainingConfig(batch_size=2, lr=1e-3, epochs=2, seed=42)
-        runs = []
-        for _ in range(2):
-            ckpts = trainer.train(M.init_model(cfg, seed=1), docs, v, tc)
-            runs.append(ckpts[-1])
+        runs = [M.init_model(cfg, seed=1) for _ in range(2)]
+        for ckpt in runs:
+            trainer.train(ckpt, docs, v, tc)
         for name in M.param_shapes(cfg):
             npt.assert_array_equal(runs[0].weights[name], runs[1].weights[name])
 
     def test_one_checkpoint_per_epoch(self, two_genre):
-        assert len(two_genre.checkpoints) == two_genre.tc.epochs
-        steps = [c.step for c in two_genre.checkpoints]
-        assert steps == sorted(steps)
+        epochs, steps = zip(*two_genre.epoch_steps)
+        assert epochs == tuple(range(1, two_genre.tc.epochs + 1))
+        per_epoch = math.ceil(len(two_genre.windows) / two_genre.tc.batch_size)
+        assert steps == tuple(per_epoch * e for e in epochs)
+        assert two_genre.trained.step == steps[-1]
 
     def test_final_loss_below_initial(self, two_genre):
         assert two_genre.final_loss < two_genre.initial_loss
@@ -158,6 +161,50 @@ class TestTrain:
         with pytest.raises(trainer.TrainingDiverged) as exc:
             trainer.train(ckpt, docs, v, tc)
         assert exc.value.step == 0
+
+    def test_divergence_keeps_the_epochs_written(self, tmp_path):
+        docs, v, _ = tiny_vocab_and_table(["c d e", "f g h", "c f g"], vocab_size=20)
+        cfg = M.ModelConfig(layers=1, heads=2, model_dim=16, inner_dim=32,
+                            context=16, vocab_size=len(v))
+        ckpt = M.init_model(cfg, seed=0)
+        tc = trainer.TrainingConfig(batch_size=2, lr=1e-3, epochs=3, seed=0)
+        out = tmp_path / "run"
+        write = _epoch_writer(str(out))
+        saved = {}
+
+        def write_then_poison(epoch, ck):
+            write(epoch, ck)
+            saved[epoch] = {n: ck.weights[n].tobytes() for n in M.param_shapes(cfg)}
+            ck.weights["tok_emb"][0, 0] = np.nan
+
+        with pytest.raises(trainer.TrainingDiverged) as exc:
+            trainer.train(ckpt, docs, v, tc, on_epoch=write_then_poison)
+        assert exc.value.step == 2  # the first step of epoch 2
+        assert list(saved) == [1]
+        assert [p.name for p in out.iterdir()] == ["ckpt-epoch01"]
+        loaded = M.load_checkpoint(out / "ckpt-epoch01" / "model.ckpt")
+        assert loaded.step == 2
+        assert {n: loaded.weights[n].tobytes() for n in M.param_shapes(cfg)} == saved[1]
+
+    def test_memory_does_not_grow_with_epochs(self):
+        docs, v, _ = tiny_vocab_and_table(
+            ["c d e f g h i j", "f g h c d", "c f g i j e"], vocab_size=30)
+        cfg = M.ModelConfig(layers=2, heads=2, model_dim=64, inner_dim=128,
+                            context=16, vocab_size=len(v))
+        windows = trainer.windows_from_docs(docs, v, cfg.context)
+
+        def peak_bytes(epochs):
+            ckpt = M.init_model(cfg, seed=0)
+            tc = trainer.TrainingConfig(batch_size=2, lr=1e-3, epochs=epochs, seed=0)
+            tracemalloc.start()
+            try:
+                trainer.train(ckpt, [], v, tc, windows=windows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_checkpoint = 4 * M.param_count(cfg)
+        assert peak_bytes(6) - peak_bytes(1) < one_checkpoint
 
     def test_trained_checkpoint_round_trips_bitwise(self, two_genre, tmp_path):
         ckpt = two_genre.trained
