@@ -1,10 +1,10 @@
 """Command-line entry point wiring all library modules together.
 
 Every verb validates its options before touching the filesystem and writes
-only to declared output paths.  ``train`` and ``finetune`` write each
-epoch's checkpoint when the epoch ends (``finetune`` its grown vocabulary
-just before the first), so a run that fails keeps the epochs it finished.
-Checkpoints and vocabularies are written atomically.  The four verbs that use randomness
+only to declared output paths, each file atomically.  ``train`` and
+``finetune`` write each epoch's checkpoint when the epoch ends
+(``finetune`` its grown vocabulary just before the first), so a run that
+fails keeps the epochs it finished.  The four verbs that use randomness
 (``train``, ``finetune``, ``generate`` and ``grid``) fix all of it from
 ``--seed``, so rerunning any verb with the same inputs and seed produces
 byte-identical artifacts.  Errors exit nonzero with a one-line
@@ -29,6 +29,7 @@ from . import (
     tokenizer,
     trainer,
 )
+from .fileio import atomic_open, read_lines
 
 
 def _load_docs(
@@ -39,8 +40,8 @@ def _load_docs(
     if table == "default":
         categories = corpus.default_category_table()
     elif table == "auto":
-        with open(path, encoding="utf-8") as fh:
-            names = {line.split("\t", 1)[0] for line in fh if line.strip()}
+        names = {line.split("\t", 1)[0]
+                 for line in read_lines(path, corpus.CorpusError) if line.strip()}
         categories = corpus.table_from_names(sorted(names))
     else:
         raise ValueError(f"unknown table {table!r}; use 'default' or 'auto'")
@@ -53,10 +54,11 @@ def _load_model(args) -> tuple[model.Checkpoint, tokenizer.Vocab]:
 
 
 def _write(path: str | None, content: str) -> None:
+    """``content`` to standard output, or atomically to ``path``."""
     if path is None:
         sys.stdout.write(content)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             fh.write(content)
 
 
@@ -174,17 +176,15 @@ def cmd_grid(args) -> int:
         idx=idx, base_seed=args.seed,
     )
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
+    _write(os.path.join(args.out, "report.csv"), report.to_csv())
     for cell in report.cells:
         name = (
             f"cell_{cell.category.replace('/', '_')}"
             f"_T{cell.temperature:.2f}_p{cell.nucleus_p:.2f}"
             f"_r{cell.repetition_penalty:.2f}.jsonl"
         )
-        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
-            for rec in cell.records:
-                fh.write(rec.to_json() + "\n")
+        _write(os.path.join(args.out, name),
+               "".join(rec.to_json() + "\n" for rec in cell.records))
     print(f"wrote grid report with {len(report.cells)} cells to {args.out}")
     return 0
 

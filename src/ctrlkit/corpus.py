@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fileio import atomic_open, read_lines
+
 
 class CorpusError(ValueError):
     """Raised for malformed corpus files or unregistered categories."""
@@ -206,47 +208,47 @@ def load_corpus(path, table: CategoryTable) -> list[Document]:
     with newlines in the text escaped as ``\\n``.
     """
     docs: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise CorpusError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
-                )
-            name, prov, url, text = parts
-            if name not in table:
-                raise CorpusError(f"{path}:{lineno}: unregistered category {name!r}")
-            if prov not in _PROVENANCE:
-                raise CorpusError(
-                    f"{path}:{lineno}: provenance must be 'm' or 'a', got {prov!r}"
-                )
-            text = _unescape(text)
-            if not text:
-                raise CorpusError(f"{path}:{lineno}: empty document text")
-            docs.append(
-                Document(
-                    id=len(docs),
-                    text=text,
-                    category=table[name],
-                    provenance=_PROVENANCE[prov],
-                    source_url=None if url == "-" else url,
-                )
+    for lineno, line in enumerate(read_lines(path, CorpusError), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise CorpusError(
+                f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
             )
+        name, prov, url, text = parts
+        if name not in table:
+            raise CorpusError(f"{path}:{lineno}: unregistered category {name!r}")
+        if prov not in _PROVENANCE:
+            raise CorpusError(
+                f"{path}:{lineno}: provenance must be 'm' or 'a', got {prov!r}"
+            )
+        text = _unescape(text)
+        if not text:
+            raise CorpusError(f"{path}:{lineno}: empty document text")
+        docs.append(
+            Document(
+                id=len(docs),
+                text=text,
+                category=table[name],
+                provenance=_PROVENANCE[prov],
+                source_url=None if url == "-" else url,
+            )
+        )
     return docs
 
 
 def load_texts(path) -> list[str]:
     """The non-blank lines of a text file, corpus escapes undone."""
-    with open(path, encoding="utf-8") as fh:
-        return [_unescape(line.rstrip("\n")) for line in fh if line.strip()]
+    return [_unescape(line.rstrip("\n"))
+            for line in read_lines(path, CorpusError) if line.strip()]
 
 
 def save_corpus(path, docs: list[Document]) -> None:
-    """Write documents in the line format accepted by :func:`load_corpus`."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write documents in the line format accepted by :func:`load_corpus`.
+    The write is atomic (``fileio.atomic_open``)."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for d in docs:
             prov = "m" if d.provenance == "manual" else "a"
             url = d.source_url if d.source_url else "-"

@@ -1,14 +1,18 @@
-"""Atomic file writes.
+"""Atomic file writes and checked UTF-8 reads.
 
 A file is written under a temporary name in its target's directory and
 renamed onto the target only once it is complete, so a write that fails or
 is interrupted leaves the previous file, if any, as it was.  The rename is
 atomic on POSIX and Windows; nothing is fsynced, so the guarantee covers a
 failing process, not a power loss.
+
+A text file is read whole and decoded as UTF-8; bytes that are not valid
+UTF-8 raise the reading module's own error, naming the file and the line.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from contextlib import contextmanager
 
@@ -26,3 +30,19 @@ def atomic_open(path, mode: str = "w", **kwargs):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def read_lines(path, error: type[Exception]) -> io.StringIO:
+    """The lines of the UTF-8 text file ``path``, as iterating the file in
+    text mode gives them; bytes that are not UTF-8 raise ``error`` naming
+    the line (counted by ``\\n``)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(
+            f"{path}:{line}: byte {data[exc.start]:#04x} is not valid UTF-8"
+        ) from None
+    return io.StringIO(text, newline=None)

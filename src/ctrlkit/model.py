@@ -8,8 +8,10 @@ the token embedding.  Attention logits are scaled by 1/sqrt(d/H).
 Forward and backward passes are written out explicitly; the backward pass is
 validated against central finite differences in the test suite.
 ``batch_loss`` sends only its target positions through the final layer norm
-and the tied LM head, so the head's cost follows the real tokens, not the
-padding.
+and the tied LM head, and takes per-position ids that pack several windows
+into one row, each attending only within itself (``trainer._pack`` builds
+them).  The whole pass, not only the head, therefore costs about the real
+tokens, not the padding.
 
 Weights are float32 for training and evaluation and float64 for gradient
 checks, and a pass computes in its checkpoint's dtype: float32 weights give
@@ -162,18 +164,21 @@ def positional_encoding(context: int, model_dim: int, dtype=np.float64,
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Probabilities over the last axis, computed in the input's dtype."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    """Probabilities over the last axis, computed in the input's dtype in
+    one new array."""
+    e = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax(x) -> np.ndarray:
     """Float64 log-probabilities over the last axis: ``x - max`` minus the
     log of its summed exponentials, finite for any finite logits."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    x = np.asarray(x)
+    shifted = np.subtract(x, x.max(axis=-1, keepdims=True), dtype=np.float64)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def _layer_norm(x, g, b):
@@ -219,13 +224,20 @@ def kv_cache(ckpt: Checkpoint) -> list:
 
 
 def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
-                   kv=None, start: int = 0, rows=None):
+                   kv=None, start: int = 0, rows=None, positions=None):
     """Run the model on a (batch, time) id array.
 
     Returns (logits, cache); cache is None unless ``keep_cache``.  With a
     K/V cache ``kv`` from ``kv_cache``, the ids sit at positions
     start..start+t: their keys and values are written there and attention
     covers the cache up to start+t.
+
+    ``positions``, a (batch, time) array like ``ids``, lays several windows
+    end to end in one row: a window starts where ``positions`` is 0 and
+    counts up from there.  Each column takes its positional encoding from
+    ``positions``, and attends only to earlier columns of its own window.
+    Rows that each hold one window (``positions`` counting 0..t-1) take
+    the plain causal path.
 
     ``rows`` indexes the (batch, time) positions whose logits are wanted;
     only those rows go through the final layer norm and the LM head, and
@@ -241,11 +253,17 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
         raise ModelError(
             f"sequence length {start + t} outside the context window 1..{cfg.context}"
         )
+    if positions is not None and np.all(positions == np.arange(t)):
+        positions = None
     scale = math.sqrt(cfg.model_dim)
     pe = positional_encoding(t, cfg.model_dim, dtype=ckpt.dtype, start=start)
+    hidden = np.triu(np.ones((t, start + t), dtype=bool), k=start + 1)  # later keys
+    if positions is not None:
+        pe = pe[positions]
+        window = np.cumsum(positions == 0, axis=1)
+        hidden = (hidden | (window[:, :, None] != window[:, None, :]))[:, None]
     x = scale * W["tok_emb"][ids] + pe
 
-    causal = np.tril(np.ones((t, start + t), dtype=bool), k=start)
     att_scale = 1.0 / math.sqrt(cfg.head_dim)
     layer_caches = []
     for i in range(cfg.layers):
@@ -259,8 +277,9 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
             k_all[:, :, start:start + t] = k
             v_all[:, :, start:start + t] = v
             k, v = k_all[:, :, :start + t], v_all[:, :, :start + t]
-        scores = (q @ k.swapaxes(-1, -2)) * att_scale
-        scores = np.where(causal, scores, -np.inf)
+        scores = q @ k.swapaxes(-1, -2)
+        scores *= att_scale
+        np.copyto(scores, -np.inf, where=hidden)
         attn = softmax(scores)
         ctx = _merge_heads(attn @ v)
         a_out = ctx @ W[p + "attn.wo"] + W[p + "attn.bo"]
@@ -356,9 +375,8 @@ def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, n
         dattn = dctx @ c["v"].swapaxes(-1, -2)
         dv = c["attn"].swapaxes(-1, -2) @ dctx
         # Softmax backward; masked columns have attn=0 so their grad is 0.
-        dscores = c["attn"] * (
-            dattn - (dattn * c["attn"]).sum(axis=-1, keepdims=True)
-        )
+        dattn -= (dattn * c["attn"]).sum(axis=-1, keepdims=True)
+        dscores = np.multiply(c["attn"], dattn, out=dattn)
         dq = (dscores @ c["k"]) * att_scale
         dk = (dscores.swapaxes(-1, -2) @ c["q"]) * att_scale
 
@@ -414,11 +432,15 @@ def batch_loss(
     ids: np.ndarray,
     mask: np.ndarray,
     compute_grads: bool = True,
+    positions: np.ndarray | None = None,
 ):
     """Mean next-token NLL over unmasked target positions.
 
     ``ids`` and ``mask`` are (batch, time); position i+1 is a prediction
-    target iff mask[i+1] is set.  Returns (loss, grads) with grads=None when
+    target iff mask[i+1] is set.  ``positions``, shaped like ``ids``, packs
+    several windows into a row (see ``_forward_batch``); a window's first
+    column must then be unmasked, so that no target is predicted across a
+    window boundary.  Returns (loss, grads) with grads=None when
     ``compute_grads`` is false.
     """
     ids = np.asarray(ids, dtype=np.int64)
@@ -429,10 +451,18 @@ def batch_loss(
     n_targets = int(target_mask.sum())
     if n_targets == 0:
         raise ModelError("no unmasked target positions in the batch")
+    if positions is not None:
+        positions = np.asarray(positions, dtype=np.int64)
+        if (positions.size != ids.size or np.any(positions < 0)
+                or np.any(positions >= ids.shape[1])):
+            raise ModelError("positions must match the ids and lie in 0..time-1")
+        positions = positions.reshape(ids.shape)
+        if np.any(target_mask & (positions[:, 1:] == 0)):
+            raise ModelError("a window's first column cannot be a target")
 
     b_idx, t_idx = np.nonzero(target_mask)
     logits, cache = _forward_batch(ckpt, ids, keep_cache=compute_grads,
-                                   rows=(b_idx, t_idx))
+                                   rows=(b_idx, t_idx), positions=positions)
     logz = log_softmax(logits)
     targets = ids[b_idx, t_idx + 1]
     rows = np.arange(n_targets)
@@ -441,10 +471,12 @@ def batch_loss(
     if not compute_grads:
         return loss, None
 
-    dlogits = np.exp(logz)
+    # The loss gradient reuses the buffers of logz and the logits.
+    dlogits = np.exp(logz, out=logz)
     dlogits[rows, targets] -= 1.0
     dlogits /= n_targets
-    grads = _backward_batch(ckpt, dlogits.astype(ckpt.dtype, copy=False), cache)
+    np.copyto(logits, dlogits, casting="same_kind")
+    grads = _backward_batch(ckpt, logits, cache)
     return loss, grads
 
 

@@ -13,6 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .corpus import Document
+from .fileio import atomic_open
 
 DEFAULT_K = 13
 
@@ -156,8 +157,9 @@ def search(idx: NGramIndex, query: str) -> list[SearchHit]:
 
 
 def save_index(path, idx: NGramIndex) -> None:
-    """JSON-lines: a header line, then one line per k-gram entry."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """JSON-lines: a header line, then one line per k-gram entry.  The
+    write is atomic (``fileio.atomic_open``)."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         header = {
             "format": "ctrlkit-ngram-1",
             "k": idx.k,

@@ -28,6 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import agreement, corpus, model as M, sampler, trainer
+from .fileio import read_lines
 from .tokenizer import Vocab, add_control_pairs, decode, encode
 
 LABEL = "label"
@@ -204,20 +205,19 @@ def get_task(name: str) -> TaskSpec:
 def load_datapoints(path) -> list[dict]:
     """JSON-lines, one datapoint per line with template placeholder fields."""
     datapoints = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                dp = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TaskError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            if not isinstance(dp, dict):
-                raise TaskError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(dp).__name__}"
-                )
-            datapoints.append(dp)
+    for lineno, line in enumerate(read_lines(path, TaskError), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            dp = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TaskError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if not isinstance(dp, dict):
+            raise TaskError(
+                f"{path}:{lineno}: expected a JSON object, got {type(dp).__name__}"
+            )
+        datapoints.append(dp)
     return datapoints
 
 

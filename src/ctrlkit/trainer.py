@@ -10,6 +10,14 @@ deterministic.
 ``train`` updates its checkpoint in place and hands each finished epoch to
 an ``on_epoch`` callback, so memory does not grow with the number of
 epochs and a caller can save every epoch as it ends.
+
+Each step packs its own windows into shared rows (``_pack``): a row holds
+several short windows end to end, each with its own positions and
+attention.  The step's targets, their count and the shuffle are the ones
+of one row per window, so packing changes only the order in which the loss
+and gradients are summed, while a step computes about its real tokens
+instead of its padding.  ``mean_epoch_loss`` packs its batches the same
+way.
 """
 
 from __future__ import annotations
@@ -151,19 +159,54 @@ class AdamW:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def _stack(batch: list[Window]) -> tuple[np.ndarray, np.ndarray]:
-    """The (batch, time) id and mask arrays of a list of windows, cut after
-    the last column in which any mask is set.
+def _pack(batch: list[Window]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, time) ids, mask and positions of a step's windows, packed
+    into shared rows by first-fit decreasing.
 
-    Attention is causal, so a later column cannot change an earlier one:
-    the cut drops only work whose result the loss never reads, whatever the
-    mask's pattern (masked columns before the cut are kept).
+    Each window contributes its prefix up to its last set mask column
+    (masked columns before it are kept) and lies whole in one row, with
+    positions counting from 0, so an OCC...ECC frame is never split.  No row
+    is wider than the windows' length n, and rows are cut after their
+    longest fill.  A window's first column is unmasked in its row, so
+    ``batch_loss``, which predicts column i+1 from column i, never reads
+    across a window boundary.  A row's tail after its last window is filler
+    (id 0, mask unset, that window's positions continued) which no real
+    column attends to.
+
+    The targets and their count are those of the windows stacked one per
+    row, so ``batch_loss`` gives the same loss and gradients, summed in a
+    different order.
     """
-    ids = np.stack([w.ids for w in batch])
-    mask = np.stack([w.mask for w in batch])
-    used = np.flatnonzero(mask.any(axis=0))
-    end = used[-1] + 1 if used.size else mask.shape[1]
-    return ids[:, :end], mask[:, :end]
+    n = max(len(w.ids) for w in batch)
+    lengths = []
+    for w in batch:
+        used = np.flatnonzero(w.mask)
+        lengths.append(int(used[-1]) + 1 if used.size else 0)
+    rows: list[list[int]] = []
+    room: list[int] = []
+    for i in sorted(range(len(batch)), key=lambda i: -lengths[i]):
+        if lengths[i] == 0:
+            break
+        r = next((r for r, free in enumerate(room) if free >= lengths[i]), len(rows))
+        if r == len(rows):
+            rows.append([])
+            room.append(n)
+        rows[r].append(i)
+        room[r] -= lengths[i]
+
+    width = n - min(room, default=n)
+    ids = np.zeros((len(rows), width), dtype=np.int64)
+    mask = np.zeros((len(rows), width), dtype=bool)
+    positions = np.zeros((len(rows), width), dtype=np.int64)
+    for r, members in enumerate(rows):
+        col = 0
+        for i in members:
+            end = col + lengths[i]
+            ids[r, col:end] = batch[i].ids[:lengths[i]]
+            mask[r, col + 1:end] = batch[i].mask[1:lengths[i]]
+            positions[r, col:] = np.arange(width - col)  # the next window overwrites
+            col = end
+    return ids, mask, positions
 
 
 def windows_from_docs(docs: list[Document], v: Vocab, n: int) -> list[Window]:
@@ -199,8 +242,9 @@ def train(
     for epoch in range(1, tc.epochs + 1):
         order = rng.permutation(len(windows))
         for start in range(0, len(order), tc.batch_size):
-            ids, mask = _stack([windows[i] for i in order[start:start + tc.batch_size]])
-            loss, grads = M.batch_loss(ckpt, ids, mask)
+            batch = [windows[i] for i in order[start:start + tc.batch_size]]
+            ids, mask, positions = _pack(batch)
+            loss, grads = M.batch_loss(ckpt, ids, mask, positions=positions)
             if not np.isfinite(loss):
                 raise TrainingDiverged(ckpt.step, loss)
             clip_global_norm(grads, GRAD_CLIP_NORM)
@@ -214,9 +258,9 @@ def mean_epoch_loss(ckpt: M.Checkpoint, windows: list[Window]) -> float:
     """Dataset mean NLL, weighting every target position equally."""
     total, count = 0.0, 0
     for start in range(0, len(windows), EVAL_BATCH_SIZE):
-        ids, mask = _stack(windows[start:start + EVAL_BATCH_SIZE])
+        ids, mask, positions = _pack(windows[start:start + EVAL_BATCH_SIZE])
         n_targets = int(mask[:, 1:].sum())
-        loss, _ = M.batch_loss(ckpt, ids, mask, compute_grads=False)
+        loss, _ = M.batch_loss(ckpt, ids, mask, compute_grads=False, positions=positions)
         total += loss * n_targets
         count += n_targets
     return total / count

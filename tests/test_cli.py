@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctrlkit import tokenizer, trainer
-from ctrlkit.cli import _parse_floats, _sampling_params, build_parser, main
+from ctrlkit.cli import _parse_floats, _sampling_params, _write, build_parser, main
 from ctrlkit.evaluation import GridSpec
 from tests.conftest import make_two_genre_docs
 
@@ -244,6 +244,18 @@ class TestTokenizerAndTraining:
         assert capsys.readouterr().err.startswith("error: ValueError: unknown table")
         assert not out.exists()
 
+    @pytest.mark.parametrize("table", ["auto", "default"])
+    def test_invalid_utf8_corpus_is_a_corpus_error(self, tmp_path, capsys, table):
+        corpus_path = tmp_path / "corpus.tsv"
+        corpus_path.write_bytes(b"news\tm\t-\tett tv\xc3\xa5\nwiki\ta\t-\tfyra \xff\n")
+        out = tmp_path / "vocab.txt"
+        rc = main(["train-tokenizer", "--corpus", str(corpus_path), "--vocab-size", "30",
+                   "--table", table, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: CorpusError: {corpus_path}:2: byte 0xff is not valid UTF-8\n")
+        assert not out.exists()
+
     def test_train_rerun_byte_identical(self, workspace, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -281,6 +293,16 @@ class TestTokenizerAndTraining:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: TrainingError: lr")
         assert not out.exists()
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "out.csv"
+    _write(str(path), "a,b\n1,2\n")
+    # A lone surrogate cannot be encoded, so the write fails partway.
+    with pytest.raises(UnicodeEncodeError):
+        _write(str(path), "a,b\n" * 1000 + "\udcff\n")
+    assert path.read_text(encoding="utf-8") == "a,b\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestGrid:

@@ -104,6 +104,47 @@ class TestLoadCorpus:
         assert [d.text for d in loaded] == [d.text for d in docs]
         assert [d.category.name for d in loaded] == ["wiki", "simple"]
 
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes("wiki\tm\t-\tåäö\nwiki\tm\t-\tok \xff text\n".encode("latin-1"))
+        with pytest.raises(corpus.CorpusError, match=f"{path}:1: byte 0xe5 is not valid UTF-8"):
+            corpus.load_corpus(path, corpus.default_category_table())
+        path.write_bytes(b"wiki\tm\t-\tok text\nwiki\tm\t-\tbad \xff text\n")
+        with pytest.raises(corpus.CorpusError, match=f"{path}:2: byte 0xff is not valid UTF-8"):
+            corpus.load_corpus(path, corpus.default_category_table())
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        table = corpus.default_category_table()
+        path = tmp_path / "c.tsv"
+        corpus.save_corpus(path, [corpus.Document(0, "first", table["wiki"], "manual")])
+        before = path.read_bytes()
+
+        class FailingDocument:
+            category, provenance, source_url = table["news"], "auto", None
+
+            @property
+            def text(self):
+                raise OSError("disk full")
+
+        docs = [corpus.Document(0, "second", table["news"], "auto"), FailingDocument()]
+        with pytest.raises(OSError, match="disk full"):
+            corpus.save_corpus(path, docs)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.tsv"]
+
+
+class TestLoadTexts:
+    def test_blank_lines_dropped_and_escapes_undone(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("one\\ntwo\n\n  \nthree\n", encoding="utf-8")
+        assert corpus.load_texts(path) == ["one\ntwo", "three"]
+
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"ok\n\nstill ok\nbad \xc3\x28\n")
+        with pytest.raises(corpus.CorpusError, match=f"{path}:4: byte 0xc3 is not valid UTF-8"):
+            corpus.load_texts(path)
+
 
 class TestAdHocTables:
     def test_names_unique_enforced(self):

@@ -1,15 +1,20 @@
 """Property tests: a loader given a corrupted file either loads it or raises
-its own module's error, never anything else.
+its own module's error, never anything else; and the tokenizer round-trips
+any text over its trained alphabet.
 
-Each example applies one to three byte-level edits (flip, delete, insert) to
-a valid toy file.  The runs are derandomized and keep no example database,
-so the suite stays deterministic and writes nothing outside ``tmp_path``.
+Each loader example applies one to three byte-level edits (flip, delete,
+insert) to a valid toy file.  The runs are derandomized and keep no example
+database, so the suite stays deterministic and writes nothing outside
+``tmp_path``.
 """
+
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ctrlkit import corpus, model as M, tokenizer as T
+from ctrlkit import corpus, model as M, ngram, tasks, tokenizer as T
+from ctrlkit.cli import _load_docs
 
 PROPERTY_SETTINGS = settings(
     max_examples=150, deadline=None, derandomize=True, database=None,
@@ -60,6 +65,37 @@ def vocab_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
+def _toy_docs():
+    table = corpus.table_from_names(["news", "wiki", "news/sport"])
+    return [corpus.Document(0, "ett två tre två ett", table["news"], "manual"),
+            corpus.Document(1, "fyra \"fem\" sex\\ och\nsju", table["wiki"], "auto",
+                            "https://example.org/sv"),
+            corpus.Document(2, "åtta nio tio elva tolv", table["news/sport"], "manual")]
+
+
+@pytest.fixture(scope="module")
+def corpus_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.tsv"
+    corpus.save_corpus(path, _toy_docs())
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def index_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("index") / "index.jsonl"
+    ngram.save_index(path, ngram.build_index(_toy_docs(), k=2))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def datapoints_bytes():
+    points = [{"text": "Kalle såg Lisa.", "pronoun": "han", "candidate": "Kalle",
+               "label": "ja"},
+              {"text": "Det regnar.", "pronoun": "det", "candidate": "vädret",
+               "label": "nej"}]
+    return "".join(json.dumps(p, ensure_ascii=False) + "\n" for p in points).encode("utf-8")
+
+
 @PROPERTY_SETTINGS
 @given(edit=byte_edits())
 def test_edited_checkpoint_loads_or_raises_model_error(tmp_path, checkpoint_bytes, edit):
@@ -80,3 +116,52 @@ def test_edited_vocab_loads_or_raises_tokenizer_error(tmp_path, vocab_bytes, edi
         T.load_vocab(path)
     except T.TokenizerError:
         pass
+
+
+@PROPERTY_SETTINGS
+@given(edit=byte_edits())
+def test_edited_index_loads_or_raises_index_error(tmp_path, index_bytes, edit):
+    path = tmp_path / "index.jsonl"
+    path.write_bytes(edit(index_bytes))
+    try:
+        ngram.load_index(path)
+    except ngram.NGramIndexError:
+        pass
+
+
+@PROPERTY_SETTINGS
+@given(edit=byte_edits())
+def test_edited_corpus_loads_or_raises_corpus_error(tmp_path, corpus_bytes, edit):
+    path = tmp_path / "corpus.tsv"
+    path.write_bytes(edit(corpus_bytes))
+    for load in (lambda: _load_docs(str(path)),
+                 lambda: corpus.load_corpus(path, corpus.default_category_table()),
+                 lambda: corpus.load_texts(path)):
+        try:
+            load()
+        except corpus.CorpusError:
+            pass
+
+
+@PROPERTY_SETTINGS
+@given(edit=byte_edits())
+def test_edited_datapoints_load_or_raise_task_error(tmp_path, datapoints_bytes, edit):
+    path = tmp_path / "task.jsonl"
+    path.write_bytes(edit(datapoints_bytes))
+    try:
+        tasks.load_datapoints(path)
+    except tasks.TaskError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def trained_vocab():
+    return T.train_bpe(_toy_docs(), 1, vocab_size=40)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_encode_decode_round_trips_text_over_the_alphabet(trained_vocab, data):
+    alphabet = sorted(t for t in trained_vocab.token_to_id if len(t) == 1)
+    text = data.draw(st.text(alphabet=alphabet))
+    assert T.decode(trained_vocab, T.encode(trained_vocab, text)) == text

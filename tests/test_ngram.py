@@ -225,6 +225,20 @@ class TestSerialization:
         assert loaded.entries == idx.entries
         assert loaded.doc_meta == idx.doc_meta
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        idx = ngram.build_index(docs_from_texts(["a b c d", "b c d e"]), k=2)
+        path = tmp_path / "idx.jsonl"
+        ngram.save_index(path, idx)
+        before = path.read_bytes()
+        # The last entry cannot be serialized, after the header and every
+        # other entry went out.
+        entries = {ng: (tf + 1, postings) for ng, (tf, postings) in idx.entries.items()}
+        entries[("z", "z")] = (object(), (0,))
+        with pytest.raises(TypeError):
+            ngram.save_index(path, ngram.NGramIndex(idx.k, entries, idx.doc_meta))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["idx.jsonl"]
+
     def test_byte_identical_rewrite(self, tmp_path):
         texts = ["a b c d", "b c d e"]
         idx = ngram.build_index(docs_from_texts(texts), k=2)

@@ -108,6 +108,12 @@ class TestLoadDatapoints:
         with pytest.raises(tasks.TaskError, match=re.escape(f"{path}:2: expected a JSON object")):
             tasks.load_datapoints(path)
 
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "task.jsonl"
+        path.write_bytes(b'{"text": "x", "label": "y"}\n{"text": "\xff", "label": "y"}\n')
+        with pytest.raises(tasks.TaskError, match=re.escape(f"{path}:2: byte 0xff is not valid")):
+            tasks.load_datapoints(path)
+
 
 class TestParseLabel:
     def test_prefix_match(self):

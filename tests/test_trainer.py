@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -247,36 +248,159 @@ def _window(ids, real):
     return trainer.Window(ids=np.asarray(ids, dtype=np.int64), mask=mask)
 
 
-class TestStack:
-    def test_cut_after_last_masked_column_keeping_holes(self):
+def _stack_one_per_row(batch):
+    """The reference layout ``_pack`` replaces: one row per window, cut
+    after the last column in which any mask is set."""
+    ids = np.stack([w.ids for w in batch])
+    mask = np.stack([w.mask for w in batch])
+    end = np.flatnonzero(mask.any(axis=0))[-1] + 1
+    return ids[:, :end], mask[:, :end]
+
+
+def _perturbed_float64(cfg, seed):
+    ckpt = M.init_model(cfg, seed=seed, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    for name in M.param_shapes(cfg):
+        ckpt.weights[name] += rng.normal(0.0, 0.1, size=ckpt.weights[name].shape)
+    return ckpt
+
+
+def _windows(rng, n, reals):
+    return [_window(rng.integers(0, 50, n), real) for real in reals]
+
+
+N = 12  # window length of the packer cases; toy_config's context is 16
+PACK_CASES = {
+    # Column 2 of the second window is a hole inside its prefix.
+    "holes": [range(3), [0, 1, 3, 4], range(2), [0, 1, 2, 5, 6, 7, 8]],
+    "single_target": [range(2), range(2), range(7), [0, 4], range(3)],
+    "full_windows": [range(N), range(5), range(N), range(N), range(6)],
+    "none_fit": [range(7), range(9), range(N), range(8)],
+    "ragged": [range(1), range(N), range(4), [0, 2, 3], range(10), range(5),
+               range(2), [1, 5], range(11), range(3)],
+}
+
+
+class TestPack:
+    @pytest.mark.parametrize("case", PACK_CASES)
+    def test_loss_and_gradients_match_one_window_per_row(self, case):
+        cfg = M.toy_config()
+        ckpt = _perturbed_float64(cfg, seed=4)
+        windows = _windows(np.random.default_rng(4), N, PACK_CASES[case])
+        ref_loss, ref_grads = M.batch_loss(ckpt, *_stack_one_per_row(windows))
+        ids, mask, positions = trainer._pack(windows)
+        loss, grads = M.batch_loss(ckpt, ids, mask, positions=positions)
+        assert abs(loss - ref_loss) <= 1e-12
+        for name in M.param_shapes(cfg):
+            npt.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
+                                err_msg=name)
+
+    @pytest.mark.parametrize("case", PACK_CASES)
+    def test_each_window_whole_in_one_row(self, case):
+        windows = _windows(np.random.default_rng(5), N, PACK_CASES[case])
+        ids, mask, positions = trainer._pack(windows)
+        assert ids.shape == mask.shape == positions.shape
+        assert ids.shape[1] <= N
+        assert len(ids) <= len(windows)
+        assert mask[:, 1:].sum() == sum(int(w.mask[1:].sum()) for w in windows)
+        starts = set(zip(*np.nonzero(positions == 0)))
+        for w in windows:
+            length = int(np.flatnonzero(w.mask)[-1]) + 1
+            found = [
+                (r, c) for r, c in sorted(starts)
+                if c + length <= ids.shape[1]
+                and np.array_equal(ids[r, c:c + length], w.ids[:length])
+                and np.array_equal(positions[r, c:c + length], np.arange(length))
+                and not mask[r, c]
+                and np.array_equal(mask[r, c + 1:c + length], w.mask[1:length])
+            ]
+            assert found, "window not laid out whole in one row"
+            starts.remove(found[0])
+        assert not starts  # every window start belongs to a window
+
+    def test_holes_are_kept_and_the_tail_is_cut(self):
         windows = [
             _window([1, 2, 3, 0, 0, 0, 0, 0], range(3)),
             _window([4, 5, 0, 6, 7, 0, 0, 0], [0, 1, 3, 4]),  # hole at column 2
             _window([8, 9, 0, 0, 0, 0, 0, 0], range(2)),
         ]
-        ids, mask = trainer._stack(windows)
-        assert ids.shape == mask.shape == (3, 5)
-        npt.assert_array_equal(ids, np.stack([w.ids[:5] for w in windows]))
-        npt.assert_array_equal(mask, np.stack([w.mask[:5] for w in windows]))
+        ids, mask, positions = trainer._pack(windows)
+        # Longest first: 5 + 3 tokens fill the first row; the second row's
+        # tail is filler that continues its window's positions.
+        npt.assert_array_equal(ids, [[4, 5, 0, 6, 7, 1, 2, 3], [8, 9, 0, 0, 0, 0, 0, 0]])
+        npt.assert_array_equal(mask, [[0, 1, 0, 1, 1, 0, 1, 1], [0, 1, 0, 0, 0, 0, 0, 0]])
+        npt.assert_array_equal(positions, [[0, 1, 2, 3, 4, 0, 1, 2], list(range(8))])
+        ids, mask, positions = trainer._pack([windows[0], windows[2]])
+        npt.assert_array_equal(ids, [[1, 2, 3, 8, 9]])  # cut after 3 + 2 tokens
+        npt.assert_array_equal(positions, [[0, 1, 2, 0, 1]])
 
-    def test_trimmed_batch_loss_matches_untrimmed(self):
+    def test_no_two_windows_fit_one_row(self):
+        windows = _windows(np.random.default_rng(6), N, PACK_CASES["none_fit"])
+        ids, mask, positions = trainer._pack(windows)
+        assert ids.shape == (4, N)
+        npt.assert_array_equal(positions, np.broadcast_to(np.arange(N), ids.shape))
+
+    def test_filler_is_seen_by_no_real_position(self):
         cfg = M.toy_config()
-        ckpt = M.init_model(cfg, seed=4, dtype=np.float64)
+        ckpt = _perturbed_float64(cfg, seed=8)
+        windows = _windows(np.random.default_rng(8), N, [range(N), range(5)])
+        ids, mask, positions = trainer._pack(windows)
+        assert ids.shape == (2, N)  # the 5-token window's row ends in filler
+        other = ids.copy()
+        other[1, 5:] = (other[1, 5:] + 1) % cfg.vocab_size
+        loss, _ = M.batch_loss(ckpt, ids, mask, positions=positions)
+        assert M.batch_loss(ckpt, other, mask, positions=positions)[0] == loss
+
+    def test_mean_epoch_loss_weights_each_target(self):
+        ckpt = _perturbed_float64(M.toy_config(), seed=9)
+        rng = np.random.default_rng(9)
+        windows = [_window(rng.integers(0, 50, N), range(rng.integers(2, N + 1)))
+                   for _ in range(2 * trainer.EVAL_BATCH_SIZE + 3)]
+        counts = [int(w.mask[1:].sum()) for w in windows]
+        expected = sum(trainer.lm_loss(ckpt, w) * c for w, c in zip(windows, counts))
+        got = trainer.mean_epoch_loss(ckpt, windows)
+        assert abs(got - expected / sum(counts)) <= 1e-12
+
+
+class TestBatchLossPositions:
+    def test_unpacked_batch_unchanged(self):
+        # Recorded before batch_loss took positions; the unpacked path must
+        # keep computing exactly this.
+        cfg = M.toy_config()
+        ckpt = _perturbed_float64(cfg, seed=4)
         rng = np.random.default_rng(4)
-        for name in M.param_shapes(cfg):
-            ckpt.weights[name] += rng.normal(0.0, 0.1, size=ckpt.weights[name].shape)
-        windows = [
-            _window(rng.integers(0, cfg.vocab_size, 12), range(7)),
-            _window(rng.integers(0, cfg.vocab_size, 12), [0, 1, 2, 5, 6, 7, 8]),
-            _window(rng.integers(0, cfg.vocab_size, 12), range(2)),
-        ]
-        full_ids = np.stack([w.ids for w in windows])
-        full_mask = np.stack([w.mask for w in windows])
-        ids, mask = trainer._stack(windows)
-        assert ids.shape == (3, 9)
-        ref_loss, ref_grads = M.batch_loss(ckpt, full_ids, full_mask)
+        for name in M.param_shapes(cfg):  # the draws that seeded the record
+            rng.normal(0.0, 0.1, size=ckpt.weights[name].shape)
+        ids = rng.integers(0, cfg.vocab_size, (3, 12))
+        mask = np.arange(12) < np.array([[12], [7], [2]])
+        mask[1, 3] = False
         loss, grads = M.batch_loss(ckpt, ids, mask)
-        assert abs(loss - ref_loss) <= 1e-12
-        for name in M.param_shapes(cfg):
-            npt.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
-                                err_msg=name)
+        digest = hashlib.sha256(
+            b"".join(grads[n].tobytes() for n in M.param_shapes(cfg))).hexdigest()
+        assert loss.hex() == "0x1.04aeef540ed7ap+2"
+        assert digest == "75d92fbced9811e61bc1fdf2374894e7939bd4a254d1f3096cc45133280a8955"
+
+    def test_one_window_per_row_positions_change_nothing(self):
+        cfg = M.toy_config()
+        ckpt = _perturbed_float64(cfg, seed=5)
+        rng = np.random.default_rng(5)
+        ids = rng.integers(0, cfg.vocab_size, (3, 10))
+        mask = rng.random((3, 10)) < 0.8
+        positions = np.broadcast_to(np.arange(10), ids.shape)
+        loss, grads = M.batch_loss(ckpt, ids, mask)
+        packed_loss, packed_grads = M.batch_loss(ckpt, ids, mask, positions=positions)
+        assert packed_loss == loss
+        for name in grads:
+            npt.assert_array_equal(packed_grads[name], grads[name])
+
+    @pytest.mark.parametrize("positions, message", [
+        ([[0, 1, 2, 0, 1]], "first column"),
+        ([[0, 1, 2, 3]], "positions must match"),
+        ([[0, 1, 2, 3, 5]], "positions must match"),
+        ([[0, 1, -1, 0, 1]], "positions must match"),
+    ], ids=["target_at_window_start", "too_few", "past_the_row", "negative"])
+    def test_bad_positions_rejected(self, positions, message):
+        ckpt = M.init_model(M.toy_config(), seed=0)
+        ids, mask = np.array([[1, 2, 3, 4, 5]]), np.ones((1, 5), dtype=bool)
+        with pytest.raises(M.ModelError, match=message):
+            M.batch_loss(ckpt, ids, mask, positions=positions)
