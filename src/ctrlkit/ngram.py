@@ -4,12 +4,20 @@ Words are whitespace tokens, case-sensitive, punctuation retained, so
 numbers computed here are only comparable to other tools under the same
 convention.  After building, the index is immutable and safe for
 concurrent queries.
+
+An index file holds the indexed documents themselves, so a reader can check
+what was in the training data.  It is JSON-lines: the header
+``{"format": "ctrlkit-ngram-2", "k": k, "documents": n}``, then one line
+``[id, category, provenance, url, text]`` per document in id order.  The
+k-gram table (``NGramIndex.entries``) is not stored: building and loading
+both derive it from the texts in ``NGramIndex``'s constructor.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .corpus import Document
@@ -55,15 +63,29 @@ class OverlapResult:
 
 
 class NGramIndex:
-    def __init__(
-        self,
-        k: int,
-        entries: dict[tuple[str, ...], tuple[int, tuple[int, ...]]],
-        doc_meta: dict[int, DocMeta],
-    ):
+    """The word k-grams of ``(id, meta, text)`` documents with distinct ids:
+    ``entries`` maps each k-gram to its tf and the sorted ids containing it."""
+
+    def __init__(self, k: int, docs: Iterable[tuple[int, DocMeta, str]]):
+        if type(k) is not int or k < 1:
+            raise NGramIndexError(f"k must be a positive integer, got {k!r}")
         self.k = k
-        self.entries = entries
-        self.doc_meta = doc_meta
+        self.doc_meta: dict[int, DocMeta] = {}
+        self.texts: dict[int, str] = {}
+        counts: Counter = Counter()
+        postings: dict[tuple[str, ...], list[int]] = defaultdict(list)
+        for doc_id, meta, text in docs:
+            if doc_id in self.texts:
+                raise NGramIndexError(f"document id {doc_id} is listed twice")
+            self.doc_meta[doc_id] = meta
+            self.texts[doc_id] = text
+            grams = kgrams(text.split(), k)
+            counts.update(grams)
+            for ng in dict.fromkeys(grams):
+                postings[ng].append(doc_id)
+        self.entries = {
+            ng: (tf, tuple(sorted(postings[ng]))) for ng, tf in counts.items()
+        }
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -75,24 +97,10 @@ class NGramIndex:
 
 def build_index(docs: list[Document], k: int = DEFAULT_K) -> NGramIndex:
     """Index word k-grams of every document; deterministic over input order."""
-    if k < 1:
-        raise NGramIndexError(f"k must be >= 1, got {k}")
-    counts: Counter = Counter()
-    postings: dict[tuple[str, ...], set[int]] = defaultdict(set)
-    doc_meta: dict[int, DocMeta] = {}
-    for doc in docs:
-        doc_meta[doc.id] = DocMeta(
-            category=doc.category.name,
-            provenance=doc.provenance,
-            url=doc.source_url,
-        )
-        for ng in kgrams(doc.text.split(), k):
-            counts[ng] += 1
-            postings[ng].add(doc.id)
-    entries = {
-        ng: (counts[ng], tuple(sorted(postings[ng]))) for ng in counts
-    }
-    return NGramIndex(k=k, entries=entries, doc_meta=doc_meta)
+    return NGramIndex(k, (
+        (doc.id, DocMeta(doc.category.name, doc.provenance, doc.source_url), doc.text)
+        for doc in docs
+    ))
 
 
 def overlap(
@@ -141,9 +149,10 @@ def search(idx: NGramIndex, query: str) -> list[SearchHit]:
     rebuilds of the same corpus.
     """
     words = tuple(query.split())
-    if not words:
-        raise NGramIndexError("query must contain at least one word")
     m = len(words)
+    if not 1 <= m <= idx.k:
+        raise NGramIndexError(
+            f"query has {m} words; this index finds runs of 1 to {idx.k} words")
     hits = []
     for ng, (tf, postings) in idx.entries.items():
         if any(ng[i:i + m] == words for i in range(len(ng) - m + 1)):
@@ -156,59 +165,47 @@ def search(idx: NGramIndex, query: str) -> list[SearchHit]:
     return hits
 
 
+FORMAT = "ctrlkit-ngram-2"
+# The types of a document line [id, category, provenance, url, text].
+_DOC_LINE_TYPES = ([int, str, str, str, str], [int, str, str, type(None), str])
+
+
 def save_index(path, idx: NGramIndex) -> None:
-    """JSON-lines: a header line, then one line per k-gram entry.  The
-    write is atomic (``fileio.atomic_open``)."""
+    """The header, then one line per document in id order (see the module
+    docstring).  The write is atomic (``fileio.atomic_open``)."""
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "format": "ctrlkit-ngram-1",
-            "k": idx.k,
-            "docs": {
-                str(i): [m.category, m.provenance, m.url]
-                for i, m in sorted(idx.doc_meta.items())
-            },
-        }
-        fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n")
-        for ng in sorted(idx.entries):
-            tf, postings = idx.entries[ng]
-            fh.write(
-                json.dumps([list(ng), tf, list(postings)], ensure_ascii=False) + "\n"
-            )
+        header = {"format": FORMAT, "k": idx.k, "documents": len(idx.texts)}
+        fh.write(json.dumps(header) + "\n")
+        for doc_id in sorted(idx.texts):
+            m = idx.doc_meta[doc_id]
+            line = [doc_id, m.category, m.provenance, m.url, idx.texts[doc_id]]
+            fh.write(json.dumps(line, ensure_ascii=False) + "\n")
 
 
 def load_index(path) -> NGramIndex:
-    """Read a ``save_index`` file; malformed input raises NGramIndexError."""
+    """Read a ``save_index`` file and derive its k-gram table; malformed
+    input raises NGramIndexError."""
     with open(path, encoding="utf-8") as fh:
         try:
             header = json.loads(fh.readline())
-            if header.get("format") != "ctrlkit-ngram-1":
-                raise NGramIndexError("unsupported index file format")
-            doc_meta = {
-                int(i): DocMeta(category=m[0], provenance=m[1], url=m[2])
-                for i, m in header["docs"].items()
-            }
-            k = header["k"]
-            if not isinstance(k, int) or k < 1:
-                raise NGramIndexError(f"index k must be a positive integer, got {k!r}")
-            word_types, doc_ids = (str,) * k, set(doc_meta)
-            entries = {}
-            for line in fh:
-                ng, tf, postings = json.loads(line)
-                if type(ng) is not list or tuple(map(type, ng)) != word_types:
-                    raise NGramIndexError(f"index entry {ng!r} is not {k} words")
-                if type(tf) is not int or tf < 1:
+            if header.get("format") != FORMAT:
+                raise NGramIndexError(
+                    f"{path} has index format {header.get('format')!r}, not "
+                    f"{FORMAT!r}; rebuild it from its corpus with index-build")
+            k, n_docs = header["k"], header["documents"]
+            docs = []
+            for lineno, line in enumerate(fh, start=2):
+                row = json.loads(line)
+                if type(row) is not list or list(map(type, row)) not in _DOC_LINE_TYPES:
                     raise NGramIndexError(
-                        f"index entry {ng!r} has tf {tf!r}, not a positive integer")
-                if not postings or not doc_ids.issuperset(postings):
-                    raise NGramIndexError(
-                        f"index entry {ng!r} has postings {postings!r}, "
-                        "not a non-empty list of the header's docs")
-                key = tuple(ng)
-                if key in entries:
-                    raise NGramIndexError(f"index entry {ng!r} is listed twice")
-                entries[key] = (tf, tuple(postings))
+                        f"{path}:{lineno}: not a [id, category, provenance, url, text] line")
+                doc_id, category, provenance, url, text = row
+                docs.append((doc_id, DocMeta(category, provenance, url), text))
         except NGramIndexError:
             raise
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, ValueError) as exc:
             raise NGramIndexError(f"malformed index file {path}: {exc!r}") from None
-    return NGramIndex(k=k, entries=entries, doc_meta=doc_meta)
+    if type(n_docs) is not int or n_docs != len(docs):
+        raise NGramIndexError(
+            f"{path} lists {len(docs)} documents, its header says {n_docs!r}")
+    return NGramIndex(k, docs)

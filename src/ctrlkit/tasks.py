@@ -492,14 +492,25 @@ def evaluate(
     ecc = v.ecc_id(spec.name)
     sp = sampler.SamplingParams(temperature=0.0, max_new_tokens=max_new_tokens,
                                 block_first_ecc=ecc)
-    golds, preds = [], []
+    golds = [spec.label_str(dp) for dp in datapoints]
+    if spec.kind == SCORE:
+        golds = [_gold_score(gold, i) for i, gold in enumerate(golds, start=1)]
+    preds = []
     for dp in datapoints:
         prompt_ids = build_prompt(dp, spec, v, budget)
         gr = sampler.generate_ids(ckpt, v, prompt_ids, sp, stop_ids=frozenset({ecc}))
         preds.append(parse_label(decode(v, gr.body), spec))
-        gold = spec.label_str(dp)
-        golds.append(float(gold) if spec.kind == SCORE else gold)
     return score_predictions(spec, golds, preds)
+
+
+def _gold_score(label: str, position: int) -> float:
+    try:
+        score = float(label)
+        if np.isfinite(score):
+            return score
+    except ValueError:
+        pass
+    raise TaskError(f"datapoint {position}: gold score {label!r} is not a finite number")
 
 
 def results_csv(rows: list[tuple[str, str, str, float | None, float]]) -> str:

@@ -470,6 +470,24 @@ class TestIndexVerbs:
         assert rc == 0
         assert capsys.readouterr().out == "ett två\t2\tnews\tmanual\t-\n"
 
+    def test_query_longer_than_k_rejected(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.tsv"
+        corpus_path.write_text(
+            "news\tm\t-\tett två tre fyra fem\n"
+            "news/sport\ta\thttp://x/1\ttvå tre fyra fem sex\n"
+        )
+        idx_path, out = tmp_path / "idx.jsonl", tmp_path / "hits.tsv"
+        assert main(["index-build", "--corpus", str(corpus_path),
+                     "--k", "3", "--out", str(idx_path)]) == 0
+        capsys.readouterr()
+        rc = main(["index-search", "--idx", str(idx_path),
+                   "--query", "två tre fyra fem", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NGramIndexError: query has 4 words"), err
+        assert "1 to 3 words" in err
+        assert not out.exists()
+
     def test_empty_threshold_list_rejected_before_reading(self, tmp_path, capsys):
         rc = main([
             "index-overlap", "--idx", str(tmp_path / "missing.jsonl"),

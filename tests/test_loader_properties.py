@@ -129,6 +129,33 @@ def test_edited_index_loads_or_raises_index_error(tmp_path, index_bytes, edit):
         pass
 
 
+# Texts with tabs, newlines, backslashes, quotes and non-ASCII, some shorter
+# than k words or with no word at all.
+index_texts = st.text(
+    alphabet=st.sampled_from(["a", "b", "å", "\u2028", " ", "\t", "\n", "\\", '"', "\r"]),
+    min_size=1,
+)
+
+
+@PROPERTY_SETTINGS
+@given(texts=st.dictionaries(st.integers(-5, 1000), index_texts, min_size=1, max_size=6),
+       k=st.integers(1, 6))
+def test_index_round_trips_through_its_file(tmp_path, texts, k):
+    table = corpus.table_from_names(["news", "wiki"])
+    docs = [corpus.Document(i, text, table["news" if i % 2 else "wiki"],
+                            "auto" if i % 3 else "manual", None if i % 2 else f"u{i}")
+            for i, text in texts.items()]
+    idx = ngram.build_index(docs, k=k)
+    path, again = tmp_path / "index.jsonl", tmp_path / "again.jsonl"
+    ngram.save_index(path, idx)
+    loaded = ngram.load_index(path)
+    assert loaded.k == idx.k
+    assert loaded.entries == idx.entries
+    assert (loaded.doc_meta, loaded.texts) == (idx.doc_meta, idx.texts)
+    ngram.save_index(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
 @PROPERTY_SETTINGS
 @given(edit=byte_edits())
 def test_edited_corpus_loads_or_raises_corpus_error(tmp_path, corpus_bytes, edit):

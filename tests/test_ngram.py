@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,18 @@ class TestBuildIndex:
         with pytest.raises(ngram.NGramIndexError):
             ngram.build_index([], k=0)
 
+    def test_duplicate_document_id_rejected(self):
+        docs = docs_from_texts(["a b c", "d e f"])
+        docs[1] = corpus.Document(0, "d e f", docs[1].category, "manual")
+        with pytest.raises(ngram.NGramIndexError, match="id 0 is listed twice"):
+            ngram.build_index(docs, k=2)
+
+    def test_postings_sorted_whatever_the_document_order(self):
+        docs = docs_from_texts(["a b", "a b", "a b c"])
+        idx = ngram.build_index(docs[::-1], k=2)
+        assert idx.entries[("a", "b")] == (3, (0, 1, 2))
+        assert idx.entries[("b", "c")] == (1, (2,))
+
 
 class TestOverlap:
     def test_indexed_text_full_overlap(self):
@@ -177,7 +191,7 @@ class TestSearch:
         assert ngram.search(idx, "b a") == []
         assert len(ngram.search(idx, "a b")) == 1
 
-    def test_large_corpus_uses_word_index(self):
+    def test_query_from_a_large_corpus_finds_its_document(self):
         rng = np.random.default_rng(3)
         texts = random_texts(rng, 150, vocab=30)
         idx = ngram.build_index(docs_from_texts(texts), k=3)
@@ -189,6 +203,16 @@ class TestSearch:
             for h in hits
         )
         assert hits  # the query came from an indexed document
+
+    def test_query_longer_than_k_or_empty_rejected(self):
+        # No k-gram can contain a longer query, so an empty result would
+        # falsely say the phrase is not in the indexed documents.
+        idx = ngram.build_index(docs_from_texts(["ett två tre fyra fem"]), k=3)
+        assert len(ngram.search(idx, "två tre fyra")) == 1
+        with pytest.raises(ngram.NGramIndexError, match="query has 4 words.* 1 to 3 words"):
+            ngram.search(idx, "två tre fyra fem")
+        with pytest.raises(ngram.NGramIndexError, match="query has 0 words"):
+            ngram.search(idx, " ")
 
     @pytest.mark.parametrize("n_texts", [3, 150])
     def test_matches_scan_of_entries(self, n_texts):
@@ -225,17 +249,35 @@ class TestSerialization:
         assert loaded.entries == idx.entries
         assert loaded.doc_meta == idx.doc_meta
 
-    def test_failed_save_keeps_the_previous_file(self, tmp_path):
-        idx = ngram.build_index(docs_from_texts(["a b c d", "b c d e"]), k=2)
+    def test_file_holds_the_documents(self, tmp_path):
+        texts = ["ett två\ttre", 'fyra "fem" sex\\']
+        idx = ngram.build_index(docs_from_texts(texts), k=2)
         path = tmp_path / "idx.jsonl"
         ngram.save_index(path, idx)
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert lines == [
+            {"format": "ctrlkit-ngram-2", "k": 2, "documents": 2},
+            [0, "alpha", "manual", "http://x/0", texts[0]],
+            [1, "alpha", "manual", "http://x/1", texts[1]],
+        ]
+        assert ngram.load_index(path).texts == dict(enumerate(texts))
+
+    def test_v1_file_rejected_with_rebuild_message(self, tmp_path):
+        path = tmp_path / "idx.jsonl"
+        path.write_text(V1_INDEX, encoding="utf-8")
+        with pytest.raises(ngram.NGramIndexError, match="rebuild it .* index-build"):
+            ngram.load_index(path)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        docs = docs_from_texts(["a b c d", "b c d e"])
+        path = tmp_path / "idx.jsonl"
+        ngram.save_index(path, ngram.build_index(docs, k=2))
         before = path.read_bytes()
-        # The last entry cannot be serialized, after the header and every
-        # other entry went out.
-        entries = {ng: (tf + 1, postings) for ng, (tf, postings) in idx.entries.items()}
-        entries[("z", "z")] = (object(), (0,))
+        # The last document's url cannot be serialized, after the header and
+        # every other document went out.
+        docs.append(corpus.Document(2, "c d e f", docs[0].category, "manual", object()))
         with pytest.raises(TypeError):
-            ngram.save_index(path, ngram.NGramIndex(idx.k, entries, idx.doc_meta))
+            ngram.save_index(path, ngram.build_index(docs, k=2))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["idx.jsonl"]
 
@@ -248,34 +290,51 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-HEADER = '{"docs": {"0": ["alpha", "manual", null]}, "format": "ctrlkit-ngram-1", "k": 2}'
-ENTRY = '[["a", "b"], 1, [0]]'
+V1_INDEX = ('{"docs": {"0": ["alpha", "manual", null]}, "format": "ctrlkit-ngram-1", "k": 2}\n'
+            '[["a", "b"], 1, [0]]\n')
+HEADER = '{"format": "ctrlkit-ngram-2", "k": 2, "documents": 1}'
+DOC = '[0, "alpha", "manual", null, "a b c"]'
+
+
+def _doc_line(*fields):
+    return HEADER + "\n" + "[" + ", ".join(fields) + "]\n"
+
+
 MALFORMED_INDEX = {
     "empty": "",
     "header_not_json": "not json\n",
     "header_not_object": "[1, 2]\n",
-    "missing_k": '{"docs": {}, "format": "ctrlkit-ngram-1"}\n' + ENTRY + "\n",
-    "k_not_integer": HEADER.replace('"k": 2', '"k": "2"') + "\n",
-    "blank_entry_line": HEADER + "\n\n" + ENTRY + "\n",
-    "bad_entry_json": HEADER + "\n" + '[["a", "b"], 1,' + "\n",
-    "short_entry": HEADER + "\n" + '[["a", "b"], 1]' + "\n",
-    "kgram_too_short": HEADER + "\n" + '[["a"], 1, [0]]' + "\n",
-    "kgram_too_long": HEADER + "\n" + '[["a", "b", "c"], 1, [0]]' + "\n",
-    "kgram_not_strings": HEADER + "\n" + '[["a", 2], 1, [0]]' + "\n",
-    "kgram_is_string": HEADER + "\n" + '["ab", 1, [0]]' + "\n",
-    "tf_zero": HEADER + "\n" + '[["a", "b"], 0, [0]]' + "\n",
-    "tf_not_integer": HEADER + "\n" + '[["a", "b"], 1.5, [0]]' + "\n",
-    "tf_boolean": HEADER + "\n" + '[["a", "b"], true, [0]]' + "\n",
-    "empty_postings": HEADER + "\n" + '[["a", "b"], 1, []]' + "\n",
-    "posting_not_in_docs": HEADER + "\n" + '[["a", "b"], 1, [7]]' + "\n",
-    "duplicate_kgram": HEADER + "\n" + ENTRY + "\n" + '[["a", "b"], 5, [0]]' + "\n",
+    "missing_k": '{"format": "ctrlkit-ngram-2", "documents": 1}\n' + DOC + "\n",
+    "k_not_integer": HEADER.replace('"k": 2', '"k": "2"') + "\n" + DOC + "\n",
+    "k_boolean": HEADER.replace('"k": 2', '"k": true') + "\n" + DOC + "\n",
+    "k_zero": HEADER.replace('"k": 2', '"k": 0') + "\n" + DOC + "\n",
+    "v1_header": V1_INDEX,
+    "blank_entry_line": HEADER + "\n\n" + DOC + "\n",
+    "bad_entry_json": HEADER + "\n" + '[0, "alpha",' + "\n",
+    "document_not_list": HEADER + "\n" + '{"id": 0, "text": "a b c"}' + "\n",
+    "short_entry": _doc_line("0", '"alpha"', '"manual"', '"a b c"'),
+    "long_document_line": _doc_line("0", '"alpha"', '"manual"', "null", '"a b c"', "1"),
+    "id_boolean": _doc_line("false", '"alpha"', '"manual"', "null", '"a b c"'),
+    "id_string": _doc_line('"0"', '"alpha"', '"manual"', "null", '"a b c"'),
+    "category_not_string": _doc_line("0", "null", '"manual"', "null", '"a b c"'),
+    "provenance_not_string": _doc_line("0", '"alpha"', "1", "null", '"a b c"'),
+    "url_number": _doc_line("0", '"alpha"', '"manual"', "7", '"a b c"'),
+    "text_not_string": _doc_line("0", '"alpha"', '"manual"', "null", '["a", "b"]'),
+    "repeated_id": HEADER.replace('"documents": 1', '"documents": 2') + "\n"
+                   + DOC + "\n" + DOC + "\n",
+    "count_missing": '{"format": "ctrlkit-ngram-2", "k": 2}\n' + DOC + "\n",
+    "count_boolean": HEADER.replace('"documents": 1', '"documents": true') + "\n" + DOC + "\n",
+    "cut_at_a_line_boundary": HEADER.replace('"documents": 1', '"documents": 2') + "\n"
+                              + DOC + "\n",
+    "more_documents_than_counted": HEADER + "\n" + DOC + "\n"
+                                   + DOC.replace("[0,", "[1,") + "\n",
 }
 
 
 @pytest.mark.parametrize("text", MALFORMED_INDEX.values(), ids=MALFORMED_INDEX.keys())
 def test_malformed_index_file_raises_index_error(tmp_path, text):
     path = tmp_path / "idx.jsonl"
-    path.write_text(HEADER + "\n" + ENTRY + "\n", encoding="utf-8")
+    path.write_text(HEADER + "\n" + DOC + "\n", encoding="utf-8")
     assert ngram.load_index(path).tf(("a", "b")) == 1
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ngram.NGramIndexError):

@@ -281,6 +281,22 @@ class TestFinetuneEvaluate:
         again = tasks.evaluate(ft, v2, TOY_TASK, toy_datapoints(4), max_new_tokens=4)
         assert result == again
 
+    @pytest.mark.parametrize("label", ["hög", "nan", "inf"])
+    def test_non_numeric_gold_score_rejected_before_decoding(self, monkeypatch, label):
+        spec = tasks.get_task("sweparaphrase")
+        v = char_word_vocab()
+        cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16,
+                            context=256, vocab_size=len(v))
+        v2, ckpt = tasks.add_task_tokens(v, M.init_model(cfg, seed=0), spec)
+        datapoints = [{"sentence1": "x y", "sentence2": "y x", "label": score}
+                      for score in ("3.5", label, "1")]
+        calls = []
+        monkeypatch.setattr(tasks.sampler, "generate_ids",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(tasks.TaskError, match=f"datapoint 2: gold score '{label}'"):
+            tasks.evaluate(ckpt, v2, spec, datapoints)
+        assert calls == []
+
     def test_small_context_model_truncates_prompts(self, monkeypatch):
         # 12 words -> 23 prompt tokens; with label and control codes the
         # sequence would need 27 of the model's 16 positions.
