@@ -4,7 +4,7 @@ miniature hyper-parameter grid search with its CSV report.
 
 import numpy as np
 
-from ctrlkit import corpus, evaluation as E, model, ngram, tokenizer, trainer
+from ctrlkit import corpus, evaluation as E, model, tokenizer, trainer
 
 rng = np.random.default_rng(7)
 table = corpus.table_from_names(["alpha", "beta"])
@@ -49,10 +49,9 @@ for text, score in zip(cohort, E.self_bleu4(cohort)):
 
 print()
 print("-- miniature grid search --")
-idx = ngram.build_index(docs, k=3)
 grid = E.GridSpec(p_values=(0.8, 0.9), t_values=(0.5,), r_values=(1.0, 1.6))
 report = E.grid_search(ckpt, vocab, ["alpha", "beta"], grid,
-                       texts_per_cell=4, max_new_tokens=32, idx=idx, base_seed=0)
+                       texts_per_cell=4, max_new_tokens=32, base_seed=0)
 print(report.to_csv())
 print("ECC confusion (alpha row):",
       {reached: n for (occ, reached), n in report.confusion.items() if occ == "alpha"})

@@ -55,7 +55,7 @@ config = model.ModelConfig(layers=2, heads=2, model_dim=32, inner_dim=64,
 base = model.init_model(config, seed=0)
 
 tc = trainer.TrainingConfig(batch_size=8, lr=2e-3, epochs=4)
-ft_vocab = tokenizer.add_control_pairs(vocab, [task.name])  # what finetune grows
+ft_vocab, ft_model = tasks.add_task_tokens(vocab, base, task, seed=tc.seed)
 results = {}  # the first and last epoch, scored as they end
 
 
@@ -65,7 +65,7 @@ def score_epoch(epoch, ckpt):
                                         max_new_tokens=4)
 
 
-tasks.finetune(base, vocab, task, train_points, tc, on_epoch=score_epoch)
+tasks.finetune(ft_model, ft_vocab, task, train_points, tc, on_epoch=score_epoch)
 print(f"fine-tuned for {tc.epochs} epochs "
       f"(task ids {ft_vocab.control_ids['genre-check']})")
 print()

@@ -3,12 +3,12 @@
 Every verb validates its options before touching the filesystem and writes
 only to declared output paths, each file atomically.  ``train`` and
 ``finetune`` write each epoch's checkpoint when the epoch ends
-(``finetune`` its grown vocabulary just before the first), so a run that
-fails keeps the epochs it finished.  The four verbs that use randomness
-(``train``, ``finetune``, ``generate`` and ``grid``) fix all of it from
-``--seed``, so rerunning any verb with the same inputs and seed produces
-byte-identical artifacts.  Errors exit nonzero with a one-line
-``error: <type>: <message>``.
+(``finetune`` the vocabulary ``tasks.add_task_tokens`` grew just before
+the first), so a run that fails keeps the epochs it finished.  The four
+verbs that use randomness (``train``, ``finetune``, ``generate`` and
+``grid``) fix all of it from ``--seed``, so rerunning any verb with the
+same inputs and seed produces byte-identical artifacts.  Errors exit
+nonzero with a one-line ``error: <type>: <message>``.
 """
 
 from __future__ import annotations
@@ -255,9 +255,9 @@ def cmd_finetune(args) -> int:
     tc = _training_config(args)
     ckpt, vocab = _load_model(args)
     datapoints = tasks.load_datapoints(args.data)
-    ft_vocab = tokenizer.add_control_pairs(vocab, [spec.name])  # as finetune grows it
+    vocab, ckpt = tasks.add_task_tokens(vocab, ckpt, spec, seed=tc.seed)
     tasks.finetune(ckpt, vocab, spec, datapoints, tc,
-                   on_epoch=_epoch_writer(args.out, ft_vocab))
+                   on_epoch=_epoch_writer(args.out, vocab))
     print(f"fine-tuned {spec.name} for {tc.epochs} epochs under {args.out}")
     return 0
 

@@ -91,10 +91,6 @@ class CategoryTable:
         self._categories = tuple(categories)
         self._by_name = {c.name: c for c in categories}
 
-    @property
-    def categories(self) -> tuple[ControlCategory, ...]:
-        return self._categories
-
     def __len__(self) -> int:
         return len(self._categories)
 

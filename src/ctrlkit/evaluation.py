@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import model as M
-from .ngram import NGramIndex, kgrams, overlap
+from .ngram import DEFAULT_K, NGramIndex, kgrams, overlap
 from .sampler import (
     STOP_ECC,
     GenerationResult,
@@ -417,17 +417,19 @@ def grid_search(
     """Generate from the bare OCC for every (category, params) cell.
 
     Each sample draws its rng stream from (base_seed, cell key, sample), so
-    results are independent of the execution order.
+    results are independent of the execution order.  ``idx``, which fills
+    the report's ``median_overlap13`` column, must index 13-grams.
     """
     check_grid(categories, grid, texts_per_cell, max_new_tokens)
     for cat in categories:
         if cat not in v.control_ids:
             raise EvaluationError(f"category {cat!r} has no control codes")
+    if idx is not None and idx.k != DEFAULT_K:
+        raise EvaluationError(f"grid overlap needs a {DEFAULT_K}-gram index, not {idx.k}-grams")
     cells = [
         _run_cell(ckpt, v, category, params, texts_per_cell, max_new_tokens,
                   base_seed, idx)
         for category in sorted(categories)
         for params in grid.cells()
     ]
-    cells.sort(key=lambda c: c.key)
     return GridReport(cells=tuple(cells))

@@ -236,8 +236,6 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
     end to end in one row: a window starts where ``positions`` is 0 and
     counts up from there.  Each column takes its positional encoding from
     ``positions``, and attends only to earlier columns of its own window.
-    Rows that each hold one window (``positions`` counting 0..t-1) take
-    the plain causal path.
 
     ``rows`` indexes the (batch, time) positions whose logits are wanted;
     only those rows go through the final layer norm and the LM head, and
@@ -253,8 +251,6 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
         raise ModelError(
             f"sequence length {start + t} outside the context window 1..{cfg.context}"
         )
-    if positions is not None and np.all(positions == np.arange(t)):
-        positions = None
     scale = math.sqrt(cfg.model_dim)
     pe = positional_encoding(t, cfg.model_dim, dtype=ckpt.dtype, start=start)
     hidden = np.triu(np.ones((t, start + t), dtype=bool), k=start + 1)  # later keys

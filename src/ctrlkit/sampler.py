@@ -136,7 +136,7 @@ def adjust_distribution(
     order = np.argsort(-probs, kind="stable")
     cum = np.cumsum(probs[order])
     cutoff = int(np.searchsorted(cum, sp.nucleus_p)) + 1  # smallest prefix >= p
-    keep = order[:max(cutoff, 1)]
+    keep = order[:cutoff]
     nucleus = np.zeros_like(probs)
     nucleus[keep] = probs[keep]
     nucleus /= nucleus.sum()
@@ -158,12 +158,11 @@ def generate(
     if occ not in v.control_ids:
         raise SamplingError(f"category {occ!r} has no control codes in the vocab")
     prompt_ids = [v.occ_id(occ)] + encode(v, prompt)
-    return generate_ids(ckpt, v, prompt_ids, sp, stop_ids=v.ecc_ids)
+    return generate_ids(ckpt, prompt_ids, sp, stop_ids=v.ecc_ids)
 
 
 def generate_ids(
     ckpt: M.Checkpoint,
-    v: Vocab,
     prompt_ids: list[int],
     sp: SamplingParams,
     stop_ids: frozenset[int],

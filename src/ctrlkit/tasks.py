@@ -1,20 +1,20 @@
 """Prompt-based benchmark fine-tuning and scoring.
 
-Every datapoint renders as ``[OCC] [Prompt] [Label] [ECC]`` with
-task-specific opening/ending control tokens.  Prompts longer than the
-budget keep their head and tail around a ``[...]`` separator so the whole
-sequence fits the model's context.  Fine-tuning, greedy evaluation and
-answer selection share one budget, ``PromptBudget().fit(ckpt)``: 256
-tokens, or the checkpoint's context window when that is smaller.  The
-budget's other terms are constants: ``PromptBudget.reserve`` (5 tokens)
+Every datapoint renders as ``[OCC] [Prompt] [Label] [ECC]`` with the
+task's control tokens, which only ``add_task_tokens`` adds: ``finetune``,
+``evaluate`` and ``answer_selection_accuracy`` take the vocabulary and
+checkpoint it returns.  A ``TaskSpec`` names its metrics from ``METRICS``.
+Prompts longer than the budget keep their head and tail around a ``[...]``
+separator so the whole sequence fits the model's context.  All three share
+one budget, ``PromptBudget().fit(ckpt)``: 256 tokens, or the checkpoint's
+context window when that is smaller.  ``PromptBudget.reserve`` (5 tokens)
 bounds the tokenized separator, which as one 5-character BPE piece cannot
 encode to more, and ``PromptBudget.cap`` (245 tokens) limits prompts that
-fit comfortably.  Every datapoint carries its gold answer in the
-``label`` field.  Evaluation
-decodes greedily with the task ECC blocked at the first step, parses the
-continuation into a label, and scores gold-vs-predicted agreement;
-unparseable continuations count as missing annotations and are excluded
-from both sides.
+fit comfortably.  Every datapoint carries its gold answer in the ``label``
+field.  Evaluation decodes greedily with the task ECC blocked at the first
+step, parses the continuation into a label, and scores gold-vs-predicted
+agreement; unparseable continuations count as missing annotations and are
+excluded from both sides.
 """
 
 from __future__ import annotations
@@ -39,6 +39,24 @@ LABEL_FIELD = "label"
 
 class TaskError(ValueError):
     pass
+
+
+def _mean_rouge_l(golds, preds) -> float | None:
+    """ROUGE-L averaged over the pairs where neither side is missing."""
+    scores = [agreement.rouge_l(p, g) for g, p in zip(golds, preds, strict=True)
+              if g is not None and p is not None]
+    return sum(scores) / len(scores) if scores else None
+
+
+# Every metric a task may name, as a function of (golds, predictions).
+METRICS: dict[str, Callable[[list, list], float | None]] = {
+    "alpha_nominal": lambda g, p: agreement.krippendorff_alpha(g, p, "nominal"),
+    "alpha_interval": lambda g, p: agreement.krippendorff_alpha(g, p, "interval"),
+    "spearman": agreement.spearman_rho,
+    "accuracy": agreement.accuracy,
+    "rouge_l": _mean_rouge_l,
+    "pseudo_alpha": lambda g, p: agreement.pseudo_alpha(agreement.accuracy(g, p)),
+}
 
 
 @dataclass(frozen=True)
@@ -77,6 +95,9 @@ class TaskSpec:
             raise TaskError(f"unknown task kind {self.kind!r}")
         if self.kind == LABEL and len(self.labels) < 2:
             raise TaskError("finite-label tasks need at least 2 labels")
+        for metric in self.metrics:
+            if metric not in METRICS:
+                raise TaskError(f"unknown metric {metric!r}; available: {', '.join(METRICS)}")
 
     @property
     def occ_text(self) -> str:
@@ -328,10 +349,7 @@ def add_task_tokens(
 
     The fixed seed makes the new embeddings identical across runs.
     """
-    if len(v.token_to_id) != ckpt.config.vocab_size:
-        raise TaskError(
-            "vocabulary and checkpoint disagree on the vocabulary size"
-        )
+    _check_vocab_size(v, ckpt)
     v2 = add_control_pairs(v, [spec.name])
     cfg2 = replace(ckpt.config, vocab_size=ckpt.config.vocab_size + 2)
     rng = np.random.default_rng(seed)
@@ -344,6 +362,11 @@ def add_task_tokens(
     return v2, ckpt2
 
 
+def _check_vocab_size(v: Vocab, ckpt: M.Checkpoint) -> None:
+    if len(v.token_to_id) != ckpt.config.vocab_size:
+        raise TaskError("vocabulary and checkpoint disagree on the vocabulary size")
+
+
 def finetune(
     ckpt: M.Checkpoint,
     v: Vocab,
@@ -351,20 +374,24 @@ def finetune(
     datapoints: list[dict],
     tc: trainer.TrainingConfig,
     on_epoch: Callable[[int, M.Checkpoint], None] | None = None,
-) -> tuple[Vocab, M.Checkpoint]:
-    """Fine-tune all weights on rendered task sequences, deterministic given
-    tc.seed; the grown vocabulary and the checkpoint, which ``trainer.train``
-    hands to ``on_epoch`` as each epoch ends."""
+) -> None:
+    """Fine-tune all weights of ``ckpt`` in place on rendered task sequences,
+    deterministic given tc.seed.
+
+    ``ckpt`` and ``v`` are the pair ``add_task_tokens`` returned: a
+    vocabulary without the task's tokens, or of another size than the
+    checkpoint's, is rejected before any step.  ``trainer.train`` hands the
+    checkpoint to ``on_epoch`` as each epoch ends.
+    """
     if not datapoints:
         raise TaskError("no datapoints to fine-tune on")
-    v2, ckpt2 = add_task_tokens(v, ckpt, spec, seed=tc.seed)
-    budget = PromptBudget().fit(ckpt2)
+    _check_vocab_size(v, ckpt)
+    budget = PromptBudget().fit(ckpt)
     windows = [
-        trainer.pack_ids(training_ids(dp, spec, v2, budget), v2, ckpt2.config.context)[0]
+        trainer.pack_ids(training_ids(dp, spec, v, budget), v, ckpt.config.context)[0]
         for dp in datapoints
     ]
-    trainer.train(ckpt2, [], v2, tc, windows=windows, on_epoch=on_epoch)
-    return v2, ckpt2
+    trainer.train(ckpt, [], v, tc, windows=windows, on_epoch=on_epoch)
 
 
 def answer_selection_accuracy(
@@ -383,6 +410,7 @@ def answer_selection_accuracy(
         raise TaskError(f"task {spec.name!r} is not an answer-selection task")
     yes = spec.labels[0]
     if scorer is None:
+        _check_vocab_size(v, ckpt)
         budget = PromptBudget().fit(ckpt)
 
         def scorer(dp):
@@ -429,7 +457,7 @@ def score_predictions(spec: TaskSpec, golds: list, preds: list) -> TaskResult:
     values: dict[str, float | None] = {}
     for metric in spec.metrics:
         try:
-            _score_one(spec, metric, golds, preds, values)
+            values[metric] = METRICS[metric](golds, preds)
         except agreement.MetricError:
             values[metric] = None  # too few pairable values: undefined
     return TaskResult(
@@ -439,30 +467,6 @@ def score_predictions(spec: TaskSpec, golds: list, preds: list) -> TaskResult:
         golds=tuple(golds),
         predictions=tuple(preds),
     )
-
-
-def _score_one(spec, metric, golds, preds, values):
-    if metric == "alpha_nominal":
-        values[metric] = agreement.krippendorff_alpha(golds, preds, "nominal")
-    elif metric == "alpha_interval":
-        values[metric] = agreement.krippendorff_alpha(golds, preds, "interval")
-    elif metric == "spearman":
-        values[metric] = agreement.spearman_rho(golds, preds)
-    elif metric == "accuracy":
-        values[metric] = agreement.accuracy(golds, preds)
-    elif metric == "rouge_l":
-        pairs = [
-            (g, p) for g, p in zip(golds, preds, strict=True)
-            if g is not None and p is not None
-        ]
-        values[metric] = (
-            sum(agreement.rouge_l(p, g) for g, p in pairs) / len(pairs)
-            if pairs else None
-        )
-    elif metric == "pseudo_alpha":
-        pass  # computed by the answer-selection path
-    else:
-        raise TaskError(f"unknown metric {metric!r}")
 
 
 def evaluate(
@@ -475,7 +479,8 @@ def evaluate(
     """Greedy decoding with the task ECC blocked at step one, then scoring.
 
     For answer-selection tasks the metric set also includes the pseudo-alpha
-    rescaling of the selection accuracy.
+    rescaling of the selection accuracy.  A vocabulary of another size than
+    the checkpoint's is rejected before any decoding.
     """
     if not datapoints:
         raise TaskError("no datapoints to evaluate")
@@ -488,6 +493,7 @@ def evaluate(
             golds=(),
             predictions=(),
         )
+    _check_vocab_size(v, ckpt)
     budget = PromptBudget().fit(ckpt)
     ecc = v.ecc_id(spec.name)
     sp = sampler.SamplingParams(temperature=0.0, max_new_tokens=max_new_tokens,
@@ -498,7 +504,7 @@ def evaluate(
     preds = []
     for dp in datapoints:
         prompt_ids = build_prompt(dp, spec, v, budget)
-        gr = sampler.generate_ids(ckpt, v, prompt_ids, sp, stop_ids=frozenset({ecc}))
+        gr = sampler.generate_ids(ckpt, prompt_ids, sp, stop_ids=frozenset({ecc}))
         preds.append(parse_label(decode(v, gr.body), spec))
     return score_predictions(spec, golds, preds)
 

@@ -111,6 +111,10 @@ class TestSpearman:
     def test_constant_side_undefined(self):
         assert A.spearman_rho([1, 2, 3], [4, 4, 4]) is None
 
+    def test_fewer_than_two_pairs_rejected(self):
+        with pytest.raises(A.MetricError, match="at least 2 aligned non-missing pairs"):
+            A.spearman_rho([1, 2], [3, None])
+
     def test_missing_excluded(self):
         rho = A.spearman_rho([1, None, 2, 3], [1, 5.0, 2, 3])
         assert rho == pytest.approx(1.0)

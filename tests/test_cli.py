@@ -344,6 +344,22 @@ class TestGrid:
             "error: EvaluationError: grid search needs at least one category")
         assert not out.exists()
 
+    def test_index_of_another_k_rejected(self, workspace, tmp_path, capsys):
+        idx = tmp_path / "idx1.jsonl"
+        assert main(["index-build", "--corpus", str(workspace["corpus"]), "--k", "1",
+                     "--out", str(idx)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "grid"
+        rc = main([
+            "grid", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+            "--categories", "alpha", "--idx", str(idx), "--texts-per-cell", "1",
+            "--p-grid", "0.9", "--t-grid", "", "--r-grid", "1.0", "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: EvaluationError: grid overlap needs a 13-gram index, not 1-grams")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_texts_per_cell_below_one_rejected(self, workspace, tmp_path, capsys, n):
         out = tmp_path / "grid"

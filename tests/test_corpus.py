@@ -85,6 +85,22 @@ class TestLoadCorpus:
         with pytest.raises(corpus.CorpusError, match="nonsense"):
             corpus.load_corpus(path, corpus.default_category_table())
 
+    def test_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("wiki\tm\t-\tfirst\n\nnews\ta\t-\tsecond\n")
+        docs = corpus.load_corpus(path, corpus.default_category_table())
+        assert [(d.id, d.text) for d in docs] == [(0, "first"), (1, "second")]
+
+    @pytest.mark.parametrize("line, match", [
+        ("wiki\tx\t-\ttext", ":1: provenance must be 'm' or 'a', got 'x'"),
+        ("wiki\tm\t-\t", ":1: empty document text"),
+    ])
+    def test_bad_field_reports_line(self, tmp_path, line, match):
+        path = tmp_path / "c.tsv"
+        path.write_text(line + "\n")
+        with pytest.raises(corpus.CorpusError, match=match):
+            corpus.load_corpus(path, corpus.default_category_table())
+
     def test_malformed_record_reports_line(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("wiki\tm\t-\tok text\nwiki\tm\tmissing-text-field\n")
@@ -152,6 +168,24 @@ class TestAdHocTables:
             corpus.CategoryTable(
                 [corpus.ControlCategory("a", True), corpus.ControlCategory("a", True)]
             )
+
+    def test_minor_without_parent_rejected(self):
+        with pytest.raises(corpus.CorpusError,
+                           match="minor category 'news/sport' has no registered parent 'news'"):
+            corpus.CategoryTable([corpus.ControlCategory("news/sport", False)])
+
+    def test_unknown_name_lookup_rejected(self):
+        with pytest.raises(corpus.CorpusError, match="unregistered category 'nosuch'"):
+            corpus.table_from_names(["alpha"])["nosuch"]
+
+    @pytest.mark.parametrize("text, provenance, match", [
+        ("", "manual", "document text must be non-empty"),
+        ("text", "scraped", "unknown provenance 'scraped'"),
+    ])
+    def test_invalid_document_rejected(self, text, provenance, match):
+        table = corpus.table_from_names(["alpha"])
+        with pytest.raises(corpus.CorpusError, match=match):
+            corpus.Document(0, text, table["alpha"], provenance)
 
     def test_auto_parent_insertion(self):
         table = corpus.table_from_names(["news/sport"])

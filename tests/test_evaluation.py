@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,7 @@ import pytest
 
 from ctrlkit import corpus, evaluation as E, model as M, ngram, tokenizer as T, trainer
 from ctrlkit.sampler import STOP_ECC, STOP_MAX, GenerationResult
-from tests.conftest import float64_copy, held_out_prompts
+from tests.conftest import WORDS, float64_copy, held_out_prompts
 
 
 def brute_force_loops(seq, v, max_phrase=5):
@@ -182,6 +183,11 @@ class TestEccOutcome:
         assert out.kind == E.OUTCOME_WRONG
         assert out.category == "beta"
 
+    def test_unknown_occ_rejected(self, two_genre):
+        gr = GenerationResult((1,), STOP_MAX)
+        with pytest.raises(E.EvaluationError, match="category 'gamma' has no control codes"):
+            E.ecc_outcome(gr, "gamma", two_genre.vocab)
+
     def test_max_length_is_none(self, two_genre):
         gr = GenerationResult((1, 2, 3), STOP_MAX)
         out = E.ecc_outcome(gr, "alpha", two_genre.vocab)
@@ -238,6 +244,10 @@ class TestBleu4:
         assert E.bleu4(cand, refs[::-1]) == pytest.approx(base, abs=1e-12)
         assert E.bleu4(cand, [refs[1], refs[0], refs[2]]) == pytest.approx(base, abs=1e-12)
 
+    def test_needs_a_reference(self):
+        with pytest.raises(E.EvaluationError, match="at least one reference"):
+            E.bleu4("a b c d", [])
+
     def test_needs_two_texts(self):
         with pytest.raises(E.EvaluationError):
             E.self_bleu4(["only one"])
@@ -255,11 +265,39 @@ class TestGridSpec:
 @pytest.fixture(scope="module")
 def report(two_genre):
     grid = E.GridSpec(p_values=(0.8,), t_values=(0.0,), r_values=(1.0, 1.6))
-    idx = ngram.build_index(two_genre.docs, k=3)
+    idx = ngram.build_index(two_genre.docs)
     return E.grid_search(
         two_genre.trained, two_genre.vocab, ["alpha", "beta"], grid,
         texts_per_cell=3, max_new_tokens=24, idx=idx, base_seed=7,
     ), grid, idx
+
+
+@pytest.fixture(scope="module")
+def long_report(two_genre):
+    """A grid with nonzero 13-gram overlap.  A copy of the trained model,
+    trained further on 14-20-word documents, writes greedy texts of 16 words;
+    the index holds the greedy texts of a first run of the same grid."""
+    rng = np.random.default_rng(5)
+    docs = [corpus.Document(i, " ".join(rng.choice(WORDS[genre], size=rng.integers(14, 21))),
+                            two_genre.table[genre], "manual")
+            for i, genre in enumerate(["alpha", "beta"] * 30)]
+    trained = two_genre.trained
+    ckpt = M.Checkpoint(trained.config, {n: w.copy() for n, w in trained.weights.items()},
+                        trained.step, trained.seed)
+    trainer.train(ckpt, docs, two_genre.vocab,
+                  trainer.TrainingConfig(batch_size=16, lr=2e-3, epochs=3, seed=3))
+    grid = E.GridSpec(p_values=(0.8,), t_values=(0.0,), r_values=(1.0, 1.6))
+
+    def run(idx):
+        return E.grid_search(ckpt, two_genre.vocab, ["alpha", "beta"], grid,
+                             texts_per_cell=3, max_new_tokens=32, idx=idx, base_seed=7)
+
+    plain = run(None)
+    idx = ngram.build_index([
+        corpus.Document(i, cell.records[0].text, two_genre.table[cell.category], "manual")
+        for i, cell in enumerate(plain.cells) if cell.temperature == 0.0
+    ])
+    return run(idx), plain, idx
 
 
 class TestGridSearch:
@@ -285,16 +323,23 @@ class TestGridSearch:
             row = sum(n for (o, _), n in rep.confusion.items() if o == occ)
             assert row == per_category
 
-    def test_aggregates_recomputable_from_dump(self, report, two_genre):
-        rep, _, idx = report
-        for cell in rep.cells:
-            dumped = [E.CellRecord.from_json(rec.to_json()) for rec in cell.records]
-            redone = E.summarize_cell(
-                two_genre.vocab, cell.category,
-                (cell.temperature, cell.nucleus_p, cell.repetition_penalty),
-                dumped, idx,
-            )
-            assert redone == cell
+    def test_aggregates_recomputable_from_dump(self, report, long_report, two_genre):
+        for rep, _, idx in (report, long_report):
+            for cell in rep.cells:
+                dumped = [E.CellRecord.from_json(rec.to_json()) for rec in cell.records]
+                redone = E.summarize_cell(
+                    two_genre.vocab, cell.category,
+                    (cell.temperature, cell.nucleus_p, cell.repetition_penalty),
+                    dumped, idx,
+                )
+                assert redone == cell
+
+    def test_index_fills_only_the_overlap_column(self, long_report):
+        rep, plain, _ = long_report
+        for cell, bare in zip(rep.cells, plain.cells):
+            assert replace(cell, median_overlap13=None) == bare
+            if cell.temperature == 0.0:  # its 16-word text is in the index
+                assert cell.median_overlap13 == 100.0
 
     def test_csv_shape(self, report):
         rep, _, _ = report
@@ -307,6 +352,20 @@ class TestGridSearch:
     def test_no_categories_rejected(self, two_genre):
         with pytest.raises(E.EvaluationError, match="at least one category"):
             E.grid_search(two_genre.trained, two_genre.vocab, [])
+
+    def test_unregistered_category_rejected(self, two_genre):
+        with pytest.raises(E.EvaluationError, match="category 'gamma' has no control codes"):
+            E.grid_search(two_genre.trained, two_genre.vocab, ["alpha", "gamma"])
+
+    def test_index_of_another_k_rejected_before_decoding(self, two_genre, monkeypatch):
+        calls = []
+        monkeypatch.setattr(E, "generate", lambda *args: calls.append(args))
+        idx = ngram.build_index(two_genre.docs, k=3)
+        with pytest.raises(E.EvaluationError, match="needs a 13-gram index, not 3-grams"):
+            E.grid_search(two_genre.trained, two_genre.vocab, ["alpha"],
+                          E.GridSpec(p_values=(0.8,), t_values=(), r_values=(1.0,)),
+                          texts_per_cell=1, idx=idx)
+        assert calls == []
 
     def test_trained_model_reaches_correct_ecc_in_greedy_cells(self, report):
         rep, _, _ = report

@@ -30,6 +30,11 @@ class TestConfig:
             M.ModelConfig(layers=1, heads=3, model_dim=8, inner_dim=16,
                           context=8, vocab_size=10)
 
+    def test_one_position_context_rejected(self):
+        with pytest.raises(M.ModelError, match="context must be at least 2"):
+            M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16,
+                          context=1, vocab_size=10)
+
 
 class TestInit:
     def test_deterministic(self):
@@ -96,6 +101,15 @@ class TestForward:
         a = M.forward(ckpt, real + [0, 0, 0])
         b = M.forward(ckpt, real + [5, 1, 2])
         npt.assert_array_equal(a[:3], b[:3])
+
+    @pytest.mark.parametrize("ids, match", [
+        ([[1, 2], [3, 4]], "flat id sequence"),
+        ([], "at least one token"),
+    ])
+    def test_malformed_ids_rejected(self, ids, match):
+        ckpt = M.init_model(M.toy_config(), seed=0)
+        with pytest.raises(M.ModelError, match=match):
+            M.forward(ckpt, ids)
 
     def test_too_long_sequence_rejected(self):
         cfg = M.toy_config()

@@ -133,6 +133,11 @@ class TestOverlap:
         assert res.short_text_pct == 50.0
         assert res.overlap_pct == 100.0  # only the long text counts
 
+    def test_zero_threshold_rejected(self):
+        idx = ngram.build_index(docs_from_texts(["a b c"]), k=2)
+        with pytest.raises(ngram.NGramIndexError, match="threshold must be >= 1, got 0"):
+            ngram.overlap(["a b c"], idx, threshold=0)
+
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
         train = random_texts(rng, 100, vocab=8)

@@ -32,6 +32,11 @@ class TestAdjustDistribution:
         probs = S.adjust_distribution(np.log([0.5, 0.3, 0.2]), set(), sp)
         npt.assert_allclose(probs, [0.625, 0.375, 0.0], atol=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        with pytest.raises(S.SamplingError, match="logits must be finite"):
+            S.adjust_distribution(np.array([1.0, bad, 0.0]), set(), S.SamplingParams())
+
     def test_negative_logits_multiplied_not_divided(self):
         out = S.apply_repetition_penalty(np.array([-1.0, 0.5]), {0, 1}, 2.0)
         npt.assert_allclose(out, [-2.0, 0.25], atol=1e-12)
@@ -140,6 +145,11 @@ def immediate_ecc_checkpoint(setup, category="alpha"):
 
 
 class TestGenerate:
+    def test_unknown_occ_rejected(self, two_genre):
+        with pytest.raises(S.SamplingError, match="category 'gamma' has no control codes"):
+            S.generate(two_genre.untrained, two_genre.vocab, "a1", "gamma",
+                       S.SamplingParams())
+
     def test_zero_budget(self, two_genre):
         sp = S.SamplingParams(max_new_tokens=0)
         gr = S.generate(two_genre.untrained, two_genre.vocab, "a1 a2", "alpha", sp)
@@ -207,18 +217,18 @@ class TestGenerate:
         assert gr.generated_ids == (v.ecc_id("alpha"),)
         assert gr.body == ()
         sp = S.SamplingParams(max_new_tokens=7, rng_seed=2)
-        gr = S.generate_ids(two_genre.untrained, v, [v.occ_id("alpha")], sp,
+        gr = S.generate_ids(two_genre.untrained, [v.occ_id("alpha")], sp,
                             stop_ids=frozenset())
         assert gr.stop_reason == S.STOP_MAX
         assert gr.body == gr.generated_ids
         assert len(gr.body) == 7
 
 
-def decode_task_answer(ckpt, v, prompt_ids, task_ecc, max_new_tokens):
+def decode_task_answer(ckpt, prompt_ids, task_ecc, max_new_tokens):
     """Greedy task decoding as ``tasks.evaluate`` runs it."""
     sp = S.SamplingParams(temperature=0.0, max_new_tokens=max_new_tokens,
                           block_first_ecc=task_ecc)
-    return S.generate_ids(ckpt, v, prompt_ids, sp, stop_ids=frozenset({task_ecc}))
+    return S.generate_ids(ckpt, prompt_ids, sp, stop_ids=frozenset({task_ecc}))
 
 
 def full_window_decode(ckpt, prompt_ids, sp, stop_ids):
@@ -252,7 +262,7 @@ class TestKVCacheDecoding:
         v = two_genre.vocab
         prompt = [v.occ_id("alpha")] + encode(v, "a1 a2 a3")
         assert len(prompt) + sp.max_new_tokens > ckpt.config.context
-        gr = S.generate_ids(ckpt, v, prompt, sp, stop_ids=frozenset())
+        gr = S.generate_ids(ckpt, prompt, sp, stop_ids=frozenset())
         assert len(gr.generated_ids) == sp.max_new_tokens
         assert list(gr.generated_ids) == full_window_decode(ckpt, prompt, sp, frozenset())
 
@@ -288,14 +298,14 @@ class TestGreedyAnswer:
         v = two_genre.vocab
         ecc = v.ecc_id("alpha")
         prompt = [v.occ_id("alpha")]
-        gr = decode_task_answer(ckpt, v, prompt, ecc, max_new_tokens=4)
+        gr = decode_task_answer(ckpt, prompt, ecc, max_new_tokens=4)
         assert gr.generated_ids[0] != ecc
 
     def test_deterministic(self, two_genre):
         v = two_genre.vocab
         prompt = [v.occ_id("alpha")] + encode(v, "a1 a2")
-        a = decode_task_answer(two_genre.trained, v, prompt, v.ecc_id("alpha"), 16)
-        b = decode_task_answer(two_genre.trained, v, prompt, v.ecc_id("alpha"), 16)
+        a = decode_task_answer(two_genre.trained, prompt, v.ecc_id("alpha"), 16)
+        b = decode_task_answer(two_genre.trained, prompt, v.ecc_id("alpha"), 16)
         assert a == b
 
     def test_matches_exhaustive_argmax_oracle(self, two_genre):
@@ -317,7 +327,7 @@ class TestGreedyAnswer:
             ctx.append(best)
             if best == ecc:
                 break
-        gr = decode_task_answer(ckpt, v, prompt, ecc, budget)
+        gr = decode_task_answer(ckpt, prompt, ecc, budget)
         assert list(gr.generated_ids) == expected
 
     def test_stops_only_at_task_ecc(self, two_genre):
@@ -325,13 +335,13 @@ class TestGreedyAnswer:
         # the task's own ECC, so decoding runs to the budget.
         ckpt = immediate_ecc_checkpoint(two_genre, category="beta")
         v = two_genre.vocab
-        gr = decode_task_answer(ckpt, v, [v.occ_id("alpha")], v.ecc_id("alpha"), 5)
+        gr = decode_task_answer(ckpt, [v.occ_id("alpha")], v.ecc_id("alpha"), 5)
         assert gr.stop_reason == S.STOP_MAX
         assert len(gr.generated_ids) == 5
 
     def test_other_ecc_mid_stream_stays_in_body(self, two_genre):
         ckpt = immediate_ecc_checkpoint(two_genre, category="beta")
         v = two_genre.vocab
-        gr = decode_task_answer(ckpt, v, [v.occ_id("alpha")], v.ecc_id("alpha"), 5)
+        gr = decode_task_answer(ckpt, [v.occ_id("alpha")], v.ecc_id("alpha"), 5)
         assert gr.body == gr.generated_ids
         assert v.ecc_id("beta") in gr.body[:-1]

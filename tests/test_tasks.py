@@ -30,6 +30,19 @@ def with_toy_task(v, d=8):
     return tasks.add_task_tokens(v, ckpt, TOY_TASK)
 
 
+class TestTaskSpec:
+    @pytest.mark.parametrize("fields, match", [
+        (dict(kind="choice", labels=("x", "y"), metrics=("accuracy",)),
+         "unknown task kind 'choice'"),
+        (dict(kind=tasks.LABEL, labels=("x",), metrics=("accuracy",)), "at least 2 labels"),
+        (dict(kind=tasks.LABEL, labels=("x", "y"), metrics=("accuracy", "acuracy")),
+         "unknown metric 'acuracy'"),
+    ])
+    def test_invalid_spec_rejected_when_made(self, fields, match):
+        with pytest.raises(tasks.TaskError, match=match):
+            tasks.TaskSpec(name="t", template="{text}", **fields)
+
+
 class TestPromptBudget:
     def test_comfortable_prompt_keeps_cap(self):
         assert tasks.PromptBudget().limit(100, 5) == 245
@@ -80,6 +93,11 @@ class TestBuildPrompt:
         with pytest.raises(tasks.TaskError, match="label"):
             tasks.build_prompt(dp, TOY_TASK, v, tasks.PromptBudget())
 
+    def test_vocab_without_task_tokens_rejected(self):
+        v = char_word_vocab()
+        with pytest.raises(tasks.TaskError, match="call add_task_tokens first"):
+            tasks.build_prompt({"text": "x", "label": "y"}, TOY_TASK, v, tasks.PromptBudget())
+
     def test_missing_template_field_rejected(self):
         v = with_toy_task(char_word_vocab())[0]
         with pytest.raises(tasks.TaskError, match="missing field 'text' for task toy"):
@@ -101,6 +119,13 @@ class TestBuildPrompt:
 
 
 class TestLoadDatapoints:
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "task.jsonl"
+        path.write_text('{"text": "x", "label": "y"}\n\n  \n{"text": "z", "label": "x"}\n',
+                        encoding="utf-8")
+        assert tasks.load_datapoints(path) == [{"text": "x", "label": "y"},
+                                               {"text": "z", "label": "x"}]
+
     @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "3", "null"])
     def test_non_object_line_rejected(self, tmp_path, line):
         path = tmp_path / "task.jsonl"
@@ -164,6 +189,12 @@ class TestBaselines:
         assert agreement.accuracy(gold, preds) == pytest.approx(0.5)
         assert value == pytest.approx(-0.3, abs=1e-9)
 
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(tasks.TaskError, match="non-empty label list"):
+            tasks.majority_baseline([])
+        with pytest.raises(tasks.TaskError, match="empty text"):
+            tasks.first_sentence_baseline("")
+
     def test_first_sentence_splits(self):
         assert tasks.first_sentence_baseline("A b c. D e.") == "A b c."
         assert tasks.first_sentence_baseline("inga meningar här") == "inga meningar här"
@@ -206,6 +237,12 @@ class TestTaskTokens:
         with pytest.raises(T.TokenizerError):
             tasks.add_task_tokens(v2, ckpt2, TOY_TASK)
 
+    def test_size_mismatch_rejected(self):
+        v = char_word_vocab()
+        _, ckpt2 = with_toy_task(v)
+        with pytest.raises(tasks.TaskError, match="disagree on the vocabulary size"):
+            tasks.add_task_tokens(v, ckpt2, TOY_TASK)
+
     def test_extended_vocab_survives_serialization(self, tmp_path):
         # Task ids live beyond pad/unk; the file format must preserve the
         # exact id layout, not recompute it.
@@ -243,38 +280,79 @@ def toy_datapoints(n=8):
 
 class TestFinetuneEvaluate:
     def test_finetune_reports_each_epoch(self):
-        v = char_word_vocab()
-        cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16,
-                            context=256, vocab_size=len(v))
-        ckpt = M.init_model(cfg, seed=0)
+        v2, ft = with_toy_task(char_word_vocab())
         tc = trainer.TrainingConfig(batch_size=4, lr=1e-3, epochs=3)
         seen = []
-        v2, ft = tasks.finetune(ckpt, v, TOY_TASK, toy_datapoints(), tc,
-                                on_epoch=lambda epoch, ck: seen.append((epoch, ck.step, ck)))
+        tasks.finetune(ft, v2, TOY_TASK, toy_datapoints(), tc,
+                       on_epoch=lambda epoch, ck: seen.append((epoch, ck.step, ck)))
         assert [(epoch, step) for epoch, step, _ in seen] == [(1, 2), (2, 4), (3, 6)]
         assert all(ck is ft for _, _, ck in seen)
-        assert ft.config.vocab_size == len(v2) == len(v) + 2
-        assert "toy" in v2.control_ids
+        assert ft.step == 6
 
     def test_finetune_deterministic(self):
         v = char_word_vocab()
-        cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16,
-                            context=256, vocab_size=len(v))
         tc = trainer.TrainingConfig(batch_size=4, lr=1e-3, epochs=1)
         finals = []
         for _ in range(2):
-            ckpt = M.init_model(cfg, seed=0)
-            finals.append(tasks.finetune(ckpt, v, TOY_TASK, toy_datapoints(), tc)[1])
+            v2, ckpt = with_toy_task(v)
+            tasks.finetune(ckpt, v2, TOY_TASK, toy_datapoints(), tc)
+            finals.append(ckpt)
         for name in M.param_shapes(finals[0].config):
             npt.assert_array_equal(finals[0].weights[name], finals[1].weights[name])
 
-    def test_evaluate_produces_metrics_and_missing_stats(self):
+    @pytest.mark.parametrize("grown_vocab, match", [
+        (False, "has no control tokens in the vocabulary; call add_task_tokens first"),
+        (True, "disagree on the vocabulary size"),
+    ])
+    def test_finetune_rejects_a_model_not_ready_for_the_task(self, grown_vocab, match):
         v = char_word_vocab()
         cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16,
                             context=256, vocab_size=len(v))
         ckpt = M.init_model(cfg, seed=0)
+        before = {name: w.copy() for name, w in ckpt.weights.items()}
+        if grown_vocab:
+            v = tasks.add_task_tokens(v, ckpt, TOY_TASK)[0]
+        epochs = []
         tc = trainer.TrainingConfig(batch_size=4, lr=1e-3, epochs=1)
-        v2, ft = tasks.finetune(ckpt, v, TOY_TASK, toy_datapoints(), tc)
+        with pytest.raises(tasks.TaskError, match=match):
+            tasks.finetune(ckpt, v, TOY_TASK, toy_datapoints(), tc,
+                           on_epoch=lambda epoch, ck: epochs.append(epoch))
+        assert epochs == [] and ckpt.step == 0
+        for name in M.param_shapes(cfg):
+            npt.assert_array_equal(ckpt.weights[name], before[name])
+
+    @pytest.mark.parametrize("entry, spec", [
+        ("evaluate", TOY_TASK),
+        ("evaluate", tasks.get_task("swefaq")),
+        ("answer_selection_accuracy", tasks.get_task("swefaq")),
+    ], ids=["evaluate-greedy", "evaluate-selection", "answer_selection_accuracy"])
+    def test_grown_vocab_with_ungrown_checkpoint_rejected(self, monkeypatch, entry, spec):
+        v = char_word_vocab()
+        cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16,
+                            context=256, vocab_size=len(v))
+        ckpt = M.init_model(cfg, seed=0)
+        v2 = tasks.add_task_tokens(v, ckpt, spec)[0]
+        calls = []
+        monkeypatch.setattr(tasks.sampler, "generate_ids", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(M, "sequence_logprob", lambda *a, **k: calls.append(a))
+        dps = [{"text": "x y", "question": "x", "answer": "y", "label": label, "group": 1}
+               for label in spec.labels]
+        with pytest.raises(tasks.TaskError, match="disagree on the vocabulary size"):
+            getattr(tasks, entry)(ckpt, v2, spec, dps)
+        assert calls == []
+
+    def test_no_datapoints_rejected(self):
+        v2, ckpt = with_toy_task(char_word_vocab())
+        tc = trainer.TrainingConfig(batch_size=4, lr=1e-3, epochs=1)
+        with pytest.raises(tasks.TaskError, match="no datapoints to fine-tune on"):
+            tasks.finetune(ckpt, v2, TOY_TASK, [], tc)
+        with pytest.raises(tasks.TaskError, match="no datapoints to evaluate"):
+            tasks.evaluate(ckpt, v2, TOY_TASK, [])
+
+    def test_evaluate_produces_metrics_and_missing_stats(self):
+        v2, ft = with_toy_task(char_word_vocab())
+        tc = trainer.TrainingConfig(batch_size=4, lr=1e-3, epochs=1)
+        tasks.finetune(ft, v2, TOY_TASK, toy_datapoints(), tc)
         result = tasks.evaluate(ft, v2, TOY_TASK, toy_datapoints(4), max_new_tokens=4)
         assert set(result.metrics) == {"alpha_nominal", "accuracy"}
         assert 0.0 <= result.n_missing_pct <= 100.0
@@ -314,7 +392,8 @@ class TestFinetuneEvaluate:
 
         monkeypatch.setattr(trainer, "train", recording_train)
         tc = trainer.TrainingConfig(batch_size=2, lr=1e-3, epochs=1)
-        v2, ft = tasks.finetune(ckpt, v, TOY_TASK, dps, tc)
+        v2, ft = tasks.add_task_tokens(v, ckpt, TOY_TASK)
+        tasks.finetune(ft, v2, TOY_TASK, dps, tc)
         assert len(seen) == len(dps)
         for w in seen:
             assert w.ids[w.real_length - 1] == v2.ecc_id("toy")
@@ -335,6 +414,23 @@ class TestAnswerSelection:
             None, None, spec, datapoints, scorer=lambda dp: dp["s"]
         )
         assert acc == 0.5  # group 1 picked right, group 2 picked wrong
+
+    def test_missing_group_field_rejected(self):
+        spec = tasks.get_task("swefaq")
+        datapoints = [{"question": "q", "answer": "a", "label": "Ja"}]
+        with pytest.raises(tasks.TaskError, match="datapoint has no 'group' field"):
+            tasks.answer_selection_accuracy(None, None, spec, datapoints,
+                                            scorer=lambda dp: 0.0)
+
+    def test_no_datapoints_rejected(self):
+        with pytest.raises(tasks.TaskError, match="no datapoints"):
+            tasks.answer_selection_accuracy(None, None, tasks.get_task("swefaq"), [],
+                                            scorer=lambda dp: 0.0)
+
+    def test_task_without_groups_rejected(self):
+        with pytest.raises(tasks.TaskError, match="'swewinograd' is not an answer-selection"):
+            tasks.answer_selection_accuracy(None, None, tasks.get_task("swewinograd"),
+                                            [{"group": 1}], scorer=lambda dp: 0.0)
 
     def test_missing_label_raises_task_error(self):
         spec = tasks.get_task("swefaq")
@@ -402,6 +498,11 @@ class TestScorePredictions:
         result = tasks.score_predictions(spec, ["Ja", "Nej"], [None, None])
         assert result.metrics["alpha_nominal"] is None
         assert result.n_missing_pct == 100.0
+
+    def test_pseudo_alpha_rescales_accuracy(self):
+        result = tasks.score_predictions(tasks.get_task("swefaq"), ["Ja", "Nej"], ["Ja", "Ja"])
+        assert result.metrics == {"pseudo_alpha": agreement.pseudo_alpha(0.5),
+                                  "accuracy": 0.5}
 
     def test_spearman_matches_agreement(self):
         spec = tasks.get_task("absabank-imm")

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ class TestTrainBpe:
         with pytest.raises(T.TokenizerError):
             T.train_bpe(docs, 1, vocab_size=3)
 
+    def test_no_documents_rejected(self):
+        with pytest.raises(T.TokenizerError, match="empty document list"):
+            T.train_bpe([], 1, vocab_size=10)
+
+    def test_empty_sampled_text_rejected(self):
+        # Document rejects empty text; train_bpe reads only each doc's text.
+        with pytest.raises(T.TokenizerError, match="sampled text is empty"):
+            T.train_bpe([SimpleNamespace(text="")], 1, vocab_size=10)
+
     def test_deterministic_retraining_byte_identical(self, tmp_path):
         docs, table = make_docs(SWEDISH_SAMPLE)
         paths = []
@@ -76,6 +86,12 @@ class TestTrainBpe:
 
 
 class TestEncodeDecode:
+    def test_unseen_symbol_without_unk_rejected(self):
+        docs, _ = make_docs(["ab"])
+        v = T.train_bpe(docs, 1, vocab_size=5)
+        with pytest.raises(T.TokenizerError, match="symbol 'z' not in vocabulary and no unk"):
+            T.encode(v, "az")
+
     def test_empty_text(self):
         docs, _ = make_docs(["ab"])
         v = T.train_bpe(docs, 1, vocab_size=5)
@@ -155,11 +171,20 @@ class TestControlCodes:
         with pytest.raises(T.TokenizerError, match="collides"):
             T.add_control_codes(base, table)
 
+    def test_special_token_collision_rejected(self):
+        docs, table = make_docs(["x"])
+        base = T.train_bpe(docs, 1, vocab_size=2)
+        base = replace(base, token_to_id={**base.token_to_id, T.PAD_TOKEN: len(base)})
+        with pytest.raises(T.TokenizerError, match="special token '<pad>' collides"):
+            T.add_control_codes(base, table)
+
     def test_ecc_ids_and_category_lookup(self):
         docs, table = make_docs(["x"])
         v = T.add_control_codes(T.train_bpe(docs, 1, vocab_size=2), table)
         assert v.ecc_id("beta") in v.ecc_ids
         assert v.category_of_ecc_id(v.ecc_id("beta")) == "beta"
+        with pytest.raises(T.TokenizerError, match="is not an ECC id"):
+            v.category_of_ecc_id(v.occ_id("beta"))
 
 
 class TestSerialization:
@@ -218,6 +243,8 @@ MALFORMED_VOCAB = {
     "cut_in_alphabet": lambda lines: lines[:3],
     "cut_in_controls": lambda lines: lines[:-2],
     "header_without_size": lambda lines: _replace_line(lines, 0, "bpe-v1"),
+    "size_disagrees_with_merges": lambda lines: _replace_line(
+        lines, 0, f"bpe-v1 {int(lines[0].split()[1]) + 1}"),
     "non_numeric_size": lambda lines: _replace_line(lines, 0, "bpe-v1 many"),
     "non_numeric_count": lambda lines: _replace_line(lines, 1, "alphabet many"),
     "bad_json_symbol": lambda lines: _replace_line(lines, 2, "{"),

@@ -46,6 +46,19 @@ class TestPackSequence:
         tail = int(windows[0].ids[windows[0].real_length - 1])
         assert T.decode(v, [tail]) == ":wiki:$"
 
+    def test_unknown_category_rejected(self):
+        docs, v, _ = tiny_vocab_and_table(["c d"], vocab_size=20)
+        other = corpus.table_from_names(["gamma"])["gamma"]
+        doc = corpus.Document(0, "c d", other, "manual")
+        with pytest.raises(trainer.TrainingError, match="'gamma' has no control codes"):
+            trainer.pack_sequence(doc, v, n=16)
+
+    def test_vocab_without_pad_rejected(self):
+        docs, _, _ = tiny_vocab_and_table(["c d"], vocab_size=20)
+        base = T.train_bpe(docs, 1, vocab_size=20)
+        with pytest.raises(trainer.TrainingError, match="no pad token"):
+            trainer.pack_ids(T.encode(base, "c d"), base, 16)
+
     def test_pad_positions_masked(self):
         docs, v, _ = tiny_vocab_and_table(["c d"], vocab_size=20)
         windows = trainer.pack_sequence(docs[0], v, n=16)
@@ -125,6 +138,17 @@ class TestTrain:
         tc = trainer.TrainingConfig(batch_size=1, lr=1e-2, epochs=1, seed=0)
         assert trainer.train(ckpt, docs, v, tc) is None
         assert trainer.lm_loss(ckpt, windows[0]) < before
+
+    def test_nothing_to_train_on_rejected(self):
+        _, v, _ = tiny_vocab_and_table(["c d"], vocab_size=20)
+        cfg = M.ModelConfig(layers=1, heads=2, model_dim=16, inner_dim=32,
+                            context=16, vocab_size=len(v))
+        ckpt = M.init_model(cfg, seed=0)
+        tc = trainer.TrainingConfig(batch_size=1, lr=1e-2, epochs=1, seed=0)
+        with pytest.raises(trainer.TrainingError, match="no documents to train on"):
+            trainer.train(ckpt, [], v, tc)
+        with pytest.raises(trainer.TrainingError, match="no training windows"):
+            trainer.train(ckpt, [], v, tc, windows=[])
 
     def test_same_seed_identical_weights(self):
         docs, v, _ = tiny_vocab_and_table(["c d e", "f g h", "c f g"], vocab_size=20)
