@@ -10,6 +10,7 @@ marker stays a single unambiguous word.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .fileio import atomic_open, read_lines
@@ -187,10 +188,12 @@ def table_from_names(names: list[str]) -> CategoryTable:
 
 
 _PROVENANCE = {"m": "manual", "a": "auto"}
+_ESCAPE_RE = re.compile(r"\\([\\n])")
 
 
 def _unescape(text: str) -> str:
-    return text.replace("\\\\", "\x00").replace("\\n", "\n").replace("\x00", "\\")
+    """Undo ``_escape`` in one left-to-right pass: ``\\\\`` and ``\\n``."""
+    return _ESCAPE_RE.sub(lambda m: "\n" if m[1] == "n" else "\\", text)
 
 
 def _escape(text: str) -> str:
@@ -201,7 +204,8 @@ def load_corpus(path, table: CategoryTable) -> list[Document]:
     """Read a line-delimited corpus file.
 
     Each line is ``<category>\\t<provenance:m|a>\\t<url-or-dash>\\t<text>``
-    with newlines in the text escaped as ``\\n``.
+    with newlines in the text escaped as ``\\n`` and backslashes as ``\\\\``.
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` (``fileio.read_lines``).
     """
     docs: list[Document] = []
     for lineno, line in enumerate(read_lines(path, CorpusError), start=1):
@@ -243,9 +247,15 @@ def load_texts(path) -> list[str]:
 
 def save_corpus(path, docs: list[Document]) -> None:
     """Write documents in the line format accepted by :func:`load_corpus`.
-    The write is atomic (``fileio.atomic_open``)."""
+    A text holding a tab or ``\\r``, or a url holding a tab or a line break,
+    has no such line and raises CorpusError naming the document.  The write
+    is atomic (``fileio.atomic_open``)."""
     with atomic_open(path, "w", encoding="utf-8") as fh:
         for d in docs:
             prov = "m" if d.provenance == "manual" else "a"
             url = d.source_url if d.source_url else "-"
+            if any(c in d.text for c in "\t\r") or any(c in url for c in "\t\n\r"):
+                raise CorpusError(
+                    f"document {d.id}: a corpus line cannot hold a tab or \\r in a "
+                    "text, or a tab or line break in a url")
             fh.write(f"{d.category.name}\t{prov}\t{url}\t{_escape(d.text)}\n")

@@ -1,4 +1,4 @@
-"""Atomic file writes and checked UTF-8 reads.
+"""Atomic file writes, checked UTF-8 reads and the malformed-file rule.
 
 A file is written under a temporary name in its target's directory and
 renamed onto the target only once it is complete, so a write that fails or
@@ -6,8 +6,9 @@ is interrupted leaves the previous file, if any, as it was.  The rename is
 atomic on POSIX and Windows; nothing is fsynced, so the guarantee covers a
 failing process, not a power loss.
 
-A text file is read whole and decoded as UTF-8; bytes that are not valid
-UTF-8 raise the reading module's own error, naming the file and the line.
+``read_lines`` is the only text-file reader: a line ends at ``\\n``, ``\\r\\n``
+or ``\\r``, and invalid UTF-8 raises the caller's error naming the line.
+``parsing`` turns a parser's exception into the caller's error.
 """
 
 from __future__ import annotations
@@ -46,3 +47,15 @@ def read_lines(path, error: type[Exception]) -> io.StringIO:
             f"{path}:{line}: byte {data[exc.start]:#04x} is not valid UTF-8"
         ) from None
     return io.StringIO(text, newline=None)
+
+
+@contextmanager
+def parsing(path, error: type[Exception], what: str):
+    """Raise the AttributeError, KeyError, TypeError or ValueError of the
+    block as ``error``, naming the malformed ``what`` file ``path``."""
+    try:
+        yield
+    except error:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise error(f"malformed {what} file {path}: {exc!r}") from None

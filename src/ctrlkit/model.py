@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import erf
 
-from .fileio import atomic_open
+from .fileio import atomic_open, parsing
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
@@ -506,13 +506,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a ``save_checkpoint`` file; malformed input raises ModelError."""
-    with open(path, "rb") as fh:
-        try:
-            return _parse_checkpoint(fh)
-        except ModelError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"malformed checkpoint file {path}: {exc!r}") from None
+    with open(path, "rb") as fh, parsing(path, ModelError, "checkpoint"):
+        return _parse_checkpoint(fh)
 
 
 def _parse_checkpoint(fh) -> Checkpoint:

@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .corpus import Document
-from .fileio import atomic_open
+from .fileio import atomic_open, parsing, read_lines
 
 DEFAULT_K = 13
 
@@ -183,28 +183,23 @@ def save_index(path, idx: NGramIndex) -> None:
 
 
 def load_index(path) -> NGramIndex:
-    """Read a ``save_index`` file and derive its k-gram table; malformed
-    input raises NGramIndexError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-            if header.get("format") != FORMAT:
+    """Read a ``save_index`` file; malformed input raises NGramIndexError."""
+    lines = read_lines(path, NGramIndexError)
+    with parsing(path, NGramIndexError, "index"):
+        header = json.loads(lines.readline())
+        if header.get("format") != FORMAT:
+            raise NGramIndexError(
+                f"{path} has index format {header.get('format')!r}, not "
+                f"{FORMAT!r}; rebuild it from its corpus with index-build")
+        k, n_docs = header["k"], header["documents"]
+        docs = []
+        for lineno, line in enumerate(lines, start=2):
+            row = json.loads(line)
+            if type(row) is not list or list(map(type, row)) not in _DOC_LINE_TYPES:
                 raise NGramIndexError(
-                    f"{path} has index format {header.get('format')!r}, not "
-                    f"{FORMAT!r}; rebuild it from its corpus with index-build")
-            k, n_docs = header["k"], header["documents"]
-            docs = []
-            for lineno, line in enumerate(fh, start=2):
-                row = json.loads(line)
-                if type(row) is not list or list(map(type, row)) not in _DOC_LINE_TYPES:
-                    raise NGramIndexError(
-                        f"{path}:{lineno}: not a [id, category, provenance, url, text] line")
-                doc_id, category, provenance, url, text = row
-                docs.append((doc_id, DocMeta(category, provenance, url), text))
-        except NGramIndexError:
-            raise
-        except (AttributeError, KeyError, ValueError) as exc:
-            raise NGramIndexError(f"malformed index file {path}: {exc!r}") from None
+                    f"{path}:{lineno}: not a [id, category, provenance, url, text] line")
+            doc_id, category, provenance, url, text = row
+            docs.append((doc_id, DocMeta(category, provenance, url), text))
     if type(n_docs) is not int or n_docs != len(docs):
         raise NGramIndexError(
             f"{path} lists {len(docs)} documents, its header says {n_docs!r}")

@@ -57,6 +57,8 @@ METRICS: dict[str, Callable[[list, list], float | None]] = {
     "rouge_l": _mean_rouge_l,
     "pseudo_alpha": lambda g, p: agreement.pseudo_alpha(agreement.accuracy(g, p)),
 }
+# The metrics of an answer-selection task, which its selection accuracy gives.
+SELECTION_METRICS = ("accuracy", "pseudo_alpha")
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,10 @@ class TaskSpec:
         for metric in self.metrics:
             if metric not in METRICS:
                 raise TaskError(f"unknown metric {metric!r}; available: {', '.join(METRICS)}")
+            if self.group_field is not None and metric not in SELECTION_METRICS:
+                raise TaskError(
+                    f"answer-selection task {self.name!r} names metric {metric!r}; a "
+                    f"selection accuracy gives only {', '.join(SELECTION_METRICS)}")
 
     @property
     def occ_text(self) -> str:
@@ -441,11 +447,8 @@ def answer_selection_accuracy(
 
 @dataclass(frozen=True)
 class TaskResult:
-    task: str
     metrics: dict[str, float | None]
     n_missing_pct: float
-    golds: tuple
-    predictions: tuple
 
 
 def score_predictions(spec: TaskSpec, golds: list, preds: list) -> TaskResult:
@@ -460,13 +463,7 @@ def score_predictions(spec: TaskSpec, golds: list, preds: list) -> TaskResult:
             values[metric] = METRICS[metric](golds, preds)
         except agreement.MetricError:
             values[metric] = None  # too few pairable values: undefined
-    return TaskResult(
-        task=spec.name,
-        metrics=values,
-        n_missing_pct=n_missing_pct,
-        golds=tuple(golds),
-        predictions=tuple(preds),
-    )
+    return TaskResult(metrics=values, n_missing_pct=n_missing_pct)
 
 
 def evaluate(
@@ -478,21 +475,17 @@ def evaluate(
 ) -> TaskResult:
     """Greedy decoding with the task ECC blocked at step one, then scoring.
 
-    For answer-selection tasks the metric set also includes the pseudo-alpha
-    rescaling of the selection accuracy.  A vocabulary of another size than
-    the checkpoint's is rejected before any decoding.
+    Answer-selection tasks are scored by the selection accuracy instead, as
+    ``accuracy`` and its ``pseudo_alpha`` rescaling, in the spec's order.  A
+    vocabulary of another size than the checkpoint's is rejected before any
+    decoding.
     """
     if not datapoints:
         raise TaskError("no datapoints to evaluate")
     if spec.group_field is not None:
         acc = answer_selection_accuracy(ckpt, v, spec, datapoints)
-        return TaskResult(
-            task=spec.name,
-            metrics={"pseudo_alpha": agreement.pseudo_alpha(acc), "accuracy": acc},
-            n_missing_pct=0.0,
-            golds=(),
-            predictions=(),
-        )
+        values = {"accuracy": acc, "pseudo_alpha": agreement.pseudo_alpha(acc)}
+        return TaskResult(metrics={m: values[m] for m in spec.metrics}, n_missing_pct=0.0)
     _check_vocab_size(v, ckpt)
     budget = PromptBudget().fit(ckpt)
     ecc = v.ecc_id(spec.name)

@@ -13,6 +13,11 @@ pad/unk specials are appended contiguously on top by
 :func:`add_control_pairs`, the one place control ids are assigned.
 ``encode`` never emits control or special ids for plain text; callers
 splice them in explicitly.
+
+A vocabulary file stores every token as a JSON string.  JSON escapes
+``\\n`` and ``\\r`` but leaves U+0085, U+2028 and U+2029 raw, so
+``load_vocab`` reads it through ``fileio.read_lines``, whose lines end at
+``\\n``, ``\\r\\n`` or ``\\r`` only, and every token round-trips.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .corpus import CategoryTable, Document, ecc_text, occ_text
-from .fileio import atomic_open
+from .fileio import atomic_open, parsing, read_lines
 
 _PIECE_RE = re.compile(r"\S+|\s+")
 
@@ -284,13 +289,10 @@ def save_vocab(path, v: Vocab) -> None:
 
 def load_vocab(path) -> Vocab:
     """Read a ``save_vocab`` file; malformed input raises TokenizerError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return _parse_vocab(fh.read().splitlines())
-        except TokenizerError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TokenizerError(f"malformed vocab file {path}: {exc!r}") from None
+    text = read_lines(path, TokenizerError).getvalue()
+    with parsing(path, TokenizerError, "vocab"):
+        # The lines without their "\n"; the file's last "\n" ends a line.
+        return _parse_vocab(text.removesuffix("\n").split("\n") if text else [])
 
 
 def _parse_vocab(lines: list[str]) -> Vocab:

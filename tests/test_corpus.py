@@ -120,6 +120,30 @@ class TestLoadCorpus:
         assert [d.text for d in loaded] == [d.text for d in docs]
         assert [d.category.name for d in loaded] == ["wiki", "simple"]
 
+    @pytest.mark.parametrize("text", [
+        "x\x00y", "\x00\\\x00", "a\\nb", "a\\\nb", "trailing \\", "\u0085 \u2028 \u2029",
+    ])
+    def test_backslashes_and_nul_round_trip(self, tmp_path, text):
+        table = corpus.default_category_table()
+        path = tmp_path / "c.tsv"
+        corpus.save_corpus(path, [corpus.Document(0, text, table["wiki"], "manual")])
+        assert [d.text for d in corpus.load_corpus(path, table)] == [text]
+
+    @pytest.mark.parametrize("text, url", [
+        ("x\ty", None), ("x\ry", None), ("x\r\ny", None),
+        ("ok", "http://x\ty"), ("ok", "http://x\ny"), ("ok", "http://x\ry"),
+    ])
+    def test_save_rejects_a_field_no_line_can_hold(self, tmp_path, text, url):
+        table = corpus.default_category_table()
+        path = tmp_path / "c.tsv"
+        corpus.save_corpus(path, [corpus.Document(0, "first", table["wiki"], "manual")])
+        before = path.read_bytes()
+        docs = [corpus.Document(0, "fine", table["wiki"], "manual"),
+                corpus.Document(7, text, table["news"], "auto", url)]
+        with pytest.raises(corpus.CorpusError, match="^document 7: "):
+            corpus.save_corpus(path, docs)
+        assert path.read_bytes() == before
+
     def test_invalid_utf8_reports_line(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_bytes("wiki\tm\t-\tåäö\nwiki\tm\t-\tok \xff text\n".encode("latin-1"))

@@ -1,6 +1,7 @@
 """Property tests: a loader given a corrupted file either loads it or raises
-its own module's error, never anything else; and the tokenizer round-trips
-any text over its trained alphabet.
+its own module's error, never anything else, and one that is not UTF-8
+names the line; every file format round-trips what it saved; and the
+tokenizer round-trips any text over its trained alphabet.
 
 Each loader example applies one to three byte-level edits (flip, delete,
 insert) to a valid toy file.  The runs are derandomized and keep no example
@@ -107,26 +108,45 @@ def test_edited_checkpoint_loads_or_raises_model_error(tmp_path, checkpoint_byte
         pass
 
 
+def _bad_utf8_message(path, data: bytes) -> str | None:
+    """The error a text loader must raise for ``data``, naming the line of
+    its first byte that is not UTF-8; None when ``data`` is UTF-8."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{line}: byte {data[exc.start]:#04x} is not valid UTF-8"
+    return None
+
+
 @PROPERTY_SETTINGS
 @given(edit=byte_edits())
 def test_edited_vocab_loads_or_raises_tokenizer_error(tmp_path, vocab_bytes, edit):
     path = tmp_path / "vocab.txt"
-    path.write_bytes(edit(vocab_bytes))
+    data = edit(vocab_bytes)
+    path.write_bytes(data)
+    bad = _bad_utf8_message(path, data)
     try:
         T.load_vocab(path)
-    except T.TokenizerError:
-        pass
+    except T.TokenizerError as exc:
+        assert bad is None or str(exc) == bad
+    else:
+        assert bad is None
 
 
 @PROPERTY_SETTINGS
 @given(edit=byte_edits())
 def test_edited_index_loads_or_raises_index_error(tmp_path, index_bytes, edit):
     path = tmp_path / "index.jsonl"
-    path.write_bytes(edit(index_bytes))
+    data = edit(index_bytes)
+    path.write_bytes(data)
+    bad = _bad_utf8_message(path, data)
     try:
         ngram.load_index(path)
-    except ngram.NGramIndexError:
-        pass
+    except ngram.NGramIndexError as exc:
+        assert bad is None or str(exc) == bad
+    else:
+        assert bad is None
 
 
 # Texts with tabs, newlines, backslashes, quotes and non-ASCII, some shorter
@@ -154,6 +174,50 @@ def test_index_round_trips_through_its_file(tmp_path, texts, k):
     assert (loaded.doc_meta, loaded.texts) == (idx.doc_meta, idx.texts)
     ngram.save_index(again, loaded)
     assert again.read_bytes() == path.read_bytes()
+
+
+# Characters JSON leaves raw that str.splitlines() would split at, beside
+# the tab, quote and backslash that the file formats escape or separate on.
+LINE_BREAK_ALPHABET = ["a", "å", " ", "\t", "\u0085", "\u2028", "\u2029", '"', "\\"]
+
+
+@PROPERTY_SETTINGS
+@given(texts=st.lists(st.text(alphabet=st.sampled_from(LINE_BREAK_ALPHABET), min_size=1),
+                      min_size=1, max_size=5),
+       extra=st.integers(0, 20))
+def test_vocab_round_trips_through_its_file(tmp_path, texts, extra):
+    table = corpus.table_from_names(["news", "wiki"])
+    docs = [corpus.Document(i, text, table["news" if i % 2 else "wiki"], "manual")
+            for i, text in enumerate(texts)]
+    v = T.add_control_codes(
+        T.train_bpe(docs, 1, vocab_size=len(set("".join(texts))) + extra), table)
+    path = tmp_path / "vocab.txt"
+    T.save_vocab(path, v)
+    assert T.load_vocab(path) == v
+
+
+corpus_texts = st.text(alphabet=st.sampled_from(
+    [c for c in LINE_BREAK_ALPHABET if c != "\t"] + ["\n", "\x00"]), min_size=1)
+
+
+def _fields(d: corpus.Document) -> tuple:
+    return d.id, d.category.name, d.provenance, d.source_url, d.text
+
+
+@PROPERTY_SETTINGS
+@given(docs=st.lists(st.tuples(
+    corpus_texts, st.sampled_from(["news", "wiki", "news/sport"]),
+    st.sampled_from(["manual", "auto"]),
+    st.none() | corpus_texts.filter(lambda u: "\n" not in u).map(lambda u: "u:" + u),
+), min_size=1, max_size=6))
+def test_corpus_round_trips_through_its_file(tmp_path, docs):
+    table = corpus.table_from_names(["news", "wiki", "news/sport"])
+    saved = [corpus.Document(i, text, table[name], provenance, url)
+             for i, (text, name, provenance, url) in enumerate(docs)]
+    path = tmp_path / "corpus.tsv"
+    corpus.save_corpus(path, saved)
+    loaded = corpus.load_corpus(path, table)
+    assert list(map(_fields, loaded)) == list(map(_fields, saved))
 
 
 @PROPERTY_SETTINGS

@@ -336,6 +336,15 @@ MALFORMED_INDEX = {
 }
 
 
+def test_invalid_utf8_in_index_file_reports_line(tmp_path):
+    path = tmp_path / "idx.jsonl"
+    doc = DOC.replace("a b c", "a \xe5 c").encode("latin-1")
+    path.write_bytes((HEADER + "\n").encode() + doc)
+    with pytest.raises(ngram.NGramIndexError,
+                       match=f"^{path}:2: byte 0xe5 is not valid UTF-8$"):
+        ngram.load_index(path)
+
+
 @pytest.mark.parametrize("text", MALFORMED_INDEX.values(), ids=MALFORMED_INDEX.keys())
 def test_malformed_index_file_raises_index_error(tmp_path, text):
     path = tmp_path / "idx.jsonl"

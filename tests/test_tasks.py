@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -37,6 +38,9 @@ class TestTaskSpec:
         (dict(kind=tasks.LABEL, labels=("x",), metrics=("accuracy",)), "at least 2 labels"),
         (dict(kind=tasks.LABEL, labels=("x", "y"), metrics=("accuracy", "acuracy")),
          "unknown metric 'acuracy'"),
+        (dict(kind=tasks.LABEL, labels=("x", "y"), metrics=("accuracy", "alpha_nominal"),
+              group_field="group"),
+         "answer-selection task 't' names metric 'alpha_nominal'"),
     ])
     def test_invalid_spec_rejected_when_made(self, fields, match):
         with pytest.raises(tasks.TaskError, match=match):
@@ -483,6 +487,26 @@ class TestAnswerSelection:
         assert result.metrics["pseudo_alpha"] == pytest.approx(
             agreement.pseudo_alpha(acc)
         )
+
+    @pytest.mark.parametrize("metrics", [
+        ("accuracy",), ("pseudo_alpha",), ("accuracy", "pseudo_alpha"),
+        ("pseudo_alpha", "accuracy"),
+    ])
+    def test_evaluate_reports_exactly_the_spec_metrics(self, metrics):
+        spec = replace(tasks.get_task("swefaq"), metrics=metrics)
+        v = char_word_vocab()
+        cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16,
+                            context=256, vocab_size=len(v))
+        v2, ckpt2 = tasks.add_task_tokens(v, M.init_model(cfg, seed=0), spec)
+        datapoints = [
+            {"question": "x", "answer": "y", "label": "Ja", "group": 1},
+            {"question": "x", "answer": "z", "label": "Nej", "group": 1},
+        ]
+        result = tasks.evaluate(ckpt2, v2, spec, datapoints)
+        assert tuple(result.metrics) == metrics
+        acc = tasks.answer_selection_accuracy(ckpt2, v2, spec, datapoints)
+        expected = {"accuracy": acc, "pseudo_alpha": agreement.pseudo_alpha(acc)}
+        assert result.metrics == {m: expected[m] for m in metrics}
 
 
 class TestScorePredictions:

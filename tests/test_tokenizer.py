@@ -209,6 +209,27 @@ class TestSerialization:
         T.encode(a, SWEDISH_SAMPLE[0])
         assert a == b
 
+    # U+0085, U+2028 and U+2029 are saved raw; JSON escapes the other two.
+    @pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\u2029", "\x1c", "\r"])
+    def test_line_separator_characters_round_trip(self, tmp_path, sep):
+        docs, table = make_docs([f"slut{sep}x ett", f"ett{sep}{sep}två", "två ett"])
+        v = T.add_control_codes(T.train_bpe(docs, 1, vocab_size=20), table)
+        assert any(sep in left + right for left, right in v.merges)
+        path = tmp_path / "vocab.txt"
+        T.save_vocab(path, v)
+        assert T.load_vocab(path) == v
+
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        docs, table = make_docs(SWEDISH_SAMPLE)
+        path = tmp_path / "vocab.txt"
+        T.save_vocab(path, T.add_control_codes(T.train_bpe(docs, 1, vocab_size=50), table))
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = lines[4][:1] + b"\xff" + lines[4][1:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(T.TokenizerError,
+                           match=f"^{path}:5: byte 0xff is not valid UTF-8$"):
+            T.load_vocab(path)
+
     def test_header_format(self, tmp_path):
         docs, _ = make_docs(["ab ab"])
         v = T.train_bpe(docs, 1, vocab_size=6)
