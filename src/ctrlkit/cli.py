@@ -90,6 +90,9 @@ def cmd_train_tokenizer(args) -> int:
     tokenizer.sample_fraction([], args.fraction)  # rejects a fraction outside (0, 1]
     docs, table = _load_docs(args.corpus, args.table)
     vocab = tokenizer.train_bpe(docs, args.fraction, args.vocab_size)
+    if vocab.base_size < args.vocab_size:
+        print(f"ran out of pairs to merge: learned {vocab.base_size} of the "
+              f"{args.vocab_size} base tokens asked for")
     vocab = tokenizer.add_control_codes(vocab, table)
     tokenizer.save_vocab(args.out, vocab)
     print(f"wrote vocab of {len(vocab)} tokens ({vocab.base_size} base) to {args.out}")

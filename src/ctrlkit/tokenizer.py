@@ -14,6 +14,13 @@ pad/unk specials are appended contiguously on top by
 ``encode`` never emits control or special ids for plain text; callers
 splice them in explicitly.
 
+:func:`train_bpe` merges, at each step, the adjacent pair with the highest
+count (overlapping positions each count), ties going to the
+lexicographically smallest pair.  It keeps the counts across steps and
+updates them for the pieces that hold the merged pair only, so a merge
+costs time in proportion to those pieces; the merges equal those of
+recounting every pair after every merge.
+
 A vocabulary file stores every token as a JSON string.  JSON escapes
 ``\\n`` and ``\\r`` but leaves U+0085, U+2028 and U+2029 raw, so
 ``load_vocab`` reads it through ``fileio.read_lines``, whose lines end at
@@ -22,10 +29,11 @@ A vocabulary file stores every token as a JSON string.  JSON escapes
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 
 from .corpus import CategoryTable, Document, ecc_text, occ_text
@@ -100,14 +108,6 @@ class Vocab:
         raise TokenizerError(f"id {idx} is not an ECC id")
 
 
-def _pair_counts(words: dict[tuple[str, ...], int]) -> Counter:
-    counts: Counter = Counter()
-    for word, freq in words.items():
-        for i in range(len(word) - 1):
-            counts[word[i], word[i + 1]] += freq
-    return counts
-
-
 def _merge_word(word: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
     # Replace non-overlapping occurrences, scanning left to right.
     out = []
@@ -133,19 +133,30 @@ def sample_fraction(docs: list[Document], fraction) -> list[Document]:
 def train_bpe(docs: list[Document], fraction, vocab_size: int) -> Vocab:
     """Learn a merge table of at most ``vocab_size`` base tokens.
 
-    Deterministic: ties in pair frequency break toward the lexicographically
-    smallest pair, so identical inputs give a byte-identical vocabulary.
+    Each step merges the adjacent pair with the highest count, summed over
+    the distinct pieces of the sampled text weighted by their frequency;
+    ties break toward the lexicographically smallest pair, so identical
+    inputs give a byte-identical vocabulary.  Every adjacent position
+    counts, as a full recount of the pieces would count it, so a run such
+    as ``aaaa`` holds ``("a", "a")`` three times, while ``_merge_word``
+    merges it without overlap.  Training stops early when no pair is left.
+
+    The counts are kept across steps (Sennrich et al. 2016): a merge
+    recounts only the pieces that hold its pair, and the next pair comes
+    from a heap of ``(-count, pair)`` entries whose stale entries are
+    dropped when they reach the top.  A step costs time in proportion to
+    those pieces, not to the whole text.
     """
     if not docs:
         raise TokenizerError("cannot train on an empty document list")
     sampled = sample_fraction(docs, fraction)
-    words: dict[tuple[str, ...], int] = {}
     piece_counts: Counter = Counter()
     for doc in sampled:
         piece_counts.update(_PIECE_RE.findall(doc.text))
     if not piece_counts:
         raise TokenizerError("sampled text is empty")
-    words = {tuple(piece): freq for piece, freq in piece_counts.items()}
+    words = [tuple(piece) for piece in piece_counts]
+    freqs = list(piece_counts.values())
 
     alphabet = sorted({ch for word in words for ch in word})
     if vocab_size < len(alphabet):
@@ -153,17 +164,45 @@ def train_bpe(docs: list[Document], fraction, vocab_size: int) -> Vocab:
             f"vocab_size {vocab_size} is below the alphabet size {len(alphabet)}"
         )
 
+    # Pair counts and, per pair, the pieces that may hold it: a superset,
+    # since a piece stays listed under a pair that a merge removed from it.
+    counts: Counter = Counter()
+    holders: dict[tuple[str, str], set[int]] = defaultdict(set)
+    for w, (word, freq) in enumerate(zip(words, freqs)):
+        for pair in zip(word, word[1:]):
+            counts[pair] += freq
+            holders[pair].add(w)
+    heap = [(-c, pair) for pair, c in counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
     token_to_id = {ch: i for i, ch in enumerate(alphabet)}
     while len(token_to_id) < vocab_size:
-        counts = _pair_counts(words)
-        if not counts:
+        # Every pair with a nonzero count has an entry holding that count.
+        while heap and -heap[0][0] != counts[heap[0][1]]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        best_count = max(counts.values())
-        pair = min(p for p, c in counts.items() if c == best_count)
+        pair = heapq.heappop(heap)[1]
         merges.append(pair)
         token_to_id[pair[0] + pair[1]] = len(token_to_id)
-        words = {_merge_word(w, pair): f for w, f in words.items()}
+        changed = set()
+        for w in holders.pop(pair):
+            word, freq = words[w], freqs[w]
+            merged = _merge_word(word, pair)
+            if len(merged) == len(word):
+                continue
+            for old in zip(word, word[1:]):
+                counts[old] -= freq
+                changed.add(old)
+            words[w] = merged
+            for new in zip(merged, merged[1:]):
+                counts[new] += freq
+                holders[new].add(w)
+                changed.add(new)
+        for p in changed:
+            if counts[p]:
+                heapq.heappush(heap, (-counts[p], p))
 
     return Vocab(
         merges=tuple(merges),

@@ -224,6 +224,18 @@ class TestTokenizerAndTraining:
         ])
         assert out.read_bytes() == workspace["vocab"].read_bytes()
 
+    def test_says_when_pairs_run_out(self, tmp_path, capsys):
+        # "ab" has one pair, so 3 base tokens is all it can reach.
+        corpus_path = tmp_path / "corpus.tsv"
+        corpus_path.write_text("news\tm\t-\tab\n")
+        out = tmp_path / "vocab.txt"
+        for size, said in (("3", ""), ("100", "ran out of pairs to merge: learned 3 of "
+                                              "the 100 base tokens asked for\n")):
+            assert main(["train-tokenizer", "--corpus", str(corpus_path), "--vocab-size",
+                         size, "--fraction", "1", "--out", str(out)]) == 0
+            assert capsys.readouterr().out == (
+                f"{said}wrote vocab of 7 tokens (3 base) to {out}\n")
+
     def test_default_table_adds_every_bundled_category(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.tsv"
         corpus_path.write_text("news\tm\t-\tett två tre\nwiki\ta\t-\tfyra fem sex\n")

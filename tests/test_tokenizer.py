@@ -1,8 +1,10 @@
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ctrlkit import corpus, tokenizer as T
 
@@ -24,7 +26,65 @@ SWEDISH_SAMPLE = [
 ]
 
 
+def full_recount_bpe(docs, fraction, vocab_size):
+    """The reference trainer: recount every pair of every piece after each
+    merge.  Returns the merge list and ``token_to_id``."""
+    pieces: Counter = Counter()
+    for doc in T.sample_fraction(docs, fraction):
+        pieces.update(T._PIECE_RE.findall(doc.text))
+    words = {tuple(piece): freq for piece, freq in pieces.items()}
+    alphabet = sorted({ch for word in words for ch in word})
+    token_to_id = {ch: i for i, ch in enumerate(alphabet)}
+    merges = []
+    while len(token_to_id) < vocab_size:
+        counts: Counter = Counter()
+        for word, freq in words.items():
+            for pair in zip(word, word[1:]):
+                counts[pair] += freq
+        if not counts:
+            break
+        best_count = max(counts.values())
+        pair = min(p for p, c in counts.items() if c == best_count)
+        merges.append(pair)
+        token_to_id[pair[0] + pair[1]] = len(token_to_id)
+        words = {T._merge_word(w, pair): f for w, f in words.items()}
+    return tuple(merges), token_to_id
+
+
+@st.composite
+def tie_heavy_corpora(draw):
+    """Documents over 2-5 symbols, space and newline among the candidates,
+    written as runs such as ``aaaa`` so that pairs overlap and tie."""
+    symbols = draw(st.lists(st.sampled_from("ab \nä"), min_size=2, max_size=5, unique=True))
+    runs = st.lists(st.tuples(st.sampled_from(symbols), st.integers(1, 6)),
+                    min_size=1, max_size=8)
+    texts = draw(st.lists(runs.map(lambda rs: "".join(ch * n for ch, n in rs)),
+                          min_size=1, max_size=6))
+    return texts, draw(st.sampled_from([1, 1 / 2, 1 / 3])), draw(st.integers(0, 40))
+
+
 class TestTrainBpe:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=tie_heavy_corpora())
+    @example(case=(["aaaa"], 1, 5))
+    @example(case=(["ab ab ba", "\n\n \n"], 1 / 2, 40))
+    def test_equals_full_recount_oracle(self, case):
+        texts, fraction, extra = case
+        docs, _ = make_docs(texts)
+        vocab_size = len(set("".join(texts))) + extra
+        v = T.train_bpe(docs, fraction, vocab_size)
+        assert (v.merges, v.token_to_id) == full_recount_bpe(docs, fraction, vocab_size)
+
+    def test_merge_that_lowers_a_neighbour_below_a_rival(self):
+        # Before: (a,b) 5, (b,c) 4, (d,e) 3.  Merging (a,b) takes the two
+        # (b,c) inside "abc", so (b,c) falls to 2 and (d,e) goes next; the
+        # heap's entry for (b,c) at 4 is stale.  (ab,c) 2 then wins its tie
+        # with (b,c) 2, and (b,c) still comes last.
+        docs, _ = make_docs(["abc abc bc bc ab ab ab de de de"])
+        v = T.train_bpe(docs, 1, vocab_size=100)
+        assert v.merges == (("a", "b"), ("d", "e"), ("ab", "c"), ("b", "c"))
+        assert (v.merges, v.token_to_id) == full_recount_bpe(docs, 1, 100)
+
     def test_hand_traced_merge_order(self):
         docs, _ = make_docs(["aaaa"])
         v = T.train_bpe(docs, 1, vocab_size=1 + 2)
