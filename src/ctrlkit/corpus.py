@@ -248,17 +248,17 @@ def load_texts(path) -> list[str]:
 def save_corpus(path, docs: list[Document]) -> None:
     """Write documents in the line format accepted by :func:`load_corpus`.
     A text holding a tab or ``\\r``, a url holding a tab or a line break, or
-    a url of exactly ``-`` (the field's mark for no url) has no such line and
-    raises CorpusError naming the document.  The write is atomic
+    a url that is empty or exactly ``-`` (the field's mark for no url) has no
+    such line and raises CorpusError naming the document.  The write is atomic
     (``fileio.atomic_open``)."""
     with atomic_open(path, "w", encoding="utf-8") as fh:
         for d in docs:
             prov = "m" if d.provenance == "manual" else "a"
             url = d.source_url if d.source_url else "-"
             if (any(c in d.text for c in "\t\r") or any(c in url for c in "\t\n\r")
-                    or d.source_url == "-"):
+                    or d.source_url in ("", "-")):
                 raise CorpusError(
                     f"document {d.id}: a corpus line cannot hold a tab or \\r in a "
-                    "text, a tab or line break in a url, or a url of exactly '-', "
-                    "which reads back as no url")
+                    "text, a tab or line break in a url, or a url that is empty or "
+                    "exactly '-', which reads back as no url")
             fh.write(f"{d.category.name}\t{prov}\t{url}\t{_escape(d.text)}\n")

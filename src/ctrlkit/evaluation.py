@@ -16,6 +16,9 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from . import model as M
 from .ngram import DEFAULT_K, NGramIndex, kgrams, overlap
 from .sampler import (
@@ -51,17 +54,25 @@ def check_window(w: int, context: int) -> None:
 def sliding_perplexity(ckpt: M.Checkpoint, v: Vocab, text: str, w: int) -> PerplexityResult:
     """exp of the mean NLL with every token conditioned on a w-token window.
 
-    Position i conditions on the previous min(i, w-1) tokens; the stride is
-    1, so each position beyond the first window gets its own forward pass.
+    Position i conditions on the previous min(i, w-1) tokens.  One
+    ``sequence_logprob`` call scores the first window.  Each later position
+    i is the last of its own window ids[i-w+1:i+1]; these windows are
+    stacked into (chunk, w) batches, each one pass that reads only the
+    windows' last column.  A chunk holds max(1, context // (w-1)) windows,
+    so it runs at most ``context`` positions, no more than one full-context
+    forward.
     """
-    check_window(w, ckpt.config.context)
-    ids = encode(v, text)
+    context = ckpt.config.context
+    check_window(w, context)
+    ids = np.asarray(encode(v, text), dtype=np.int64)
     if len(ids) < 2:
         raise TextTooShort("text must encode to at least 2 tokens")
 
     total = M.sequence_logprob(ckpt, ids[:w])
-    for i in range(w, len(ids)):
-        total += M.sequence_logprob(ckpt, ids[i - w + 1:i + 1], start=w - 1)
+    chunk = max(1, context // (w - 1))
+    for lo in range(w, len(ids), chunk):
+        windows = sliding_window_view(ids[lo - w + 1:lo + chunk], w)
+        total += M.sequence_logprob(ckpt, windows, start=w - 1)
 
     count = len(ids) - 1
     value = math.exp(-total / count)

@@ -11,7 +11,9 @@ validated against central finite differences in the test suite.
 and the tied LM head, and takes per-position ids that pack several windows
 into one row, each attending only within itself (``trainer._pack`` builds
 them).  The whole pass, not only the head, therefore costs about the real
-tokens, not the padding.
+tokens, not the padding.  A scorer that reads only the trailing columns
+of each row (``sequence_logprob``, cached decoding) runs the last block's
+query, attention and feed-forward on those columns alone.
 
 Weights are float32 for training and evaluation and float64 for gradient
 checks, and a pass computes in its checkpoint's dtype: float32 weights give
@@ -237,11 +239,16 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
     counts up from there.  Each column takes its positional encoding from
     ``positions``, and attends only to earlier columns of its own window.
 
-    ``rows`` indexes the (batch, time) positions whose logits are wanted;
-    only those rows go through the final layer norm and the LM head, and
-    logits are shaped as ``x[rows]``.  ``batch_loss`` passes its target
-    positions, cached decoding the last row; without ``rows`` every
-    position gets logits.
+    ``rows`` selects the logits wanted; without it every position gets
+    logits.  An index (``batch_loss``'s target positions) sends only those
+    (batch, time) positions through the final layer norm and the LM head,
+    and logits are shaped as ``x[rows]``.  An int n reads the last n
+    columns of every row, and logits are (batch, n, vocab): the last block
+    then computes keys and values for every column, but the query,
+    attention, ``wo`` and the feed-forward only for those n columns.
+    ``sequence_logprob`` and cached decoding read this way.  With
+    ``keep_cache`` the last block stays whole, as the backward needs every
+    column.
     """
     cfg, W = ckpt.config, ckpt.weights
     t = ids.shape[1]
@@ -259,15 +266,21 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
         window = np.cumsum(positions == 0, axis=1)
         hidden = (hidden | (window[:, :, None] != window[:, None, :]))[:, None]
     x = scale * W["tok_emb"][ids] + pe
+    cut = rows if isinstance(rows, int) and not keep_cache else None
+    if isinstance(rows, int):
+        rows = np.s_[:, -rows:]
 
     att_scale = 1.0 / math.sqrt(cfg.head_dim)
     layer_caches = []
     for i in range(cfg.layers):
         p = f"h{i}."
         h, ln1_cache = _layer_norm(x, W[p + "ln1.g"], W[p + "ln1.b"])
-        q = _split_heads(h @ W[p + "attn.wq"] + W[p + "attn.bq"], cfg.heads)
         k = _split_heads(h @ W[p + "attn.wk"] + W[p + "attn.bk"], cfg.heads)
         v = _split_heads(h @ W[p + "attn.wv"] + W[p + "attn.bv"], cfg.heads)
+        if cut and i == cfg.layers - 1:
+            # Keys and values cover every column; the rest only the read ones.
+            x, h, hidden = x[:, -cut:], h[:, -cut:], hidden[..., -cut:, :]
+        q = _split_heads(h @ W[p + "attn.wq"] + W[p + "attn.bq"], cfg.heads)
         if kv is not None:
             k_all, v_all = kv[i]
             k_all[:, :, start:start + t] = k
@@ -407,20 +420,36 @@ def forward(ckpt: Checkpoint, ids, kv=None, start: int = 0) -> np.ndarray:
         raise ModelError("forward expects a flat id sequence")
     if arr.size == 0:
         raise ModelError("forward expects at least one token")
-    rows = np.s_[:, -1:] if kv is not None else None
+    rows = 1 if kv is not None else None
     logits, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False, kv=kv,
                                start=start, rows=rows)
     return logits[0]
 
 
-def sequence_logprob(ckpt: Checkpoint, ids, start: int = 1) -> float:
-    """Sum of log p(ids[j] | ids[:j]) over positions j >= start, from one
-    ``forward`` over ids[:-1]."""
+def sequence_logprob(ckpt: Checkpoint, ids, start: int = 1, kv=None,
+                     cached: int = 0) -> float:
+    """Sum of log p(ids[j] | ids[:j]) over positions j >= start.
+
+    ``ids`` is one sequence, or a (batch, time) array of sequences whose
+    sums are added.  One pass over ids[..., :-1] reads the logits of the
+    columns from start-1 on, and its last block computes only those (see
+    ``_forward_batch``).  With a K/V cache from ``kv_cache`` that holds a
+    single sequence's first ``cached`` tokens (cached < start), the pass
+    runs only ids[cached:-1], writing their keys and values over the cache
+    from ``cached`` on, so one prefilled prefix serves several sequences
+    that share it.
+    """
     arr = np.asarray(ids, dtype=np.int64)
-    if not 1 <= start < len(arr):
-        raise ModelError(f"start must be in [1, {len(arr) - 1}], got {start}")
-    logz = log_softmax(forward(ckpt, arr[:-1])[start - 1:])
-    return float(logz[np.arange(len(arr) - start), arr[start:]].sum())
+    n = arr.shape[-1]
+    if not 1 <= start < n:
+        raise ModelError(f"start must be in [1, {n - 1}], got {start}")
+    if not 0 <= cached < start or (cached and kv is None):
+        raise ModelError(f"cached must be in [0, {start - 1}] and needs a K/V cache")
+    arr = arr.reshape(-1, n)
+    logits, _ = _forward_batch(ckpt, arr[:, cached:-1], keep_cache=False, kv=kv,
+                               start=cached, rows=n - start)
+    logz = log_softmax(logits)
+    return float(np.take_along_axis(logz, arr[:, start:, None], axis=-1).sum())
 
 
 def batch_loss(

@@ -400,6 +400,26 @@ def finetune(
     trainer.train(ckpt, [], v, tc, windows=windows, on_epoch=on_epoch)
 
 
+def _group_logprobs(ckpt: M.Checkpoint, prompts: list[list[int]],
+                   cont: list[int]) -> list[float]:
+    """log p(cont | prompt) for each prompt, equal to ``sequence_logprob``
+    of prompt + cont from len(prompt) on.
+
+    The longest prefix the prompts share, at most min(len(prompt)) - 1
+    tokens so that every scored row lies past it, is prefilled once into a
+    K/V cache; each prompt's suffix then continues that cache in turn,
+    overwriting the previous suffix's keys and values.
+    """
+    cached, limit = 0, min(map(len, prompts)) - 1
+    while cached < limit and len({p[cached] for p in prompts}) == 1:
+        cached += 1
+    kv = M.kv_cache(ckpt)
+    if cached:
+        M.forward(ckpt, prompts[0][:cached], kv)
+    return [M.sequence_logprob(ckpt, p + cont, start=len(p), kv=kv, cached=cached)
+            for p in prompts]
+
+
 def answer_selection_accuracy(
     ckpt: M.Checkpoint,
     v: Vocab,
@@ -409,8 +429,10 @@ def answer_selection_accuracy(
 ) -> float:
     """Share of groups whose highest-p('Ja') candidate is the gold answer.
 
-    ``scorer(dp) -> float`` may replace the model log-probability, which the
-    tests use to drive the selection logic with a known oracle.
+    The model scores a group with ``_group_logprobs``: one prefill of the
+    prefix its candidates share.  ``scorer(dp) -> float`` may replace the
+    model log-probability, which the tests use to drive the selection logic
+    with a known oracle.
     """
     if spec.group_field is None:
         raise TaskError(f"task {spec.name!r} is not an answer-selection task")
@@ -418,11 +440,14 @@ def answer_selection_accuracy(
     if scorer is None:
         _check_vocab_size(v, ckpt)
         budget = PromptBudget().fit(ckpt)
+        cont = encode(v, " " + yes)
 
-        def scorer(dp):
-            prompt_ids = build_prompt(dp, spec, v, budget)
-            return M.sequence_logprob(ckpt, prompt_ids + encode(v, " " + yes),
-                                      start=len(prompt_ids))
+        def score_group(members):
+            prompts = [build_prompt(dp, spec, v, budget) for dp in members]
+            return _group_logprobs(ckpt, prompts, cont)
+    else:
+        def score_group(members):
+            return [scorer(dp) for dp in members]
 
     groups: dict = {}
     for dp in datapoints:
@@ -438,7 +463,7 @@ def answer_selection_accuracy(
 
     correct = 0
     for members in groups.values():
-        scores = [scorer(dp) for dp in members]
+        scores = score_group(members)
         picked = members[int(np.argmax(scores))]
         if spec.label_str(picked) == yes:
             correct += 1

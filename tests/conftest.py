@@ -34,6 +34,16 @@ def float64_copy(ckpt):
     return M.Checkpoint(ckpt.config, weights, ckpt.step, ckpt.seed)
 
 
+def perturbed_checkpoint(cfg, seed=3, dtype=np.float64):
+    """Checkpoint with well-scaled random weights so every gradient path
+    carries signal (plain init leaves attention score grads near zero)."""
+    ckpt = M.init_model(cfg, seed=7, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for name in M.param_shapes(cfg):
+        ckpt.weights[name] += rng.normal(0.0, 0.1, size=ckpt.weights[name].shape)
+    return ckpt
+
+
 def held_out_prompts(genre, count, n_words=3, seed=7000):
     prompts = []
     for trial in range(count):

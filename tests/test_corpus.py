@@ -132,7 +132,7 @@ class TestLoadCorpus:
     @pytest.mark.parametrize("text, url", [
         ("x\ty", None), ("x\ry", None), ("x\r\ny", None),
         ("ok", "http://x\ty"), ("ok", "http://x\ny"), ("ok", "http://x\ry"),
-        ("ok", "-"),
+        ("ok", "-"), ("ok", ""),
     ])
     def test_save_rejects_a_field_no_line_can_hold(self, tmp_path, text, url):
         table = corpus.default_category_table()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from ctrlkit import corpus, evaluation as E, model as M, ngram, tokenizer as T, trainer
 from ctrlkit.sampler import STOP_ECC, STOP_MAX, GenerationResult
-from tests.conftest import WORDS, float64_copy, held_out_prompts
+from tests.conftest import WORDS, float64_copy, held_out_prompts, perturbed_checkpoint
 
 
 def brute_force_loops(seq, v, max_phrase=5):
@@ -43,6 +44,91 @@ def numeral_vocab():
     table = corpus.table_from_names(["alpha"])
     docs = [corpus.Document(0, "1 2 3 x y z", table["alpha"], "manual")]
     return T.train_bpe(docs, 1, vocab_size=8)
+
+
+def letter_vocab():
+    """One token per letter of x y z w v, so a text's length is its token
+    count."""
+    table = corpus.table_from_names(["alpha"])
+    docs = [corpus.Document(0, "x y z w v", table["alpha"], "manual")]
+    return T.train_bpe(docs, 1, vocab_size=6)
+
+
+def letters(n, seed=0):
+    return "".join(np.random.default_rng(seed).choice(list("xyzwv"), size=n))
+
+
+def letter_model(v, context=16, model_dim=8):
+    return perturbed_checkpoint(M.ModelConfig(
+        layers=2, heads=2, model_dim=model_dim, inner_dim=2 * model_dim,
+        context=context, vocab_size=len(v.token_to_id)))
+
+
+def per_window_perplexity(ckpt, ids, w):
+    """Reference for the stacked windows: one full ``forward`` per scored
+    position over at most w-1 preceding tokens, its last row read."""
+    nll = 0.0
+    for i in range(1, len(ids)):
+        logits = M.forward(ckpt, ids[max(0, i - w + 1):i])[-1]
+        nll -= M.log_softmax(logits)[ids[i]]
+    return math.exp(nll / (len(ids) - 1))
+
+
+class TestStackedWindows:
+    CONTEXT = 16
+
+    @pytest.mark.parametrize("w, length", [
+        (w, length) for w in (2, 3, 8, CONTEXT)
+        for length in ("shorter", "w", "w+1", "two-chunks")
+        if (w, length) != (2, "shorter")  # a text needs 2 tokens
+    ])
+    def test_matches_per_window_oracle(self, w, length):
+        chunk = max(1, self.CONTEXT // (w - 1))
+        n = {"shorter": w - 1, "w": w, "w+1": w + 1, "two-chunks": w + chunk + 1}[length]
+        v = letter_vocab()
+        ckpt = letter_model(v, self.CONTEXT)
+        text = letters(n, seed=w)
+        ids = T.encode(v, text)
+        assert len(ids) == n
+        res = E.sliding_perplexity(ckpt, v, text, w)
+        want = per_window_perplexity(ckpt, ids, w)
+        assert abs(res.value - want) <= 1e-12 * want
+        assert res.token_count == n - 1
+
+    @pytest.mark.parametrize("w, n", [(4, 30), (4, 9), (2, 40), (16, 20), (8, 8)])
+    def test_one_pass_per_chunk(self, monkeypatch, w, n):
+        # A fall back to one pass per position would make n - w + 1 passes.
+        passes = []
+        forward_batch = M._forward_batch
+
+        def counting(ckpt, ids, *args, **kwargs):
+            passes.append(ids.shape)
+            return forward_batch(ckpt, ids, *args, **kwargs)
+
+        monkeypatch.setattr(M, "_forward_batch", counting)
+        v = letter_vocab()
+        E.sliding_perplexity(letter_model(v, self.CONTEXT), v, letters(n), w)
+        chunk = max(1, self.CONTEXT // (w - 1))
+        assert len(passes) == 1 + math.ceil(max(0, n - w) / chunk)
+        assert all(b * t <= self.CONTEXT for b, t in passes)
+
+    def test_chunk_peak_memory_within_one_full_context_forward(self):
+        v = letter_vocab()
+        context = 64
+        ckpt = letter_model(v, context, model_dim=32)
+        text = letters(400)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        full = peak(lambda: M.forward(ckpt, T.encode(v, text)[:context]))
+        for w in (4, 9, context):
+            assert peak(lambda: E.sliding_perplexity(ckpt, v, text, w)) <= full, w
 
 
 class TestSlidingPerplexity:

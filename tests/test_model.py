@@ -6,16 +6,7 @@ import pytest
 from scipy import special
 
 from ctrlkit import model as M
-
-
-def perturbed_checkpoint(cfg, seed=3, dtype=np.float64):
-    """Checkpoint with well-scaled random weights so every gradient path
-    carries signal (plain init leaves attention score grads near zero)."""
-    ckpt = M.init_model(cfg, seed=7, dtype=dtype)
-    rng = np.random.default_rng(seed)
-    for name in M.param_shapes(cfg):
-        ckpt.weights[name] += rng.normal(0.0, 0.1, size=ckpt.weights[name].shape)
-    return ckpt
+from tests.conftest import perturbed_checkpoint
 
 
 class TestConfig:
@@ -167,6 +158,75 @@ class TestSequenceLogprob:
     def test_start_outside_sequence_rejected(self, start):
         with pytest.raises(M.ModelError):
             M.sequence_logprob(perturbed_checkpoint(M.toy_config()), self.IDS, start)
+
+    def test_stacked_rows_add_up(self):
+        ckpt = perturbed_checkpoint(M.toy_config())
+        batch = np.stack([self.IDS, self.IDS[::-1], (self.IDS + 1) % 50])
+        want = sum(M.sequence_logprob(ckpt, row, start=4) for row in batch)
+        assert abs(M.sequence_logprob(ckpt, batch, start=4) - want) <= 1e-12
+
+    @pytest.mark.parametrize("cached", [1, 3, 5])
+    def test_prefilled_cache_matches_whole_sequence(self, cached):
+        ckpt = perturbed_checkpoint(M.toy_config())
+        kv = M.kv_cache(ckpt)
+        M.forward(ckpt, self.IDS[:cached], kv)
+        got = M.sequence_logprob(ckpt, self.IDS, start=6, kv=kv, cached=cached)
+        assert abs(got - M.sequence_logprob(ckpt, self.IDS, start=6)) <= 1e-12
+
+    @pytest.mark.parametrize("cached, with_cache", [(6, True), (-1, True), (2, False)])
+    def test_cached_prefix_must_end_before_start(self, cached, with_cache):
+        ckpt = perturbed_checkpoint(M.toy_config())
+        kv = M.kv_cache(ckpt) if with_cache else None
+        with pytest.raises(M.ModelError, match="cached must be in"):
+            M.sequence_logprob(ckpt, self.IDS, start=6, kv=kv, cached=cached)
+
+
+class TestLastBlockCut:
+    """An int ``rows`` runs the last block on the read columns only; its
+    logits equal the full pass's trailing rows in float64."""
+
+    CFG = M.ModelConfig(layers=3, heads=2, model_dim=8, inner_dim=16,
+                        context=16, vocab_size=50)
+    IDS = np.random.default_rng(5).integers(0, 50, size=(3, 11))
+
+    def test_ffn_runs_only_the_read_columns_in_the_last_block(self, monkeypatch):
+        widths = []
+        erf = M.erf
+
+        def recording_erf(z):
+            widths.append(z.shape[1])
+            return erf(z)
+
+        monkeypatch.setattr(M, "erf", recording_erf)
+        M._forward_batch(perturbed_checkpoint(self.CFG), self.IDS, False, rows=2)
+        assert widths == [11, 11, 2]
+
+    @pytest.mark.parametrize("n", [1, 4, 11])
+    def test_matches_full_forward(self, n):
+        ckpt = perturbed_checkpoint(self.CFG)
+        full, _ = M._forward_batch(ckpt, self.IDS, False)
+        cut, _ = M._forward_batch(ckpt, self.IDS, False, rows=n)
+        assert cut.shape == (3, n, 50)
+        npt.assert_allclose(cut, full[:, -n:], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("prefill, n", [(1, 1), (4, 3), (7, 4)])
+    def test_matches_full_forward_with_kv_cache(self, prefill, n):
+        ckpt = perturbed_checkpoint(self.CFG)
+        ids = self.IDS[0]
+        full = M.forward(ckpt, ids)
+        kv = M.kv_cache(ckpt)
+        npt.assert_allclose(M.forward(ckpt, ids[:prefill], kv), full[prefill - 1:prefill],
+                            rtol=0, atol=1e-12)
+        cut, _ = M._forward_batch(ckpt, ids[None, prefill:], False, kv=kv,
+                                  start=prefill, rows=n)
+        npt.assert_allclose(cut[0], full[-n:], rtol=0, atol=1e-12)
+
+    def test_keep_cache_keeps_the_whole_last_block(self):
+        ckpt = perturbed_checkpoint(self.CFG)
+        logits, cache = M._forward_batch(ckpt, self.IDS, True, rows=2)
+        assert cache["layers"][-1]["z1"].shape[1] == 11
+        full, _ = M._forward_batch(ckpt, self.IDS, False)
+        npt.assert_allclose(logits, full[:, -2:], rtol=0, atol=1e-12)
 
 
 class TestParamCount:

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from ctrlkit import agreement, corpus, model as M, tasks, tokenizer as T, trainer
+from tests.conftest import perturbed_checkpoint
 
 
 def char_word_vocab():
@@ -339,6 +340,7 @@ class TestFinetuneEvaluate:
         calls = []
         monkeypatch.setattr(tasks.sampler, "generate_ids", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(M, "sequence_logprob", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(M, "forward", lambda *a, **k: calls.append(a))
         dps = [{"text": "x y", "question": "x", "answer": "y", "label": label, "group": 1}
                for label in spec.labels]
         with pytest.raises(tasks.TaskError, match="disagree on the vocabulary size"):
@@ -507,6 +509,78 @@ class TestAnswerSelection:
         acc = tasks.answer_selection_accuracy(ckpt2, v2, spec, datapoints)
         expected = {"accuracy": acc, "pseudo_alpha": agreement.pseudo_alpha(acc)}
         assert result.metrics == {m: expected[m] for m in metrics}
+
+
+def float64_selection_model(v, context=256):
+    return perturbed_checkpoint(M.ModelConfig(layers=2, heads=2, model_dim=8, inner_dim=16,
+                                              context=context, vocab_size=len(v)))
+
+
+class TestSharedPrefixSelection:
+    """One prefill per group gives each candidate's ``sequence_logprob``."""
+
+    def check_group(self, ckpt, prompts, cont, monkeypatch, prefills=1):
+        passes = []
+        forward_batch = M._forward_batch
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(M, "_forward_batch", counting)
+        got = tasks._group_logprobs(ckpt, prompts, cont)
+        assert len(passes) == prefills + len(prompts)  # and one pass per suffix
+        want = [M.sequence_logprob(ckpt, p + cont, start=len(p)) for p in prompts]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+    @pytest.mark.parametrize("prompts, prefills", [
+        ([[9, 3, 4, 5, 0, 2]], 1),
+        ([[9, 3, 4, 0, 5], [9, 4, 3], [9, 5, 5, 5, 5, 5, 0]], 1),
+        ([[9, 3, 0, 4], [9, 3, 0, 4, 0, 2, 1], [9, 3, 0, 4, 0]], 1),
+        ([[9, 3, 0, 4, 1], [9, 3, 0, 4, 1], [9, 3, 0, 4, 2]], 1),
+        ([[9, 3, 0], [9]], 0),  # the OCC alone is scored, so nothing is prefilled
+    ], ids=["single-candidate", "only-the-occ", "prompt-is-a-prefix", "repeated-prompt",
+            "occ-only-prompt"])
+    def test_matches_per_candidate_scores(self, monkeypatch, prompts, prefills):
+        v = char_word_vocab()
+        self.check_group(float64_selection_model(v), prompts, [0, 4], monkeypatch, prefills)
+
+    def test_prompts_cut_at_the_separator(self, monkeypatch):
+        table = corpus.table_from_names(["alpha"])
+        docs = [corpus.Document(0, "Fråga: x y z w v Svar: Passar? [...] Ja Nej",
+                                table["alpha"], "manual")]
+        v = T.add_control_codes(T.train_bpe(docs, 1, vocab_size=40), table)
+        spec = tasks.get_task("swefaq")
+        v2, ckpt = tasks.add_task_tokens(v, float64_selection_model(v, context=40), spec)
+        budget = tasks.PromptBudget().fit(ckpt)
+        prompts = [
+            tasks.build_prompt({"question": "x y z w v " * 4, "answer": a, "label": "Ja"},
+                               spec, v2, budget)
+            for a in ("z w v x y z", "v v v", "x")
+        ]
+        for p in prompts:  # the shared head, the separator, then each own tail
+            assert T.decode(v2, p).startswith(":swefaq:Fråga: x y z w v x y[...]")
+        assert len({tuple(p) for p in prompts}) == 3
+        self.check_group(ckpt, prompts, T.encode(v2, " Ja"), monkeypatch)
+
+    def test_selection_picks_the_per_candidate_argmax(self):
+        spec = tasks.get_task("swefaq")
+        v = char_word_vocab()
+        v2, ckpt = tasks.add_task_tokens(v, float64_selection_model(v), spec)
+        budget = tasks.PromptBudget().fit(ckpt)
+        cont = T.encode(v2, " Ja")
+        dps = [{"question": q, "answer": a, "label": label, "group": q}
+               for q in ("x y", "z w x", "v")
+               for a, label in (("z", "Ja"), ("w x", "Nej"), ("y y", "Nej"))]
+
+        def per_candidate(dp):
+            prompt = tasks.build_prompt(dp, spec, v2, budget)
+            return M.sequence_logprob(ckpt, prompt + cont, start=len(prompt))
+
+        assert (tasks.answer_selection_accuracy(ckpt, v2, spec, dps)
+                == tasks.answer_selection_accuracy(ckpt, v2, spec, dps, scorer=per_candidate))
 
 
 class TestScorePredictions:
