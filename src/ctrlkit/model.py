@@ -13,7 +13,8 @@ into one row, each attending only within itself (``trainer._pack`` builds
 them).  The whole pass, not only the head, therefore costs about the real
 tokens, not the padding.  A scorer that reads only the trailing columns
 of each row (``sequence_logprob``, cached decoding) runs the last block's
-query, attention and feed-forward on those columns alone.
+query, attention and feed-forward on those columns alone.  A K/V cache
+records its tokens, and a pass reuses the prefix it shares with them.
 
 Weights are float32 for training and evaluation and float64 for gradient
 checks, and a pass computes in its checkpoint's dtype: float32 weights give
@@ -215,24 +216,34 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-def kv_cache(ckpt: Checkpoint) -> list:
+@dataclass
+class KVCache:
+    """Per-layer (keys, values) of the tokens ``ids``, at positions
+    0..len(ids)-1."""
+
+    layers: list[tuple[np.ndarray, np.ndarray]]
+    ids: np.ndarray
+
+
+def kv_cache(ckpt: Checkpoint) -> KVCache:
     """Empty K/V cache for decoding one sequence with ``ckpt``: one
     (keys, values) pair per layer, each shaped (1, heads, context, head_dim)
-    in the checkpoint's dtype."""
+    in the checkpoint's dtype, holding no tokens yet."""
     cfg = ckpt.config
     shape = (1, cfg.heads, cfg.context, cfg.head_dim)
-    return [(np.empty(shape, ckpt.dtype), np.empty(shape, ckpt.dtype))
-            for _ in range(cfg.layers)]
+    return KVCache([(np.empty(shape, ckpt.dtype), np.empty(shape, ckpt.dtype))
+                    for _ in range(cfg.layers)], np.empty(0, np.int64))
 
 
 def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
-                   kv=None, start: int = 0, rows=None, positions=None):
+                   kv=None, rows=None, positions=None):
     """Run the model on a (batch, time) id array.
 
-    Returns (logits, cache); cache is None unless ``keep_cache``.  With a
-    K/V cache ``kv`` from ``kv_cache``, the ids sit at positions
-    start..start+t: their keys and values are written there and attention
-    covers the cache up to start+t.
+    Returns (logits, cache); cache is None unless ``keep_cache``.  A K/V
+    cache ``kv`` from ``kv_cache`` takes one row, the whole sequence, and an
+    int ``rows``: the pass reuses the keys and values of the longest prefix
+    ``kv.ids`` shares with it, up to time - rows tokens so that every column
+    read is computed, runs the rest, and leaves ``kv.ids`` the sequence.
 
     ``positions``, a (batch, time) array like ``ids``, lays several windows
     end to end in one row: a window starts where ``positions`` is 0 and
@@ -252,12 +263,21 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
     """
     cfg, W = ckpt.config, ckpt.weights
     t = ids.shape[1]
+    if not 1 <= t <= cfg.context:
+        raise ModelError(f"sequence length {t} outside the context window 1..{cfg.context}")
+    start = 0
+    if kv is not None:
+        if ids.shape[0] != 1:
+            raise ModelError("a K/V cache holds one sequence")
+        held = kv.ids[:t - rows]
+        differ = np.flatnonzero(held != ids[0, :len(held)])
+        start = int(differ[0]) if differ.size else len(held)
+        kv.ids = kv.ids[:start]  # a pass that raises leaves a valid cache
+        seq, ids = ids[0].copy(), ids[:, start:]
+        t = ids.shape[1]
+    # Reused columns were checked when they were computed.
     if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
         raise ModelError("token id outside the vocabulary range")
-    if t < 1 or start < 0 or start + t > cfg.context:
-        raise ModelError(
-            f"sequence length {start + t} outside the context window 1..{cfg.context}"
-        )
     scale = math.sqrt(cfg.model_dim)
     pe = positional_encoding(t, cfg.model_dim, dtype=ckpt.dtype, start=start)
     hidden = np.triu(np.ones((t, start + t), dtype=bool), k=start + 1)  # later keys
@@ -282,7 +302,7 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
             x, h, hidden = x[:, -cut:], h[:, -cut:], hidden[..., -cut:, :]
         q = _split_heads(h @ W[p + "attn.wq"] + W[p + "attn.bq"], cfg.heads)
         if kv is not None:
-            k_all, v_all = kv[i]
+            k_all, v_all = kv.layers[i]
             k_all[:, :, start:start + t] = k
             v_all[:, :, start:start + t] = v
             k, v = k_all[:, :, :start + t], v_all[:, :, :start + t]
@@ -316,6 +336,8 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
     if keep_cache:
         cache = dict(ids=ids, layers=layer_caches, hf=hf, lnf=lnf_cache,
                      scale=scale, rows=rows)
+    if kv is not None:
+        kv.ids = seq
     return logits, cache
 
 
@@ -405,15 +427,16 @@ def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, n
     return grads
 
 
-def forward(ckpt: Checkpoint, ids, kv=None, start: int = 0) -> np.ndarray:
+def forward(ckpt: Checkpoint, ids, kv=None) -> np.ndarray:
     """Logits for one sequence, shape (len(ids), vocab_size).
 
     Without a cache it is pure and read-only: repeated calls on the same
     checkpoint agree bitwise.  Row i depends only on ids[0..i].
 
-    With a K/V cache from ``kv_cache`` holding the sequence's first
-    ``start`` tokens, ``ids`` continue it: their keys and values join the
-    cache, and only the last row is returned, shape (1, vocab_size).
+    With a K/V cache from ``kv_cache``, only the last row is returned,
+    shape (1, vocab_size); the pass reuses the keys and values of the
+    prefix the cache shares with ``ids`` and leaves the cache holding
+    ``ids`` (see ``_forward_batch``).
     """
     arr = np.asarray(ids, dtype=np.int64)
     if arr.ndim != 1:
@@ -421,33 +444,28 @@ def forward(ckpt: Checkpoint, ids, kv=None, start: int = 0) -> np.ndarray:
     if arr.size == 0:
         raise ModelError("forward expects at least one token")
     rows = 1 if kv is not None else None
-    logits, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False, kv=kv,
-                               start=start, rows=rows)
+    logits, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False, kv=kv, rows=rows)
     return logits[0]
 
 
-def sequence_logprob(ckpt: Checkpoint, ids, start: int = 1, kv=None,
-                     cached: int = 0) -> float:
+def sequence_logprob(ckpt: Checkpoint, ids, start: int = 1, kv=None) -> float:
     """Sum of log p(ids[j] | ids[:j]) over positions j >= start.
 
     ``ids`` is one sequence, or a (batch, time) array of sequences whose
     sums are added.  One pass over ids[..., :-1] reads the logits of the
     columns from start-1 on, and its last block computes only those (see
-    ``_forward_batch``).  With a K/V cache from ``kv_cache`` that holds a
-    single sequence's first ``cached`` tokens (cached < start), the pass
-    runs only ids[cached:-1], writing their keys and values over the cache
-    from ``cached`` on, so one prefilled prefix serves several sequences
-    that share it.
+    ``_forward_batch``).  A K/V cache from ``kv_cache`` takes one sequence:
+    the pass reuses the keys and values of the prefix the cache shares with
+    ids[:-1], up to start-1 tokens, and leaves the cache holding ids[:-1],
+    so sequences scored in turn share their common prefixes.
     """
     arr = np.asarray(ids, dtype=np.int64)
     n = arr.shape[-1]
     if not 1 <= start < n:
         raise ModelError(f"start must be in [1, {n - 1}], got {start}")
-    if not 0 <= cached < start or (cached and kv is None):
-        raise ModelError(f"cached must be in [0, {start - 1}] and needs a K/V cache")
     arr = arr.reshape(-1, n)
-    logits, _ = _forward_batch(ckpt, arr[:, cached:-1], keep_cache=False, kv=kv,
-                               start=cached, rows=n - start)
+    logits, _ = _forward_batch(ckpt, arr[:, :-1], keep_cache=False, kv=kv,
+                               rows=n - start)
     logz = log_softmax(logits)
     return float(np.take_along_axis(logz, arr[:, start:, None], axis=-1).sum())
 

@@ -7,10 +7,11 @@ truncation, in that order.  Free generation stops at any registered ending
 control code; greedy task decoding stops only at the task's own ECC and
 blocks it at the first step.
 
-Decoding prefills the prompt into a per-layer K/V cache once, then runs
-one 1-token step per new token.  Positions are absolute sinusoids, so once
-the window is full and slides, every step re-prefills the last
-``context`` tokens; that is exact, and no slower than a full forward.
+Each step passes the last ``context`` tokens to the model with one K/V
+cache, which reuses the prefix it holds: one new column per step until the
+window fills.  Positions are absolute sinusoids, so a slide moves every
+position and the step re-prefills the window; that is exact, and no slower
+than a full forward.
 """
 
 from __future__ import annotations
@@ -104,8 +105,11 @@ def apply_repetition_penalty(
     """Divide positive logits of context tokens by r, multiply negative ones.
 
     Multiplying (not dividing) negatives keeps the penalty a penalty for
-    tokens the model already disfavors.
+    tokens the model already disfavors.  Both decoding paths start here, so
+    this is where non-finite logits are rejected.
     """
+    if not np.all(np.isfinite(logits)):
+        raise SamplingError("logits must be finite")
     out = logits.astype(np.float64, copy=True)
     if r == 1.0 or not context_ids:
         return out
@@ -126,8 +130,6 @@ def adjust_distribution(
     """
     if sp.temperature == 0.0:
         raise SamplingError("temperature 0 is greedy decoding; use the greedy path")
-    if not np.all(np.isfinite(logits)):
-        raise SamplingError("logits must be finite")
     scores = apply_repetition_penalty(logits, context_ids, sp.repetition_penalty)
     scores /= sp.temperature
     probs = M.softmax(scores)
@@ -176,16 +178,11 @@ def generate_ids(
         )
     rng = np.random.default_rng(sp.rng_seed)
     kv = M.kv_cache(ckpt)
-    cached = 0  # leading tokens of the window whose K/V are in ``kv``
     context = list(prompt_ids)
     generated: list[int] = []
     stop_reason = STOP_MAX
     for step in range(sp.max_new_tokens):
-        if len(context) > n:  # the window slid, so every position moved
-            cached = 0
-        window = context[-n:]
-        logits = M.forward(ckpt, window[cached:], kv, cached)[-1]
-        cached = len(window)
+        logits = M.forward(ckpt, context[-n:], kv)[-1]
         if sp.temperature == 0.0:
             scores = apply_repetition_penalty(logits, context, sp.repetition_penalty)
             if step == 0 and sp.block_first_ecc is not None:

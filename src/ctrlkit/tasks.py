@@ -400,26 +400,6 @@ def finetune(
     trainer.train(ckpt, [], v, tc, windows=windows, on_epoch=on_epoch)
 
 
-def _group_logprobs(ckpt: M.Checkpoint, prompts: list[list[int]],
-                   cont: list[int]) -> list[float]:
-    """log p(cont | prompt) for each prompt, equal to ``sequence_logprob``
-    of prompt + cont from len(prompt) on.
-
-    The longest prefix the prompts share, at most min(len(prompt)) - 1
-    tokens so that every scored row lies past it, is prefilled once into a
-    K/V cache; each prompt's suffix then continues that cache in turn,
-    overwriting the previous suffix's keys and values.
-    """
-    cached, limit = 0, min(map(len, prompts)) - 1
-    while cached < limit and len({p[cached] for p in prompts}) == 1:
-        cached += 1
-    kv = M.kv_cache(ckpt)
-    if cached:
-        M.forward(ckpt, prompts[0][:cached], kv)
-    return [M.sequence_logprob(ckpt, p + cont, start=len(p), kv=kv, cached=cached)
-            for p in prompts]
-
-
 def answer_selection_accuracy(
     ckpt: M.Checkpoint,
     v: Vocab,
@@ -429,10 +409,11 @@ def answer_selection_accuracy(
 ) -> float:
     """Share of groups whose highest-p('Ja') candidate is the gold answer.
 
-    The model scores a group with ``_group_logprobs``: one prefill of the
-    prefix its candidates share.  ``scorer(dp) -> float`` may replace the
-    model log-probability, which the tests use to drive the selection logic
-    with a known oracle.
+    The model scores each candidate by log p(' Ja' | prompt) through one
+    K/V cache, so a candidate reuses the keys and values of the prefix it
+    shares with the one scored before it.  ``scorer(dp) -> float`` may
+    replace the model log-probability, which the tests use to drive the
+    selection logic with a known oracle.
     """
     if spec.group_field is None:
         raise TaskError(f"task {spec.name!r} is not an answer-selection task")
@@ -441,13 +422,11 @@ def answer_selection_accuracy(
         _check_vocab_size(v, ckpt)
         budget = PromptBudget().fit(ckpt)
         cont = encode(v, " " + yes)
+        kv = M.kv_cache(ckpt)
 
-        def score_group(members):
-            prompts = [build_prompt(dp, spec, v, budget) for dp in members]
-            return _group_logprobs(ckpt, prompts, cont)
-    else:
-        def score_group(members):
-            return [scorer(dp) for dp in members]
+        def scorer(dp):
+            prompt = build_prompt(dp, spec, v, budget)
+            return M.sequence_logprob(ckpt, prompt + cont, start=len(prompt), kv=kv)
 
     groups: dict = {}
     for dp in datapoints:
@@ -463,7 +442,7 @@ def answer_selection_accuracy(
 
     correct = 0
     for members in groups.values():
-        scores = score_group(members)
+        scores = [scorer(dp) for dp in members]
         picked = members[int(np.argmax(scores))]
         if spec.label_str(picked) == yes:
             correct += 1

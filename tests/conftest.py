@@ -72,6 +72,29 @@ class TwoGenreSetup:
         self.final_loss = trainer.mean_epoch_loss(self.trained, self.windows)
 
 
+@pytest.fixture
+def computed_columns(monkeypatch):
+    """The number of columns each model pass computes, in call order (each
+    pass encodes the positions of exactly those columns)."""
+    widths = []
+    encode_positions = M.positional_encoding
+
+    def recording(context, *args, **kwargs):
+        widths.append(context)
+        return encode_positions(context, *args, **kwargs)
+
+    monkeypatch.setattr(M, "positional_encoding", recording)
+    return widths
+
+
+def common_prefix(a, b) -> int:
+    """Length of the longest common prefix of two id sequences."""
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    return n
+
+
 @pytest.fixture(scope="session")
 def two_genre():
     return TwoGenreSetup()

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import special
 
 from ctrlkit import model as M
-from tests.conftest import perturbed_checkpoint
+from tests.conftest import common_prefix, perturbed_checkpoint
 
 
 class TestConfig:
@@ -165,20 +166,32 @@ class TestSequenceLogprob:
         want = sum(M.sequence_logprob(ckpt, row, start=4) for row in batch)
         assert abs(M.sequence_logprob(ckpt, batch, start=4) - want) <= 1e-12
 
-    @pytest.mark.parametrize("cached", [1, 3, 5])
-    def test_prefilled_cache_matches_whole_sequence(self, cached):
+    @pytest.mark.parametrize("prefill", [1, 3, 5])
+    def test_prefilled_cache_matches_whole_sequence(self, prefill):
         ckpt = perturbed_checkpoint(M.toy_config())
         kv = M.kv_cache(ckpt)
-        M.forward(ckpt, self.IDS[:cached], kv)
-        got = M.sequence_logprob(ckpt, self.IDS, start=6, kv=kv, cached=cached)
+        M.forward(ckpt, self.IDS[:prefill], kv)
+        got = M.sequence_logprob(ckpt, self.IDS, start=6, kv=kv)
+        assert abs(got - M.sequence_logprob(ckpt, self.IDS, start=6)) <= 1e-12
+        npt.assert_array_equal(kv.ids, self.IDS[:-1])
+
+    @pytest.mark.parametrize("held", ["longer", "unrelated", "empty", "equal"])
+    def test_any_cache_contents_score_the_same(self, held):
+        ckpt = perturbed_checkpoint(M.toy_config())
+        kv = M.kv_cache(ckpt)
+        prefill = {"longer": np.r_[self.IDS, 4, 4, 4], "unrelated": (self.IDS + 1) % 50,
+                   "empty": [], "equal": self.IDS}[held]
+        if len(prefill):
+            M.forward(ckpt, prefill, kv)
+        got = M.sequence_logprob(ckpt, self.IDS, start=6, kv=kv)
         assert abs(got - M.sequence_logprob(ckpt, self.IDS, start=6)) <= 1e-12
 
-    @pytest.mark.parametrize("cached, with_cache", [(6, True), (-1, True), (2, False)])
-    def test_cached_prefix_must_end_before_start(self, cached, with_cache):
+    def test_cache_with_stacked_rows_rejected(self):
         ckpt = perturbed_checkpoint(M.toy_config())
-        kv = M.kv_cache(ckpt) if with_cache else None
-        with pytest.raises(M.ModelError, match="cached must be in"):
-            M.sequence_logprob(ckpt, self.IDS, start=6, kv=kv, cached=cached)
+        kv = M.kv_cache(ckpt)
+        with pytest.raises(M.ModelError, match="a K/V cache holds one sequence"):
+            M.sequence_logprob(ckpt, np.stack([self.IDS, self.IDS]), start=6, kv=kv)
+        assert kv.ids.size == 0
 
 
 class TestLastBlockCut:
@@ -217,9 +230,9 @@ class TestLastBlockCut:
         kv = M.kv_cache(ckpt)
         npt.assert_allclose(M.forward(ckpt, ids[:prefill], kv), full[prefill - 1:prefill],
                             rtol=0, atol=1e-12)
-        cut, _ = M._forward_batch(ckpt, ids[None, prefill:], False, kv=kv,
-                                  start=prefill, rows=n)
+        cut, _ = M._forward_batch(ckpt, ids[None, :], False, kv=kv, rows=n)
         npt.assert_allclose(cut[0], full[-n:], rtol=0, atol=1e-12)
+        npt.assert_array_equal(kv.ids, ids)
 
     def test_keep_cache_keeps_the_whole_last_block(self):
         ckpt = perturbed_checkpoint(self.CFG)
@@ -227,6 +240,72 @@ class TestLastBlockCut:
         assert cache["layers"][-1]["z1"].shape[1] == 11
         full, _ = M._forward_batch(ckpt, self.IDS, False)
         npt.assert_allclose(logits, full[:, -2:], rtol=0, atol=1e-12)
+
+
+class TestKVCacheReuse:
+    """A cache records the ids it holds, and a pass reuses the longest prefix
+    they share with its sequence, keeping every read column computed.
+    Whatever the cache held, the results equal the cache-free pass."""
+
+    CKPT = perturbed_checkpoint(M.toy_config())
+    SLIDE = [0, 1, 2, 2, 1, 0, 0, 2, 1, 1, 0, 2, 2, 0, 1, 2]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(calls=st.lists(
+        st.tuples(st.booleans(), st.lists(st.integers(0, 2), min_size=2, max_size=16),
+                  st.integers(1, 15)),
+        min_size=1, max_size=8))
+    @example(calls=[(False, SLIDE, 1), (False, SLIDE[1:] + [0], 1),
+                    (True, SLIDE[1:] + [0], 15), (False, [1] * 16, 1),
+                    (False, [1] * 16, 1)])
+    @example(calls=[(False, [0, 1, 2, 2, 0, 1], 1), (True, [0, 1, 0, 0, 1], 2),
+                    (False, [0, 1], 1), (True, [0, 1, 0, 0, 1, 2, 2, 0], 7),
+                    (True, [0, 1, 0, 0, 1, 2, 2, 0], 1)])
+    def test_any_call_sequence_matches_the_cache_free_pass(self, calls, computed_columns):
+        ckpt = self.CKPT
+        kv = M.kv_cache(ckpt)
+        for score, ids, start in calls:
+            computed_columns.clear()
+            held = list(kv.ids)
+            if score:
+                start = min(start, len(ids) - 1)
+                got = M.sequence_logprob(ckpt, ids, start=start, kv=kv)
+                assert abs(got - M.sequence_logprob(ckpt, ids, start=start)) <= 1e-12
+                seq, cap = ids[:-1], start - 1
+            else:
+                got = M.forward(ckpt, ids, kv)
+                npt.assert_allclose(got[0], M.forward(ckpt, ids)[-1], rtol=0, atol=1e-12)
+                seq, cap = ids, len(ids) - 1
+            npt.assert_array_equal(kv.ids, seq)
+            reused = min(common_prefix(held, seq), cap)
+            assert computed_columns[0] == len(seq) - reused
+
+    def test_rejected_id_leaves_the_shared_prefix(self):
+        kv = M.kv_cache(self.CKPT)
+        M.forward(self.CKPT, [3, 1, 4, 1, 5], kv)
+        with pytest.raises(M.ModelError, match="vocabulary range"):
+            M.forward(self.CKPT, [3, 1, 4, 50, 9], kv)
+        npt.assert_array_equal(kv.ids, [3, 1, 4])
+        npt.assert_allclose(M.forward(self.CKPT, [3, 1, 4, 2], kv)[0],
+                            M.forward(self.CKPT, [3, 1, 4, 2])[-1], rtol=0, atol=1e-12)
+
+    def test_pass_failing_midway_leaves_a_valid_cache(self, monkeypatch):
+        kv = M.kv_cache(self.CKPT)
+        M.forward(self.CKPT, [3, 1, 4, 1, 5], kv)
+        erf = M.erf
+
+        def failing_erf(z):
+            raise FloatingPointError("late failure")
+
+        monkeypatch.setattr(M, "erf", failing_erf)
+        with pytest.raises(FloatingPointError):
+            M.forward(self.CKPT, [3, 1, 7, 7, 7, 7], kv)
+        npt.assert_array_equal(kv.ids, [3, 1])
+        monkeypatch.setattr(M, "erf", erf)
+        # Layer 0 had overwritten positions 2.. before the failure.
+        npt.assert_allclose(M.forward(self.CKPT, [3, 1, 4, 1, 6], kv)[0],
+                            M.forward(self.CKPT, [3, 1, 4, 1, 6])[-1], rtol=0, atol=1e-12)
 
 
 class TestParamCount:
@@ -322,8 +401,8 @@ class TestDtypeContract:
         assert M.forward(ckpt, self.IDS).dtype == dtype
         kv = M.kv_cache(ckpt)
         assert M.forward(ckpt, self.IDS[:4], kv).dtype == dtype
-        assert M.forward(ckpt, self.IDS[4:5], kv, 4).dtype == dtype
-        assert {a.dtype for a in _float_arrays(kv)} == {np.dtype(dtype)}
+        assert M.forward(ckpt, self.IDS[:5], kv).dtype == dtype
+        assert {a.dtype for a in _float_arrays(kv.layers)} == {np.dtype(dtype)}
 
     def test_forward_cache(self, dtype):
         ckpt = perturbed_checkpoint(M.toy_config(), dtype=dtype)

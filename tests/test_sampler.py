@@ -4,7 +4,7 @@ import pytest
 
 from ctrlkit import model as M, sampler as S
 from ctrlkit.tokenizer import encode
-from tests.conftest import float64_copy
+from tests.conftest import common_prefix, float64_copy
 
 
 def softmax(x):
@@ -277,20 +277,45 @@ class TestKVCacheDecoding:
         ids = np.concatenate([w.ids[:w.real_length] for w in two_genre.windows[:12]])[:n]
         assert len(ids) == n
         kv = M.kv_cache(ckpt)
-        cached = [M.forward(ckpt, ids[:prefill], kv)]
-        cached += [M.forward(ckpt, ids[j:j + 1], kv, j) for j in range(prefill, n)]
-        for end, got in enumerate(cached, start=prefill):
+        for end in range(prefill, n + 1):
+            got = M.forward(ckpt, ids[:end], kv)
             assert got.shape == (1, ckpt.config.vocab_size)
             want = M.forward(ckpt, ids[:end])[-1]
             assert np.max(np.abs(got[0] - want)) <= tol
 
     def test_step_past_context_rejected(self, two_genre):
         cfg = two_genre.config
-        with pytest.raises(M.ModelError):
-            M.forward(two_genre.trained, [0], M.kv_cache(two_genre.trained), cfg.context)
+        kv = M.kv_cache(two_genre.trained)
+        M.forward(two_genre.trained, [0] * cfg.context, kv)
+        with pytest.raises(M.ModelError, match="outside the context window"):
+            M.forward(two_genre.trained, [0] * (cfg.context + 1), kv)
+        assert len(kv.ids) == cfg.context
+
+    def test_one_column_per_step_until_the_window_fills(self, two_genre, computed_columns):
+        ckpt, v = two_genre.trained, two_genre.vocab
+        n = ckpt.config.context
+        prompt = [v.occ_id("alpha")] + encode(v, "a1 a2 a3")
+        sp = S.SamplingParams(temperature=0.9, max_new_tokens=n, rng_seed=3)
+        context = prompt + list(S.generate_ids(ckpt, prompt, sp, frozenset()).generated_ids)
+        windows = [context[:end][-n:] for end in range(len(prompt), len(context))]
+        assert computed_columns[0] == len(prompt)
+        filling = n - len(prompt)
+        assert computed_columns[1:filling + 1] == [1] * filling
+        # Once the window slides, a step reuses only what still lines up.
+        assert len(computed_columns) == len(windows)
+        for prev, window, width in zip(windows, windows[1:], computed_columns[1:]):
+            assert width == len(window) - min(common_prefix(prev, window), len(window) - 1)
 
 
 class TestGreedyAnswer:
+    def test_nan_logits_rejected(self, two_genre):
+        # A diverged model must fail, not answer with argmax(nan) = id 0.
+        ckpt = float64_copy(two_genre.trained)
+        ckpt.weights["lnf.g"][:] = np.nan
+        v = two_genre.vocab
+        with pytest.raises(S.SamplingError, match="logits must be finite"):
+            decode_task_answer(ckpt, [v.occ_id("alpha")], v.ecc_id("alpha"), 3)
+
     def test_first_step_ecc_masked(self, two_genre):
         # The fixture would answer with the alpha ECC right away; blocking it
         # forces the runner-up token first.

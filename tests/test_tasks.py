@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from ctrlkit import agreement, corpus, model as M, tasks, tokenizer as T, trainer
-from tests.conftest import perturbed_checkpoint
+from tests.conftest import common_prefix, perturbed_checkpoint
 
 
 def char_word_vocab():
@@ -517,37 +517,40 @@ def float64_selection_model(v, context=256):
 
 
 class TestSharedPrefixSelection:
-    """One prefill per group gives each candidate's ``sequence_logprob``."""
+    """Candidates scored in turn through one cache give each candidate's
+    ``sequence_logprob``, and each computes only the columns past the prefix
+    it shares with the candidate before it."""
 
-    def check_group(self, ckpt, prompts, cont, monkeypatch, prefills=1):
-        passes = []
-        forward_batch = M._forward_batch
-
-        def counting(*args, **kwargs):
-            passes.append(1)
-            return forward_batch(*args, **kwargs)
-
-        monkeypatch.setattr(M, "_forward_batch", counting)
-        got = tasks._group_logprobs(ckpt, prompts, cont)
-        assert len(passes) == prefills + len(prompts)  # and one pass per suffix
+    def check_scores(self, ckpt, prompts, cont, got, widths):
         want = [M.sequence_logprob(ckpt, p + cont, start=len(p)) for p in prompts]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * abs(w)
+        # Candidate i's pass: len(p_i) + len(cont) - 1 columns, minus the
+        # prefix it shares with what candidate i-1 left in the cache.
+        held = [[]] + [(p + cont)[:-1] for p in prompts]
+        assert widths == [
+            len(p) + len(cont) - 1 - min(common_prefix(before, p + cont), len(p) - 1)
+            for before, p in zip(held, prompts)
+        ]
 
-    @pytest.mark.parametrize("prompts, prefills", [
-        ([[9, 3, 4, 5, 0, 2]], 1),
-        ([[9, 3, 4, 0, 5], [9, 4, 3], [9, 5, 5, 5, 5, 5, 0]], 1),
-        ([[9, 3, 0, 4], [9, 3, 0, 4, 0, 2, 1], [9, 3, 0, 4, 0]], 1),
-        ([[9, 3, 0, 4, 1], [9, 3, 0, 4, 1], [9, 3, 0, 4, 2]], 1),
-        ([[9, 3, 0], [9]], 0),  # the OCC alone is scored, so nothing is prefilled
+    @pytest.mark.parametrize("prompts", [
+        [[9, 3, 4, 5, 0, 2]],
+        [[9, 3, 4, 0, 5], [9, 4, 3], [9, 5, 5, 5, 5, 5, 0]],
+        [[9, 3, 0, 4], [9, 3, 0, 4, 0, 2, 1], [9, 3, 0, 4, 0]],
+        [[9, 3, 0, 4, 1], [9, 3, 0, 4, 1], [9, 3, 0, 4, 2]],
+        [[9, 3, 0], [9]],  # the OCC alone is scored, so nothing is reused
     ], ids=["single-candidate", "only-the-occ", "prompt-is-a-prefix", "repeated-prompt",
             "occ-only-prompt"])
-    def test_matches_per_candidate_scores(self, monkeypatch, prompts, prefills):
+    def test_matches_per_candidate_scores(self, computed_columns, prompts):
         v = char_word_vocab()
-        self.check_group(float64_selection_model(v), prompts, [0, 4], monkeypatch, prefills)
+        ckpt, cont = float64_selection_model(v), [0, 4]
+        kv = M.kv_cache(ckpt)
+        got = [M.sequence_logprob(ckpt, p + cont, start=len(p), kv=kv) for p in prompts]
+        widths = computed_columns[:]
+        self.check_scores(ckpt, prompts, cont, got, widths)
 
-    def test_prompts_cut_at_the_separator(self, monkeypatch):
+    def test_prompts_cut_at_the_separator(self, monkeypatch, computed_columns):
         table = corpus.table_from_names(["alpha"])
         docs = [corpus.Document(0, "Fråga: x y z w v Svar: Passar? [...] Ja Nej",
                                 table["alpha"], "manual")]
@@ -555,15 +558,24 @@ class TestSharedPrefixSelection:
         spec = tasks.get_task("swefaq")
         v2, ckpt = tasks.add_task_tokens(v, float64_selection_model(v, context=40), spec)
         budget = tasks.PromptBudget().fit(ckpt)
-        prompts = [
-            tasks.build_prompt({"question": "x y z w v " * 4, "answer": a, "label": "Ja"},
-                               spec, v2, budget)
-            for a in ("z w v x y z", "v v v", "x")
-        ]
+        dps = [{"question": "x y z w v " * 4, "answer": a, "label": label, "group": 1}
+               for a, label in (("z w v x y z", "Nej"), ("v v v", "Ja"), ("x", "Nej"))]
+        prompts = [tasks.build_prompt(dp, spec, v2, budget) for dp in dps]
         for p in prompts:  # the shared head, the separator, then each own tail
             assert T.decode(v2, p).startswith(":swefaq:Fråga: x y z w v x y[...]")
         assert len({tuple(p) for p in prompts}) == 3
-        self.check_group(ckpt, prompts, T.encode(v2, " Ja"), monkeypatch)
+        got = []
+        sequence_logprob = M.sequence_logprob
+
+        def recording(*args, **kwargs):
+            got.append(sequence_logprob(*args, **kwargs))
+            return got[-1]
+
+        monkeypatch.setattr(M, "sequence_logprob", recording)
+        tasks.answer_selection_accuracy(ckpt, v2, spec, dps)
+        widths = computed_columns[:]
+        monkeypatch.undo()
+        self.check_scores(ckpt, prompts, T.encode(v2, " Ja"), got, widths)
 
     def test_selection_picks_the_per_candidate_argmax(self):
         spec = tasks.get_task("swefaq")
