@@ -25,7 +25,7 @@ from .sampler import (
     STOP_ECC,
     GenerationResult,
     SamplingParams,
-    generate,
+    generate_batch,
 )
 from .tokenizer import Vocab, decode, encode
 
@@ -376,17 +376,21 @@ def summarize_cell(
 
 def _run_cell(ckpt, v, category, params, texts_per_cell, max_new_tokens,
               base_seed, idx):
+    """Decode the cell's ``texts_per_cell`` samples from the bare OCC as one
+    batch, sample s with the rng seed ``cell_seed(..., s)``."""
     t, p, r = params
-    records: list[CellRecord] = []
-    for sample in range(texts_per_cell):
-        sp = SamplingParams(
+    sps = [
+        SamplingParams(
             temperature=t,
             nucleus_p=p,
             repetition_penalty=r,
             max_new_tokens=max_new_tokens,
             rng_seed=cell_seed(base_seed, category, t, p, r, sample),
         )
-        gr = generate(ckpt, v, "", category, sp)
+        for sample in range(texts_per_cell)
+    ]
+    records: list[CellRecord] = []
+    for gr in generate_batch(ckpt, [v.occ_id(category)], sps, v.ecc_ids):
         out = ecc_outcome(gr, category, v)
         records.append(
             CellRecord(

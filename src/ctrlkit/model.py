@@ -218,21 +218,37 @@ def _merge_heads(x):
 
 @dataclass
 class KVCache:
-    """Per-layer (keys, values) of the tokens ``ids``, at positions
-    0..len(ids)-1."""
+    """Per-layer (keys, values), each (rows, heads, context, head_dim), of
+    the token rows ``ids``, shaped (rows, t): row b holds the keys and values
+    of ids[b] at positions 0..t-1."""
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     ids: np.ndarray
+
+    def take(self, rows) -> "KVCache":
+        """A new cache of the chosen row indices, repeats allowed:
+        ``take([0] * n)`` forks a prefilled row to n rows, and ``take(live)``
+        drops the rows not listed."""
+        rows = np.asarray(rows, dtype=np.int64)
+        t = self.ids.shape[1]
+
+        def pick(a):
+            out = np.empty((len(rows),) + a.shape[1:], a.dtype)
+            out[:, :, :t] = a[rows, :, :t]
+            return out
+
+        return KVCache([(pick(k), pick(v)) for k, v in self.layers], self.ids[rows])
 
 
 def kv_cache(ckpt: Checkpoint) -> KVCache:
     """Empty K/V cache for decoding one sequence with ``ckpt``: one
     (keys, values) pair per layer, each shaped (1, heads, context, head_dim)
-    in the checkpoint's dtype, holding no tokens yet."""
+    in the checkpoint's dtype, holding no tokens yet.  ``KVCache.take``
+    makes caches of more rows from it."""
     cfg = ckpt.config
     shape = (1, cfg.heads, cfg.context, cfg.head_dim)
     return KVCache([(np.empty(shape, ckpt.dtype), np.empty(shape, ckpt.dtype))
-                    for _ in range(cfg.layers)], np.empty(0, np.int64))
+                    for _ in range(cfg.layers)], np.empty((1, 0), np.int64))
 
 
 def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
@@ -240,10 +256,11 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
     """Run the model on a (batch, time) id array.
 
     Returns (logits, cache); cache is None unless ``keep_cache``.  A K/V
-    cache ``kv`` from ``kv_cache`` takes one row, the whole sequence, and an
-    int ``rows``: the pass reuses the keys and values of the longest prefix
-    ``kv.ids`` shares with it, up to time - rows tokens so that every column
-    read is computed, runs the rest, and leaves ``kv.ids`` the sequence.
+    cache ``kv`` takes as many id rows as it holds, each the whole sequence
+    of its row, and an int ``rows``.  The rows advance in lockstep: the pass
+    reuses the keys and values of the shortest prefix any row of ``kv.ids``
+    shares with its id row, up to time - rows tokens so that every column
+    read is computed, runs the rest, and leaves ``kv.ids`` the id rows.
 
     ``positions``, a (batch, time) array like ``ids``, lays several windows
     end to end in one row: a window starts where ``positions`` is 0 and
@@ -267,13 +284,13 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
         raise ModelError(f"sequence length {t} outside the context window 1..{cfg.context}")
     start = 0
     if kv is not None:
-        if ids.shape[0] != 1:
-            raise ModelError("a K/V cache holds one sequence")
-        held = kv.ids[:t - rows]
-        differ = np.flatnonzero(held != ids[0, :len(held)])
-        start = int(differ[0]) if differ.size else len(held)
-        kv.ids = kv.ids[:start]  # a pass that raises leaves a valid cache
-        seq, ids = ids[0].copy(), ids[:, start:]
+        if ids.shape[0] != len(kv.ids):
+            raise ModelError(f"{ids.shape[0]} id rows for a K/V cache of {len(kv.ids)} rows")
+        held = kv.ids[:, :t - rows]
+        differ = np.flatnonzero((held != ids[:, :held.shape[1]]).any(axis=0))
+        start = int(differ[0]) if differ.size else held.shape[1]
+        kv.ids = kv.ids[:, :start]  # a pass that raises leaves a valid cache
+        seq, ids = ids.copy(), ids[:, start:]
         t = ids.shape[1]
     # Reused columns were checked when they were computed.
     if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
@@ -433,19 +450,24 @@ def forward(ckpt: Checkpoint, ids, kv=None) -> np.ndarray:
     Without a cache it is pure and read-only: repeated calls on the same
     checkpoint agree bitwise.  Row i depends only on ids[0..i].
 
-    With a K/V cache from ``kv_cache``, only the last row is returned,
-    shape (1, vocab_size); the pass reuses the keys and values of the
-    prefix the cache shares with ``ids`` and leaves the cache holding
-    ``ids`` (see ``_forward_batch``).
+    With a K/V cache, ``ids`` is one sequence or a (rows, time) stack of as
+    many sequences as the cache holds rows, and only each sequence's last
+    logits are returned, shape (rows, vocab_size).  The pass reuses the keys
+    and values of the prefix the cache shares with the sequences and leaves
+    the cache holding them (see ``_forward_batch``).
     """
     arr = np.asarray(ids, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ModelError("forward expects a flat id sequence")
     if arr.size == 0:
         raise ModelError("forward expects at least one token")
-    rows = 1 if kv is not None else None
-    logits, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False, kv=kv, rows=rows)
-    return logits[0]
+    if kv is None:
+        if arr.ndim != 1:
+            raise ModelError("forward expects a flat id sequence")
+        logits, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False)
+        return logits[0]
+    if arr.ndim not in (1, 2):
+        raise ModelError("forward expects one sequence or a (rows, time) stack")
+    logits, _ = _forward_batch(ckpt, np.atleast_2d(arr), keep_cache=False, kv=kv, rows=1)
+    return logits[:, -1]
 
 
 def sequence_logprob(ckpt: Checkpoint, ids, start: int = 1, kv=None) -> float:
@@ -454,10 +476,10 @@ def sequence_logprob(ckpt: Checkpoint, ids, start: int = 1, kv=None) -> float:
     ``ids`` is one sequence, or a (batch, time) array of sequences whose
     sums are added.  One pass over ids[..., :-1] reads the logits of the
     columns from start-1 on, and its last block computes only those (see
-    ``_forward_batch``).  A K/V cache from ``kv_cache`` takes one sequence:
-    the pass reuses the keys and values of the prefix the cache shares with
-    ids[:-1], up to start-1 tokens, and leaves the cache holding ids[:-1],
-    so sequences scored in turn share their common prefixes.
+    ``_forward_batch``).  A K/V cache takes as many sequences as it holds
+    rows: the pass reuses the keys and values of the prefix the cache shares
+    with ids[..., :-1], up to start-1 tokens, and leaves the cache holding
+    ids[..., :-1], so sequences scored in turn share their common prefixes.
     """
     arr = np.asarray(ids, dtype=np.int64)
     n = arr.shape[-1]

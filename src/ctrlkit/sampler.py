@@ -7,11 +7,16 @@ truncation, in that order.  Free generation stops at any registered ending
 control code; greedy task decoding stops only at the task's own ECC and
 blocks it at the first step.
 
-Each step passes the last ``context`` tokens to the model with one K/V
-cache, which reuses the prefix it holds: one new column per step until the
-window fills.  Positions are absolute sinusoids, so a slide moves every
-position and the step re-prefills the window; that is exact, and no slower
-than a full forward.
+There is one decoding loop, ``generate_batch``: it decodes several
+continuations of one prompt as rows that advance in lockstep, each with its
+own sampling parameters and rng stream.  It prefills the prompt once and
+forks the K/V cache to every row.  Each step then makes one model pass over
+the last ``context`` ids of every live row, which computes one new column
+per row until the window fills, and picks each row's token from its own
+logits; a row that reaches a stop id or its budget leaves the batch.
+Positions are absolute sinusoids, so once the window fills every row slides
+on the same step and the pass re-prefills the windows; that is exact, and no
+slower than a full forward.  A single continuation is a batch of one.
 """
 
 from __future__ import annotations
@@ -104,16 +109,19 @@ def apply_repetition_penalty(
 ) -> np.ndarray:
     """Divide positive logits of context tokens by r, multiply negative ones.
 
-    Multiplying (not dividing) negatives keeps the penalty a penalty for
-    tokens the model already disfavors.  Both decoding paths start here, so
-    this is where non-finite logits are rejected.
+    ``context_ids`` is an int array, such as a slice of the decoder's id
+    buffer, or any collection of ids; repeats count once.  Multiplying (not
+    dividing) negatives keeps the penalty a penalty for tokens the model
+    already disfavors.  Both decoding paths start here, so this is where
+    non-finite logits are rejected.
     """
     if not np.all(np.isfinite(logits)):
         raise SamplingError("logits must be finite")
     out = logits.astype(np.float64, copy=True)
-    if r == 1.0 or not context_ids:
+    if r == 1.0 or len(context_ids) == 0:
         return out
-    idx = np.fromiter(set(context_ids), dtype=np.int64)
+    idx = (context_ids if isinstance(context_ids, np.ndarray)
+           else np.fromiter(context_ids, dtype=np.int64))
     vals = out[idx]
     out[idx] = np.where(vals > 0, vals / r, vals * r)
     return out
@@ -171,29 +179,58 @@ def generate_ids(
 ) -> GenerationResult:
     """Decode a continuation of ``prompt_ids`` until an id in ``stop_ids``
     or the budget; ``sp.block_first_ecc`` cannot be the first token."""
+    return generate_batch(ckpt, prompt_ids, [sp], stop_ids)[0]
+
+
+def generate_batch(
+    ckpt: M.Checkpoint,
+    prompt_ids: list[int],
+    sps: list[SamplingParams],
+    stop_ids: frozenset[int],
+) -> list[GenerationResult]:
+    """Decode one continuation of ``prompt_ids`` per entry of ``sps``, each
+    until an id in ``stop_ids`` or its own budget, as rows in lockstep.  Row
+    i draws from ``default_rng(sps[i].rng_seed)`` and cannot start with
+    ``sps[i].block_first_ecc``, so its result equals decoding it alone."""
     n = ckpt.config.context
-    if len(prompt_ids) > n:
-        raise SamplingError(
-            f"prompt of {len(prompt_ids)} tokens exceeds the context window {n}"
-        )
-    rng = np.random.default_rng(sp.rng_seed)
+    p = len(prompt_ids)
+    if p > n:
+        raise SamplingError(f"prompt of {p} tokens exceeds the context window {n}")
+    results = [GenerationResult((), STOP_MAX)] * len(sps)
+    live = [i for i, sp in enumerate(sps) if sp.max_new_tokens > 0]  # sps index of each row
+    if not live:
+        return results
+    rngs = [np.random.default_rng(sp.rng_seed) for sp in sps]
+    buf = np.empty((len(live), p + max(sps[i].max_new_tokens for i in live)), np.int64)
+    buf[:, :p] = prompt_ids
     kv = M.kv_cache(ckpt)
-    context = list(prompt_ids)
-    generated: list[int] = []
-    stop_reason = STOP_MAX
-    for step in range(sp.max_new_tokens):
-        logits = M.forward(ckpt, context[-n:], kv)[-1]
-        if sp.temperature == 0.0:
-            scores = apply_repetition_penalty(logits, context, sp.repetition_penalty)
-            if step == 0 and sp.block_first_ecc is not None:
-                scores[sp.block_first_ecc] = -np.inf
-            nxt = int(np.argmax(scores))
-        else:
-            probs = adjust_distribution(logits, context, sp)
-            nxt = int(rng.choice(len(probs), p=probs))
-        context.append(nxt)
-        generated.append(nxt)
-        if nxt in stop_ids:
-            stop_reason = STOP_ECC
-            break
-    return GenerationResult(tuple(generated), stop_reason)
+    logits = M.forward(ckpt, buf[:1, :p], kv)  # the shared prompt, once
+    kv = kv.take([0] * len(live))
+    logits = np.broadcast_to(logits, (len(live), logits.shape[1]))
+    t = p
+    while True:
+        for row, i in enumerate(live):
+            sp, context = sps[i], buf[row, :t]
+            if sp.temperature == 0.0:
+                scores = apply_repetition_penalty(logits[row], context, sp.repetition_penalty)
+                if t == p and sp.block_first_ecc is not None:
+                    scores[sp.block_first_ecc] = -np.inf
+                buf[row, t] = np.argmax(scores)
+            else:
+                probs = adjust_distribution(logits[row], context, sp)
+                buf[row, t] = rngs[i].choice(len(probs), p=probs)
+        t += 1
+        keep = []
+        for row, i in enumerate(live):
+            if int(buf[row, t - 1]) in stop_ids:
+                results[i] = GenerationResult(tuple(buf[row, p:t].tolist()), STOP_ECC)
+            elif t - p == sps[i].max_new_tokens:
+                results[i] = GenerationResult(tuple(buf[row, p:t].tolist()), STOP_MAX)
+            else:
+                keep.append(row)
+        if not keep:
+            return results
+        if len(keep) < len(live):
+            live = [live[row] for row in keep]
+            buf, kv = buf[keep], kv.take(keep)
+        logits = M.forward(ckpt, buf[:, max(0, t - n):t], kv)

@@ -445,13 +445,21 @@ class TestGridSearch:
 
     def test_index_of_another_k_rejected_before_decoding(self, two_genre, monkeypatch):
         calls = []
-        monkeypatch.setattr(E, "generate", lambda *args: calls.append(args))
+        monkeypatch.setattr(E, "generate_batch", lambda *args: calls.append(args))
         idx = ngram.build_index(two_genre.docs, k=3)
         with pytest.raises(E.EvaluationError, match="needs a 13-gram index, not 3-grams"):
             E.grid_search(two_genre.trained, two_genre.vocab, ["alpha"],
                           E.GridSpec(p_values=(0.8,), t_values=(), r_values=(1.0,)),
                           texts_per_cell=1, idx=idx)
         assert calls == []
+
+    def test_sample_does_not_depend_on_texts_per_cell(self, two_genre):
+        # One batch per cell, yet sample s keeps its own cell_seed stream,
+        # also when the rows before it stop early.
+        cell = [E._run_cell(two_genre.trained, two_genre.vocab, "alpha", (1.0, 0.9, 1.2),
+                            n, 24, 7, None) for n in (3, 5)]
+        assert cell[1].records[:3] == cell[0].records
+        assert len({rec.n_tokens for rec in cell[1].records}) > 1
 
     def test_trained_model_reaches_correct_ecc_in_greedy_cells(self, report):
         rep, _, _ = report

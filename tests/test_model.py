@@ -173,7 +173,7 @@ class TestSequenceLogprob:
         M.forward(ckpt, self.IDS[:prefill], kv)
         got = M.sequence_logprob(ckpt, self.IDS, start=6, kv=kv)
         assert abs(got - M.sequence_logprob(ckpt, self.IDS, start=6)) <= 1e-12
-        npt.assert_array_equal(kv.ids, self.IDS[:-1])
+        npt.assert_array_equal(kv.ids, [self.IDS[:-1]])
 
     @pytest.mark.parametrize("held", ["longer", "unrelated", "empty", "equal"])
     def test_any_cache_contents_score_the_same(self, held):
@@ -189,9 +189,16 @@ class TestSequenceLogprob:
     def test_cache_with_stacked_rows_rejected(self):
         ckpt = perturbed_checkpoint(M.toy_config())
         kv = M.kv_cache(ckpt)
-        with pytest.raises(M.ModelError, match="a K/V cache holds one sequence"):
+        with pytest.raises(M.ModelError, match="2 id rows for a K/V cache of 1 rows"):
             M.sequence_logprob(ckpt, np.stack([self.IDS, self.IDS]), start=6, kv=kv)
         assert kv.ids.size == 0
+        kv = kv.take([0, 0])
+        M.forward(ckpt, np.stack([self.IDS, self.IDS[::-1]]), kv)
+        for ids in (self.IDS, np.stack([self.IDS] * 3)):
+            with pytest.raises(M.ModelError, match=f"{ids.ndim * 2 - 1} id rows for a K/V "
+                                                   "cache of 2 rows"):
+                M.forward(ckpt, ids, kv)
+            npt.assert_array_equal(kv.ids, [self.IDS, self.IDS[::-1]])
 
 
 class TestLastBlockCut:
@@ -232,7 +239,7 @@ class TestLastBlockCut:
                             rtol=0, atol=1e-12)
         cut, _ = M._forward_batch(ckpt, ids[None, :], False, kv=kv, rows=n)
         npt.assert_allclose(cut[0], full[-n:], rtol=0, atol=1e-12)
-        npt.assert_array_equal(kv.ids, ids)
+        npt.assert_array_equal(kv.ids, [ids])
 
     def test_keep_cache_keeps_the_whole_last_block(self):
         ckpt = perturbed_checkpoint(self.CFG)
@@ -242,70 +249,119 @@ class TestLastBlockCut:
         npt.assert_allclose(logits, full[:, -2:], rtol=0, atol=1e-12)
 
 
+@st.composite
+def cache_calls(draw):
+    """Calls through one cache of 1-3 rows: (score, id rows, start), each
+    call's rows of one length over a 3-symbol alphabet, so rows share
+    prefixes with their histories and with each other."""
+    rows = draw(st.integers(1, 3))
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(2, 16))
+        ids = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                            min_size=rows, max_size=rows))
+        calls.append((draw(st.booleans()), ids, draw(st.integers(1, 15))))
+    return calls
+
+
 class TestKVCacheReuse:
-    """A cache records the ids it holds, and a pass reuses the longest prefix
-    they share with its sequence, keeping every read column computed.
-    Whatever the cache held, the results equal the cache-free pass."""
+    """A cache records the id rows it holds, and a pass reuses the shortest
+    prefix any row shares with its new sequence, keeping every read column
+    computed.  Whatever the cache held, the results equal the cache-free
+    pass."""
 
     CKPT = perturbed_checkpoint(M.toy_config())
     SLIDE = [0, 1, 2, 2, 1, 0, 0, 2, 1, 1, 0, 2, 2, 0, 1, 2]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(calls=st.lists(
-        st.tuples(st.booleans(), st.lists(st.integers(0, 2), min_size=2, max_size=16),
-                  st.integers(1, 15)),
-        min_size=1, max_size=8))
-    @example(calls=[(False, SLIDE, 1), (False, SLIDE[1:] + [0], 1),
-                    (True, SLIDE[1:] + [0], 15), (False, [1] * 16, 1),
-                    (False, [1] * 16, 1)])
-    @example(calls=[(False, [0, 1, 2, 2, 0, 1], 1), (True, [0, 1, 0, 0, 1], 2),
-                    (False, [0, 1], 1), (True, [0, 1, 0, 0, 1, 2, 2, 0], 7),
-                    (True, [0, 1, 0, 0, 1, 2, 2, 0], 1)])
+    @given(calls=cache_calls())
+    @example(calls=[(False, [SLIDE], 1), (False, [SLIDE[1:] + [0]], 1),
+                    (True, [SLIDE[1:] + [0]], 15), (False, [[1] * 16], 1),
+                    (False, [[1] * 16], 1)])
+    @example(calls=[(False, [[0, 1, 2, 2, 0, 1]], 1), (True, [[0, 1, 0, 0, 1]], 2),
+                    (False, [[0, 1]], 1), (True, [[0, 1, 0, 0, 1, 2, 2, 0]], 7),
+                    (True, [[0, 1, 0, 0, 1, 2, 2, 0]], 1)])
+    @example(calls=[(False, [[0, 1, 2, 2], [0, 1, 2, 0], [1, 1, 1, 1]], 1),
+                    (False, [[0, 1, 2, 2, 1], [0, 1, 2, 0, 0], [1, 1, 1, 1, 2]], 1),
+                    (True, [[0, 1, 2, 2, 1, 0], [0, 1, 2, 0, 0, 2], [1, 1, 0, 0, 0, 0]], 5)])
     def test_any_call_sequence_matches_the_cache_free_pass(self, calls, computed_columns):
         ckpt = self.CKPT
-        kv = M.kv_cache(ckpt)
+        kv = M.kv_cache(ckpt).take([0] * len(calls[0][1]))
         for score, ids, start in calls:
             computed_columns.clear()
-            held = list(kv.ids)
+            held = kv.ids.tolist()
+            ids = np.array(ids)
             if score:
-                start = min(start, len(ids) - 1)
+                start = min(start, ids.shape[1] - 1)
                 got = M.sequence_logprob(ckpt, ids, start=start, kv=kv)
                 assert abs(got - M.sequence_logprob(ckpt, ids, start=start)) <= 1e-12
-                seq, cap = ids[:-1], start - 1
+                seq, cap = ids[:, :-1], start - 1
             else:
                 got = M.forward(ckpt, ids, kv)
-                npt.assert_allclose(got[0], M.forward(ckpt, ids)[-1], rtol=0, atol=1e-12)
-                seq, cap = ids, len(ids) - 1
+                assert got.shape == (len(ids), ckpt.config.vocab_size)
+                for row, want in zip(got, ids):
+                    npt.assert_allclose(row, M.forward(ckpt, want)[-1], rtol=0, atol=1e-12)
+                seq, cap = ids, ids.shape[1] - 1
             npt.assert_array_equal(kv.ids, seq)
-            reused = min(common_prefix(held, seq), cap)
-            assert computed_columns[0] == len(seq) - reused
+            reused = min(min(common_prefix(h, s) for h, s in zip(held, seq)), cap)
+            assert computed_columns[0] == seq.shape[1] - reused
+
+    def test_take_equals_prefilling_each_row_alone(self):
+        rows = np.array([[3, 1, 4, 1, 5], [2, 7, 1, 8, 2], [3, 1, 4, 9, 9]])
+        stacked = M.kv_cache(self.CKPT).take([0, 0, 0])
+        M.forward(self.CKPT, rows, stacked)
+        forked = M.kv_cache(self.CKPT)
+        M.forward(self.CKPT, rows[2], forked)
+        forked = forked.take([0, 0])
+        for kv, picks in ((stacked.take([2, 0, 2]), [2, 0, 2]), (forked, [2, 2])):
+            npt.assert_array_equal(kv.ids, rows[picks])
+            for b, pick in enumerate(picks):
+                alone = M.kv_cache(self.CKPT)
+                M.forward(self.CKPT, rows[pick], alone)
+                for (k, v), (k1, v1) in zip(kv.layers, alone.layers):
+                    assert k.shape[0] == len(picks)
+                    npt.assert_array_equal(k[b, :, :5], k1[0, :, :5])
+                    npt.assert_array_equal(v[b, :, :5], v1[0, :, :5])
 
     def test_rejected_id_leaves_the_shared_prefix(self):
         kv = M.kv_cache(self.CKPT)
         M.forward(self.CKPT, [3, 1, 4, 1, 5], kv)
         with pytest.raises(M.ModelError, match="vocabulary range"):
             M.forward(self.CKPT, [3, 1, 4, 50, 9], kv)
-        npt.assert_array_equal(kv.ids, [3, 1, 4])
+        npt.assert_array_equal(kv.ids, [[3, 1, 4]])
         npt.assert_allclose(M.forward(self.CKPT, [3, 1, 4, 2], kv)[0],
                             M.forward(self.CKPT, [3, 1, 4, 2])[-1], rtol=0, atol=1e-12)
 
+    def test_rejected_row_leaves_every_row_at_the_reused_prefix(self):
+        kv = M.kv_cache(self.CKPT).take([0, 0])
+        M.forward(self.CKPT, [[3, 1, 4, 1, 5], [3, 1, 2, 2, 2]], kv)
+        with pytest.raises(M.ModelError, match="vocabulary range"):
+            M.forward(self.CKPT, [[3, 1, 4, 50, 9], [3, 1, 2, 2, 2]], kv)
+        npt.assert_array_equal(kv.ids, [[3, 1, 4], [3, 1, 2]])
+        nxt = np.array([[3, 1, 4, 2], [3, 1, 2, 6]])
+        got = M.forward(self.CKPT, nxt, kv)
+        for row, ids in zip(got, nxt):
+            npt.assert_allclose(row, M.forward(self.CKPT, ids)[-1], rtol=0, atol=1e-12)
+
     def test_pass_failing_midway_leaves_a_valid_cache(self, monkeypatch):
-        kv = M.kv_cache(self.CKPT)
-        M.forward(self.CKPT, [3, 1, 4, 1, 5], kv)
         erf = M.erf
 
         def failing_erf(z):
             raise FloatingPointError("late failure")
 
-        monkeypatch.setattr(M, "erf", failing_erf)
-        with pytest.raises(FloatingPointError):
-            M.forward(self.CKPT, [3, 1, 7, 7, 7, 7], kv)
-        npt.assert_array_equal(kv.ids, [3, 1])
-        monkeypatch.setattr(M, "erf", erf)
-        # Layer 0 had overwritten positions 2.. before the failure.
-        npt.assert_allclose(M.forward(self.CKPT, [3, 1, 4, 1, 6], kv)[0],
-                            M.forward(self.CKPT, [3, 1, 4, 1, 6])[-1], rtol=0, atol=1e-12)
+        for rows in (1, 2):
+            kv = M.kv_cache(self.CKPT).take([0] * rows)
+            M.forward(self.CKPT, [[3, 1, 4, 1, 5]] * rows, kv)
+            monkeypatch.setattr(M, "erf", failing_erf)
+            with pytest.raises(FloatingPointError):
+                M.forward(self.CKPT, [[3, 1, 7, 7, 7, 7]] * rows, kv)
+            npt.assert_array_equal(kv.ids, [[3, 1]] * rows)
+            monkeypatch.setattr(M, "erf", erf)
+            # Layer 0 had overwritten positions 2.. before the failure.
+            want = M.forward(self.CKPT, [3, 1, 4, 1, 6])[-1]
+            for got in M.forward(self.CKPT, [[3, 1, 4, 1, 6]] * rows, kv):
+                npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestParamCount:

@@ -41,6 +41,16 @@ class TestAdjustDistribution:
         out = S.apply_repetition_penalty(np.array([-1.0, 0.5]), {0, 1}, 2.0)
         npt.assert_allclose(out, [-2.0, 0.25], atol=1e-12)
 
+    @pytest.mark.parametrize("context", [[], [3], [3, 0, 7, 3, 3, 9, 0]],
+                             ids=["empty", "one-id", "many-ids"])
+    def test_penalty_takes_an_id_array_like_a_list(self, context):
+        logits = np.random.default_rng(4).normal(size=10)
+        want = S.apply_repetition_penalty(logits, context, 1.5)
+        buf = np.array([5] + context + [8], dtype=np.int64)
+        npt.assert_array_equal(S.apply_repetition_penalty(logits, buf[1:-1], 1.5), want)
+        npt.assert_array_equal(S.apply_repetition_penalty(logits, set(context), 1.5), want)
+        assert np.count_nonzero(want != logits) == len(set(context))
+
     def test_sums_to_one_and_nucleus_support(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -289,7 +299,7 @@ class TestKVCacheDecoding:
         M.forward(two_genre.trained, [0] * cfg.context, kv)
         with pytest.raises(M.ModelError, match="outside the context window"):
             M.forward(two_genre.trained, [0] * (cfg.context + 1), kv)
-        assert len(kv.ids) == cfg.context
+        assert kv.ids.shape == (1, cfg.context)
 
     def test_one_column_per_step_until_the_window_fills(self, two_genre, computed_columns):
         ckpt, v = two_genre.trained, two_genre.vocab
@@ -305,6 +315,76 @@ class TestKVCacheDecoding:
         assert len(computed_columns) == len(windows)
         for prev, window, width in zip(windows, windows[1:], computed_columns[1:]):
             assert width == len(window) - min(common_prefix(prev, window), len(window) - 1)
+
+
+def batch_case(name, v):
+    """(prompt, sampling params, stop ids) of one ``generate_batch`` case."""
+    sampled = dict(temperature=1.0, nucleus_p=0.95, repetition_penalty=1.2)
+    if name == "different-stops":  # short documents: most rows stop at an ECC
+        sps = [S.SamplingParams(max_new_tokens=30, rng_seed=seed, **sampled)
+               for seed in range(6)]
+        return [v.occ_id("alpha")], sps, v.ecc_ids
+    prompt = [v.occ_id("beta")] + encode(v, "b1 b2")
+    if name == "window-slides":
+        sps = [S.SamplingParams(max_new_tokens=100, rng_seed=4, **sampled),
+               S.SamplingParams(temperature=0.0, repetition_penalty=1.3, max_new_tokens=90),
+               S.SamplingParams(temperature=0.7, max_new_tokens=75, rng_seed=9)]
+        return prompt, sps, frozenset()
+    if name == "zero-budget":
+        sps = [S.SamplingParams(max_new_tokens=0, rng_seed=1),
+               S.SamplingParams(max_new_tokens=5, rng_seed=2, **sampled),
+               S.SamplingParams(max_new_tokens=0, rng_seed=3)]
+        return prompt, sps, v.ecc_ids
+    assert name == "single-row"
+    return prompt, [S.SamplingParams(max_new_tokens=40, rng_seed=5, **sampled)], v.ecc_ids
+
+
+class TestGenerateBatch:
+    """Rows decoded in lockstep equal each row decoded alone, and each step
+    is one model pass over every live row."""
+
+    CASES = ["different-stops", "window-slides", "zero-budget", "single-row"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_rows_match_per_sequence_streams(self, two_genre, name):
+        ckpt = float64_copy(two_genre.trained)
+        prompt, sps, stop_ids = batch_case(name, two_genre.vocab)
+        got = S.generate_batch(ckpt, prompt, sps, stop_ids)
+        assert got == [S.generate_ids(ckpt, prompt, sp, stop_ids) for sp in sps]
+        for gr, sp in zip(got, sps):
+            assert list(gr.generated_ids) == full_window_decode(ckpt, prompt, sp, stop_ids)
+        lengths = [len(gr.generated_ids) for gr in got]
+        if name == "different-stops":
+            ecc_stops = {n for n, gr in zip(lengths, got) if gr.stop_reason == S.STOP_ECC}
+            assert len(ecc_stops) >= 3
+        if name == "window-slides":
+            assert lengths == [sp.max_new_tokens for sp in sps]
+            assert len(prompt) + max(lengths) > ckpt.config.context
+        if name == "zero-budget":
+            assert lengths == [0, 5, 0] and got[0].stop_reason == S.STOP_MAX
+            assert S.generate_batch(ckpt, [], sps[::2], stop_ids) == [got[0]] * 2
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_one_pass_per_step_over_the_live_rows(self, two_genre, computed_columns,
+                                                  monkeypatch, name):
+        ckpt, v = two_genre.trained, two_genre.vocab
+        prompt, sps, stop_ids = batch_case(name, v)
+        rows = []
+        forward = M.forward
+
+        def recording(ckpt, ids, kv=None):
+            rows.append(len(kv.ids))
+            return forward(ckpt, ids, kv)
+
+        monkeypatch.setattr(M, "forward", recording)
+        lengths = [len(gr.generated_ids) for gr in S.generate_batch(ckpt, prompt, sps, stop_ids)]
+        steps = max(lengths)
+        # The prompt once, then each step a row still decoding.
+        assert rows == [1] + [sum(n > step for n in lengths) for step in range(1, steps)]
+        n = ckpt.config.context
+        filling = min(steps, n - len(prompt) + 1)
+        assert computed_columns[:filling] == [len(prompt)] + [1] * (filling - 1)
+        assert len(computed_columns) == steps
 
 
 class TestGreedyAnswer:
