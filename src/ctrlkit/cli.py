@@ -236,7 +236,12 @@ def cmd_index_search(args) -> int:
 
 
 def cmd_index_overlap(args) -> int:
-    thresholds = [int(t) for t in args.threshold.split(",") if t]
+    thresholds = []
+    for t in filter(None, args.threshold.split(",")):
+        try:
+            thresholds.append(int(t))
+        except ValueError:
+            raise ngram.NGramIndexError(f"--threshold entry {t!r} is not an integer") from None
     if not thresholds:
         raise ngram.NGramIndexError("--threshold needs at least one threshold")
     _at_least("--threshold", min(thresholds), 1, ngram.NGramIndexError)
@@ -358,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index_build)
 
-    p = sub.add_parser("index-search", help="substring search in the index")
+    p = sub.add_parser("index-search",
+                       help="find the indexed k-grams that contain a run of query words")
     p.add_argument("--idx", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--out")

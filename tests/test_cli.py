@@ -92,6 +92,7 @@ BAD_OPTIONS = {
         (["--threshold", "0"], "NGramIndexError"),
         (["--threshold", "1,0"], "NGramIndexError"),
         (["--threshold", ""], "NGramIndexError"),
+        (["--threshold", "1,a"], "NGramIndexError"),
     ]),
     "finetune": (["--ckpt", "--vocab", "--data"], [
         (["--task", "nosuch"], "TaskError"),
@@ -523,6 +524,15 @@ class TestIndexVerbs:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: NGramIndexError: --threshold")
+
+    def test_non_integer_threshold_named_before_reading(self, tmp_path, capsys):
+        rc = main([
+            "index-overlap", "--idx", str(tmp_path / "missing.jsonl"),
+            "--eval", str(tmp_path / "missing.txt"), "--threshold", "1,a,10",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: NGramIndexError: --threshold entry 'a' is not an integer\n")
 
     def test_index_rebuild_byte_identical(self, workspace, tmp_path):
         paths = []

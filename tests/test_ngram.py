@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctrlkit import corpus, ngram
 
@@ -42,15 +43,18 @@ def brute_force_overlap(eval_texts, train_texts, k, threshold):
     return pct, short_pct
 
 
-def scan_search(idx, query):
-    """Reference search: test every indexed k-gram for the query run."""
+def scan_search(texts, k, query):
+    """Reference search over the raw texts: every k-gram holding the query
+    words as a run, with its tf and the url of its lowest-id document, as
+    ``docs_from_texts`` sets them."""
+    counts, postings = brute_force_counts(texts, k)
     words = tuple(query.split())
     m = len(words)
-    hits = []
-    for ng, (tf, postings) in idx.entries.items():
-        if any(ng[i:i + m] == words for i in range(len(ng) - m + 1)):
-            meta = idx.doc_meta[postings[0]]
-            hits.append(ngram.SearchHit(ng, tf, meta.category, meta.provenance, meta.url))
+    hits = [
+        ngram.SearchHit(ng, tf, "alpha", "manual", f"http://x/{min(postings[ng])}")
+        for ng, tf in counts.items()
+        if any(ng[i:i + m] == words for i in range(k - m + 1))
+    ]
     return sorted(hits, key=lambda h: h.ngram)
 
 
@@ -220,7 +224,7 @@ class TestSearch:
             ngram.search(idx, " ")
 
     @pytest.mark.parametrize("n_texts", [3, 150])
-    def test_matches_scan_of_entries(self, n_texts):
+    def test_matches_scan_of_texts(self, n_texts):
         rng = np.random.default_rng(6)
         texts = random_texts(rng, n_texts, vocab=30)
         idx = ngram.build_index(docs_from_texts(texts), k=3)
@@ -232,7 +236,7 @@ class TestSearch:
             " ".join(reversed(words[:3])), "w0 w0 w0", "zz", "w1 zz",
         ]
         for query in queries:
-            assert ngram.search(idx, query) == scan_search(idx, query), query
+            assert ngram.search(idx, query) == scan_search(texts, 3, query), query
 
     def test_stable_across_rebuilds(self):
         rng = np.random.default_rng(4)
@@ -240,6 +244,100 @@ class TestSearch:
         a = ngram.build_index(docs_from_texts(texts), k=2)
         b = ngram.build_index(docs_from_texts(texts), k=2)
         assert ngram.search(a, "w1 w2") == ngram.search(b, "w1 w2")
+
+
+class TestPackedKeys:
+    """The sorted-array index against brute force over the raw texts."""
+
+    # Non-ASCII words, and words holding U+0085 or U+2028, which str.split()
+    # splits at, on both sides of the comparison.
+    ODD_WORDS = ["ö", "Åsa", "naïve", "x\x85y", " z", "ä "]
+
+    @staticmethod
+    def corpus(seed, k, vocab, n_docs, short):
+        """Seeded texts with repeats; ``short`` keeps every text below k words.
+
+        With 300 or more words, two extra texts end a k-gram in the words of
+        id 0 and id 256 (ids are ranks in str order, and every lexicon word
+        is indexed), whose packed keys end in NUL bytes."""
+        rng = np.random.default_rng(seed)
+        lexicon = [f"w{i:03d}" for i in range(vocab)] + TestPackedKeys.ODD_WORDS
+        top = k - 1 if short else 2 * k + 3
+        texts = [" ".join(" ".join(rng.choice(lexicon, size=top)).split()
+                          [:rng.integers(0, top + 1)]) or " "
+                 for _ in range(n_docs)]
+        if vocab >= 300 and not short:
+            ranked = sorted(set(" ".join(lexicon).split()))
+            texts.append(" ".join(ranked))
+            for last in (ranked[0], ranked[256]):
+                texts.append(" ".join([*rng.choice(lexicon, size=k - 1), last]))
+        return lexicon, texts
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3, 13]),
+           vocab=st.sampled_from([4, 30, 300]), n_docs=st.integers(0, 25),
+           short=st.booleans())
+    def test_matches_brute_force(self, seed, k, vocab, n_docs, short):
+        lexicon, texts = self.corpus(seed, k, vocab, n_docs, short)
+        idx = ngram.build_index(docs_from_texts(texts), k=k)
+        counts, _ = brute_force_counts(texts, k)
+        assert len(idx) == len(counts)
+        if short:
+            assert len(idx) == 0
+        for ng, tf in counts.items():
+            assert idx.tf(ng) == tf
+        rng = np.random.default_rng(seed + 1)
+        missing = ["zz", "ÿ", lexicon[0] + "!"]
+        eval_texts = [" ".join(rng.choice(lexicon + missing, size=rng.integers(1, 2 * k + 4)))
+                      for _ in range(6)] + texts[:3]
+        for text in eval_texts:
+            assert idx.tf(tuple(text.split()[:k])) == counts.get(tuple(text.split()[:k]), 0)
+        grams = [tuple(w[i:i + k]) for w in (t.split() for t in eval_texts)
+                 for i in range(len(w) - k + 1)]
+        for unique in (False, True):
+            counted = list(dict.fromkeys(grams)) if unique else grams
+            for threshold in (1, 2, 5):
+                res = ngram.overlap(eval_texts, idx, threshold=threshold, unique=unique)
+                hits = sum(counts.get(g, 0) >= threshold for g in counted)
+                assert res.n_grams == len(counted)
+                assert res.overlap_pct == (100.0 * hits / len(counted) if counted else 0.0)
+        queries = missing + [lexicon[0], f"{lexicon[0]} zz"]
+        for text in texts[:4] + eval_texts[:2]:
+            words = text.split()
+            for m in range(1, min(k, len(words)) + 1):
+                start = int(rng.integers(len(words) - m + 1))
+                queries.append(" ".join(words[start:start + m]))
+        for query in (q for q in queries if len(q.split()) <= k):
+            assert ngram.search(idx, query) == scan_search(texts, k, query), query
+
+    def test_keys_ending_in_nul_bytes(self):
+        # w000 has id 0 and w256 id 256: their big-endian keys end in NULs.
+        words = [f"w{i:03d}" for i in range(300)]
+        idx = ngram.build_index(docs_from_texts([" ".join(words)]), k=1)
+        assert (len(idx), idx.tf(("w000",)), idx.tf(("w256",))) == (300, 1, 1)
+        assert [h.ngram for h in ngram.search(idx, "w000")] == [("w000",)]
+        text = " ".join(words) + " w001 w000 w255 w256"
+        idx = ngram.build_index(docs_from_texts([text]), k=2)
+        assert len(idx) == 302
+        assert (idx.tf(("w001", "w000")), idx.tf(("w255", "w256"))) == (1, 2)
+        assert [h.ngram for h in ngram.search(idx, "w000")] == [
+            ("w000", "w001"), ("w000", "w255"), ("w001", "w000")]
+        res = ngram.overlap(["w001 w000 w001 w000", "w000 w000"], idx, threshold=1,
+                            unique=True)
+        assert (res.n_grams, res.overlap_pct) == (3, 100.0 * 2 / 3)
+
+    def test_no_verb_builds_entries(self, tmp_path):
+        texts = random_texts(np.random.default_rng(7), 20)
+        path = tmp_path / "idx.jsonl"
+        ngram.save_index(path, ngram.build_index(docs_from_texts(texts), k=2))
+        idx = ngram.load_index(path)
+        ngram.overlap(texts, idx, threshold=2, unique=True)
+        ngram.search(idx, texts[0].split()[0])
+        assert idx.tf(tuple(texts[0].split()[:2])) >= 1
+        assert len(idx) > 0
+        assert "entries" not in vars(idx)
+        assert len(idx.entries) == len(idx)
+        assert "entries" in vars(idx)
 
 
 class TestSerialization:
