@@ -272,6 +272,8 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval_task(args) -> int:
     spec = tasks.get_task(args.task)
+    if set(args.epoch) & set(',"\r\n'):  # the label is written into the CSV as is
+        raise tasks.TaskError(f"--epoch {args.epoch!r} holds a comma, a quote or a line break")
     _at_least("max_new_tokens", args.max_new_tokens, 0, sampler.SamplingError)
     ckpt, vocab = _load_model(args)
     datapoints = tasks.load_datapoints(args.data)

@@ -392,26 +392,21 @@ def _run_cell(ckpt, v, category, params, texts_per_cell, max_new_tokens,
     records: list[CellRecord] = []
     for gr in generate_batch(ckpt, [v.occ_id(category)], sps, v.ecc_ids):
         out = ecc_outcome(gr, category, v)
-        records.append(
-            CellRecord(
-                prompt="",
-                text=decode(v, gr.body),
-                stop_reason=gr.stop_reason,
-                outcome=out.kind,
-                reached=out.category,
-                token_ids=tuple(gr.generated_ids),
-            )
-        )
+        records.append(CellRecord(prompt="", text=decode(v, gr.body), stop_reason=gr.stop_reason,
+                                  outcome=out.kind, reached=out.category,
+                                  token_ids=tuple(gr.generated_ids)))
     return summarize_cell(v, category, params, records, idx)
 
 
 def check_grid(categories: list[str], grid: GridSpec, texts_per_cell: int,
                max_new_tokens: int) -> None:
     """Raise for a grid that cannot run, before any model is read: no
-    category, no text per cell, or a cell whose sampling parameters
-    ``SamplingParams`` rejects."""
+    category, a category listed twice, no text per cell, or a cell whose
+    sampling parameters ``SamplingParams`` rejects."""
     if not categories:
         raise EvaluationError("grid search needs at least one category")
+    if len(set(categories)) < len(categories):
+        raise EvaluationError(f"categories {','.join(categories)} name one more than once")
     if texts_per_cell < 1:
         raise EvaluationError(f"texts_per_cell must be at least 1, got {texts_per_cell}")
     for t, p, r in grid.cells():

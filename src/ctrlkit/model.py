@@ -220,35 +220,34 @@ def _merge_heads(x):
 class KVCache:
     """Per-layer (keys, values), each (rows, heads, context, head_dim), of
     the token rows ``ids``, shaped (rows, t): row b holds the keys and values
-    of ids[b] at positions 0..t-1."""
+    of ids[b] at positions 0..t-1.  Rows only leave, through ``keep``."""
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     ids: np.ndarray
 
-    def take(self, rows) -> "KVCache":
-        """A new cache of the chosen row indices, repeats allowed:
-        ``take([0] * n)`` forks a prefilled row to n rows, and ``take(live)``
-        drops the rows not listed."""
-        rows = np.asarray(rows, dtype=np.int64)
+    def keep(self, rows) -> None:
+        """Keep only the listed row indices, strictly increasing, in place:
+        each kept row moves down with a copy of its t held columns, and the
+        layers become views of their first len(rows) rows."""
+        rows, n = np.asarray(rows, dtype=np.int64), len(self.ids)
+        if rows.ndim != 1 or np.any(np.diff(rows, prepend=-1) < 1) or np.any(rows >= n):
+            raise ModelError(f"rows to keep must increase within 0..{n - 1}")
         t = self.ids.shape[1]
-
-        def pick(a):
-            out = np.empty((len(rows),) + a.shape[1:], a.dtype)
-            out[:, :, :t] = a[rows, :, :t]
-            return out
-
-        return KVCache([(pick(k), pick(v)) for k, v in self.layers], self.ids[rows])
+        for b in np.flatnonzero(rows != np.arange(len(rows))).tolist():  # the rows that move
+            for a in (a for pair in self.layers for a in pair):
+                a[b, :, :t] = a[rows[b], :, :t]
+        self.layers = [(k[:len(rows)], v[:len(rows)]) for k, v in self.layers]
+        self.ids = self.ids[rows]
 
 
-def kv_cache(ckpt: Checkpoint) -> KVCache:
-    """Empty K/V cache for decoding one sequence with ``ckpt``: one
-    (keys, values) pair per layer, each shaped (1, heads, context, head_dim)
-    in the checkpoint's dtype, holding no tokens yet.  ``KVCache.take``
-    makes caches of more rows from it."""
+def kv_cache(ckpt: Checkpoint, rows: int = 1) -> KVCache:
+    """Empty K/V cache of ``rows`` sequences for ``ckpt``, allocated once:
+    per layer a (keys, values) pair, each (rows, heads, context, head_dim)
+    in the checkpoint's dtype, holding no tokens yet."""
     cfg = ckpt.config
-    shape = (1, cfg.heads, cfg.context, cfg.head_dim)
+    shape = (rows, cfg.heads, cfg.context, cfg.head_dim)
     return KVCache([(np.empty(shape, ckpt.dtype), np.empty(shape, ckpt.dtype))
-                    for _ in range(cfg.layers)], np.empty((1, 0), np.int64))
+                    for _ in range(cfg.layers)], np.empty((rows, 0), np.int64))
 
 
 def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,

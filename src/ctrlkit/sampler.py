@@ -9,11 +9,12 @@ blocks it at the first step.
 
 There is one decoding loop, ``generate_batch``: it decodes several
 continuations of one prompt as rows that advance in lockstep, each with its
-own sampling parameters and rng stream.  It prefills the prompt once and
-forks the K/V cache to every row.  Each step then makes one model pass over
-the last ``context`` ids of every live row, which computes one new column
-per row until the window fills, and picks each row's token from its own
-logits; a row that reaches a stop id or its budget leaves the batch.
+own sampling parameters and rng stream, through one K/V cache allocated for
+all of them.  The first pass prefills the prompt in every row.  Each step
+then makes one model pass over the last ``context`` ids of every live row,
+which computes one new column per row until the window fills, and picks
+each row's token from its own logits; a row that reaches a stop id or its
+budget leaves the batch and the cache (``KVCache.keep``).
 Positions are absolute sinusoids, so once the window fills every row slides
 on the same step and the pass re-prefills the windows; that is exact, and no
 slower than a full forward.  A single continuation is a batch of one.
@@ -203,12 +204,10 @@ def generate_batch(
     rngs = [np.random.default_rng(sp.rng_seed) for sp in sps]
     buf = np.empty((len(live), p + max(sps[i].max_new_tokens for i in live)), np.int64)
     buf[:, :p] = prompt_ids
-    kv = M.kv_cache(ckpt)
-    logits = M.forward(ckpt, buf[:1, :p], kv)  # the shared prompt, once
-    kv = kv.take([0] * len(live))
-    logits = np.broadcast_to(logits, (len(live), logits.shape[1]))
+    kv = M.kv_cache(ckpt, len(live))
     t = p
-    while True:
+    while True:  # the first pass prefills the prompt in every row
+        logits = M.forward(ckpt, buf[:, max(0, t - n):t], kv)
         for row, i in enumerate(live):
             sp, context = sps[i], buf[row, :t]
             if sp.temperature == 0.0:
@@ -232,5 +231,5 @@ def generate_batch(
             return results
         if len(keep) < len(live):
             live = [live[row] for row in keep]
-            buf, kv = buf[keep], kv.take(keep)
-        logits = M.forward(ckpt, buf[:, max(0, t - n):t], kv)
+            buf = buf[keep]
+            kv.keep(keep)

@@ -77,6 +77,7 @@ BAD_OPTIONS = {
         (["--categories", "alpha", "--r-grid", ""], "EvaluationError"),
         (["--categories", "alpha", "--max-new-tokens", "-1"], "SamplingError"),
         (["--categories", "alpha", "--t-grid", "5"], "SamplingError"),
+        (["--categories", "alpha,alpha"], "EvaluationError"),
     ]),
     "perplexity": (["--ckpt", "--vocab", "--text-file"], [
         (["--window", "0"], "EvaluationError"),
@@ -102,6 +103,8 @@ BAD_OPTIONS = {
     "eval-task": (["--ckpt", "--vocab", "--data"], [
         (["--task", "nosuch"], "TaskError"),
         (["--task", "swewinograd", "--max-new-tokens", "-1"], "SamplingError"),
+        (["--task", "swewinograd", "--epoch", "E1,x"], "TaskError"),
+        (["--task", "swewinograd", "--epoch", "E1\nx"], "TaskError"),
     ]),
 }
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -192,7 +193,7 @@ class TestSequenceLogprob:
         with pytest.raises(M.ModelError, match="2 id rows for a K/V cache of 1 rows"):
             M.sequence_logprob(ckpt, np.stack([self.IDS, self.IDS]), start=6, kv=kv)
         assert kv.ids.size == 0
-        kv = kv.take([0, 0])
+        kv = M.kv_cache(ckpt, 2)
         M.forward(ckpt, np.stack([self.IDS, self.IDS[::-1]]), kv)
         for ids in (self.IDS, np.stack([self.IDS] * 3)):
             with pytest.raises(M.ModelError, match=f"{ids.ndim * 2 - 1} id rows for a K/V "
@@ -251,24 +252,27 @@ class TestLastBlockCut:
 
 @st.composite
 def cache_calls(draw):
-    """Calls through one cache of 1-3 rows: (score, id rows, start), each
-    call's rows of one length over a 3-symbol alphabet, so rows share
-    prefixes with their histories and with each other."""
+    """Calls through one cache of 1-3 rows: (score, id rows, start, kept
+    rows), each call's rows of one length over a 3-symbol alphabet, so rows
+    share prefixes with their histories and with each other.  After each
+    call the cache keeps the listed rows, and the next call has that many."""
     rows = draw(st.integers(1, 3))
     calls = []
     for _ in range(draw(st.integers(1, 8))):
         n = draw(st.integers(2, 16))
         ids = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
                             min_size=rows, max_size=rows))
-        calls.append((draw(st.booleans()), ids, draw(st.integers(1, 15))))
+        kept = draw(st.lists(st.integers(0, rows - 1), min_size=1, unique=True).map(sorted))
+        calls.append((draw(st.booleans()), ids, draw(st.integers(1, 15)), kept))
+        rows = len(kept)
     return calls
 
 
 class TestKVCacheReuse:
     """A cache records the id rows it holds, and a pass reuses the shortest
     prefix any row shares with its new sequence, keeping every read column
-    computed.  Whatever the cache held, the results equal the cache-free
-    pass."""
+    computed.  Whatever the cache held, and whichever rows left it, the
+    results equal the cache-free pass."""
 
     CKPT = perturbed_checkpoint(M.toy_config())
     SLIDE = [0, 1, 2, 2, 1, 0, 0, 2, 1, 1, 0, 2, 2, 0, 1, 2]
@@ -276,19 +280,20 @@ class TestKVCacheReuse:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(calls=cache_calls())
-    @example(calls=[(False, [SLIDE], 1), (False, [SLIDE[1:] + [0]], 1),
-                    (True, [SLIDE[1:] + [0]], 15), (False, [[1] * 16], 1),
-                    (False, [[1] * 16], 1)])
-    @example(calls=[(False, [[0, 1, 2, 2, 0, 1]], 1), (True, [[0, 1, 0, 0, 1]], 2),
-                    (False, [[0, 1]], 1), (True, [[0, 1, 0, 0, 1, 2, 2, 0]], 7),
-                    (True, [[0, 1, 0, 0, 1, 2, 2, 0]], 1)])
-    @example(calls=[(False, [[0, 1, 2, 2], [0, 1, 2, 0], [1, 1, 1, 1]], 1),
-                    (False, [[0, 1, 2, 2, 1], [0, 1, 2, 0, 0], [1, 1, 1, 1, 2]], 1),
-                    (True, [[0, 1, 2, 2, 1, 0], [0, 1, 2, 0, 0, 2], [1, 1, 0, 0, 0, 0]], 5)])
+    @example(calls=[(False, [SLIDE], 1, [0]), (False, [SLIDE[1:] + [0]], 1, [0]),
+                    (True, [SLIDE[1:] + [0]], 15, [0]), (False, [[1] * 16], 1, [0]),
+                    (False, [[1] * 16], 1, [0])])
+    @example(calls=[(False, [[0, 1, 2, 2, 0, 1]], 1, [0]), (True, [[0, 1, 0, 0, 1]], 2, [0]),
+                    (False, [[0, 1]], 1, [0]), (True, [[0, 1, 0, 0, 1, 2, 2, 0]], 7, [0]),
+                    (True, [[0, 1, 0, 0, 1, 2, 2, 0]], 1, [0])])
+    @example(calls=[(False, [[0, 1, 2, 2], [0, 1, 2, 0], [1, 1, 1, 1]], 1, [0, 1, 2]),
+                    (False, [[0, 1, 2, 2, 1], [0, 1, 2, 0, 0], [1, 1, 1, 1, 2]], 1, [1, 2]),
+                    (True, [[0, 1, 2, 0, 0, 2], [1, 1, 1, 1, 2, 0]], 5, [1]),
+                    (False, [[1, 1, 1, 1, 2, 0, 1]], 1, [0])])
     def test_any_call_sequence_matches_the_cache_free_pass(self, calls, computed_columns):
         ckpt = self.CKPT
-        kv = M.kv_cache(ckpt).take([0] * len(calls[0][1]))
-        for score, ids, start in calls:
+        kv = M.kv_cache(ckpt, len(calls[0][1]))
+        for score, ids, start, kept in calls:
             computed_columns.clear()
             held = kv.ids.tolist()
             ids = np.array(ids)
@@ -306,23 +311,62 @@ class TestKVCacheReuse:
             npt.assert_array_equal(kv.ids, seq)
             reused = min(min(common_prefix(h, s) for h, s in zip(held, seq)), cap)
             assert computed_columns[0] == seq.shape[1] - reused
+            kv.keep(kept)
+            npt.assert_array_equal(kv.ids, seq[kept])
 
-    def test_take_equals_prefilling_each_row_alone(self):
-        rows = np.array([[3, 1, 4, 1, 5], [2, 7, 1, 8, 2], [3, 1, 4, 9, 9]])
-        stacked = M.kv_cache(self.CKPT).take([0, 0, 0])
-        M.forward(self.CKPT, rows, stacked)
-        forked = M.kv_cache(self.CKPT)
-        M.forward(self.CKPT, rows[2], forked)
-        forked = forked.take([0, 0])
-        for kv, picks in ((stacked.take([2, 0, 2]), [2, 0, 2]), (forked, [2, 2])):
+    def test_keep_equals_prefilling_the_kept_rows_alone(self):
+        rows = np.array([[3, 1, 4, 1, 5], [2, 7, 1, 8, 2], [3, 1, 4, 9, 9], [1, 1, 2, 3, 5]])
+        for picks in ([0, 1, 2, 3], [1, 3], [2], [0, 3], []):
+            kv = M.kv_cache(self.CKPT, len(rows))
+            M.forward(self.CKPT, rows, kv)
+            kv.keep(picks)
             npt.assert_array_equal(kv.ids, rows[picks])
             for b, pick in enumerate(picks):
                 alone = M.kv_cache(self.CKPT)
                 M.forward(self.CKPT, rows[pick], alone)
                 for (k, v), (k1, v1) in zip(kv.layers, alone.layers):
-                    assert k.shape[0] == len(picks)
+                    assert k.shape[0] == v.shape[0] == len(picks)
                     npt.assert_array_equal(k[b, :, :5], k1[0, :, :5])
                     npt.assert_array_equal(v[b, :, :5], v1[0, :, :5])
+            if picks:  # the kept rows decode on from where they were
+                nxt = np.c_[rows[picks], np.arange(len(picks))]
+                for got, ids in zip(M.forward(self.CKPT, nxt, kv), nxt):
+                    npt.assert_allclose(got, M.forward(self.CKPT, ids)[-1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("picks", [[1, 0], [0, 0], [-1, 1], [0, 3], [[0, 1]], 1])
+    def test_keep_rejects_rows_out_of_order_or_range(self, picks):
+        rows = np.array([[3, 1, 4], [2, 7, 1], [3, 1, 2]])
+        kv = M.kv_cache(self.CKPT, len(rows))
+        M.forward(self.CKPT, rows, kv)
+        before = [(k.copy(), v.copy()) for k, v in kv.layers]
+        with pytest.raises(M.ModelError, match="rows to keep must increase within 0..2"):
+            kv.keep(picks)
+        npt.assert_array_equal(kv.ids, rows)
+        for (k, v), (k0, v0) in zip(kv.layers, before):
+            assert k.shape == k0.shape and v.shape == v0.shape
+            npt.assert_array_equal(k[:, :, :3], k0[:, :, :3])
+            npt.assert_array_equal(v[:, :, :3], v0[:, :, :3])
+
+    def test_drop_allocates_nothing_of_context_size(self):
+        cfg = M.ModelConfig(layers=2, heads=2, model_dim=32, inner_dim=16, context=64,
+                            vocab_size=50)
+        ckpt = M.init_model(cfg, seed=0)
+        kv = M.kv_cache(ckpt, 48)
+        buffers = [a for pair in kv.layers for a in pair]
+        M.forward(ckpt, np.random.default_rng(0).integers(0, 50, size=(48, 20)), kv)
+        kept = list(range(1, 48, 2))
+        want = [a[kept, :, :20].copy() for a in buffers]
+        tracemalloc.start()
+        try:
+            kv.keep(kept)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Less than one row of one layer's keys over the whole context.
+        assert peak < buffers[0][0].nbytes
+        for a, buffer, rows in zip((a for pair in kv.layers for a in pair), buffers, want):
+            assert a.shape[0] == len(kept) and np.shares_memory(a, buffer)
+            npt.assert_array_equal(a[:, :, :20], rows)
 
     def test_rejected_id_leaves_the_shared_prefix(self):
         kv = M.kv_cache(self.CKPT)
@@ -334,7 +378,7 @@ class TestKVCacheReuse:
                             M.forward(self.CKPT, [3, 1, 4, 2])[-1], rtol=0, atol=1e-12)
 
     def test_rejected_row_leaves_every_row_at_the_reused_prefix(self):
-        kv = M.kv_cache(self.CKPT).take([0, 0])
+        kv = M.kv_cache(self.CKPT, 2)
         M.forward(self.CKPT, [[3, 1, 4, 1, 5], [3, 1, 2, 2, 2]], kv)
         with pytest.raises(M.ModelError, match="vocabulary range"):
             M.forward(self.CKPT, [[3, 1, 4, 50, 9], [3, 1, 2, 2, 2]], kv)
@@ -351,7 +395,7 @@ class TestKVCacheReuse:
             raise FloatingPointError("late failure")
 
         for rows in (1, 2):
-            kv = M.kv_cache(self.CKPT).take([0] * rows)
+            kv = M.kv_cache(self.CKPT, rows)
             M.forward(self.CKPT, [[3, 1, 4, 1, 5]] * rows, kv)
             monkeypatch.setattr(M, "erf", failing_erf)
             with pytest.raises(FloatingPointError):

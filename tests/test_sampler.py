@@ -4,7 +4,7 @@ import pytest
 
 from ctrlkit import model as M, sampler as S
 from ctrlkit.tokenizer import encode
-from tests.conftest import common_prefix, float64_copy
+from tests.conftest import common_prefix, float64_copy, perturbed_checkpoint
 
 
 def softmax(x):
@@ -364,6 +364,17 @@ class TestGenerateBatch:
             assert lengths == [0, 5, 0] and got[0].stop_reason == S.STOP_MAX
             assert S.generate_batch(ckpt, [], sps[::2], stop_ids) == [got[0]] * 2
 
+    def test_rows_that_move_down_keep_their_own_keys_and_values(self, two_genre):
+        # The first rows stop first, so every drop moves the later rows down
+        # the cache; on random weights each row's logits follow its history.
+        ckpt = perturbed_checkpoint(two_genre.config)
+        prompt = [two_genre.vocab.occ_id("alpha")]
+        sps = [S.SamplingParams(temperature=0.8, max_new_tokens=n, rng_seed=n)
+               for n in (2, 5, 9, 14, 20)]
+        got = S.generate_batch(ckpt, prompt, sps, frozenset())
+        for gr, sp in zip(got, sps):
+            assert list(gr.generated_ids) == full_window_decode(ckpt, prompt, sp, frozenset())
+
     @pytest.mark.parametrize("name", CASES)
     def test_one_pass_per_step_over_the_live_rows(self, two_genre, computed_columns,
                                                   monkeypatch, name):
@@ -379,8 +390,8 @@ class TestGenerateBatch:
         monkeypatch.setattr(M, "forward", recording)
         lengths = [len(gr.generated_ids) for gr in S.generate_batch(ckpt, prompt, sps, stop_ids)]
         steps = max(lengths)
-        # The prompt once, then each step a row still decoding.
-        assert rows == [1] + [sum(n > step for n in lengths) for step in range(1, steps)]
+        # The prompt in every live row, then each step a row still decoding.
+        assert rows == [sum(n > step for n in lengths) for step in range(steps)]
         n = ckpt.config.context
         filling = min(steps, n - len(prompt) + 1)
         assert computed_columns[:filling] == [len(prompt)] + [1] * (filling - 1)
