@@ -2,9 +2,9 @@
 
 Covers sliding-window perplexity, sampling-loop detection, the ECC outcome
 of a generation, self-BLEU-4, and a grid search that pairs the nucleus
-threshold and the temperature with the repetition penalty.  Grid cells
-are independent and deterministically seeded; the report is ordered
-lexicographically by cell key.
+threshold and the temperature with the repetition penalty.  A category's
+cells decode as one batch, each sample seeded from its cell key, so no cell
+depends on its batch; the report is ordered lexicographically by cell key.
 """
 
 from __future__ import annotations
@@ -374,35 +374,11 @@ def summarize_cell(
     )
 
 
-def _run_cell(ckpt, v, category, params, texts_per_cell, max_new_tokens,
-              base_seed, idx):
-    """Decode the cell's ``texts_per_cell`` samples from the bare OCC as one
-    batch, sample s with the rng seed ``cell_seed(..., s)``."""
-    t, p, r = params
-    sps = [
-        SamplingParams(
-            temperature=t,
-            nucleus_p=p,
-            repetition_penalty=r,
-            max_new_tokens=max_new_tokens,
-            rng_seed=cell_seed(base_seed, category, t, p, r, sample),
-        )
-        for sample in range(texts_per_cell)
-    ]
-    records: list[CellRecord] = []
-    for gr in generate_batch(ckpt, [v.occ_id(category)], sps, v.ecc_ids):
-        out = ecc_outcome(gr, category, v)
-        records.append(CellRecord(prompt="", text=decode(v, gr.body), stop_reason=gr.stop_reason,
-                                  outcome=out.kind, reached=out.category,
-                                  token_ids=tuple(gr.generated_ids)))
-    return summarize_cell(v, category, params, records, idx)
-
-
 def check_grid(categories: list[str], grid: GridSpec, texts_per_cell: int,
                max_new_tokens: int) -> None:
     """Raise for a grid that cannot run, before any model is read: no
-    category, a category listed twice, no text per cell, or a cell whose
-    sampling parameters ``SamplingParams`` rejects."""
+    category or one listed twice, no text per cell, a cell whose sampling
+    parameters ``SamplingParams`` rejects, or two cells with one label."""
     if not categories:
         raise EvaluationError("grid search needs at least one category")
     if len(set(categories)) < len(categories):
@@ -412,6 +388,9 @@ def check_grid(categories: list[str], grid: GridSpec, texts_per_cell: int,
     for t, p, r in grid.cells():
         SamplingParams(temperature=t, nucleus_p=p, repetition_penalty=r,
                        max_new_tokens=max_new_tokens)
+    labels = [f"T{t:.2f}_p{p:.2f}_r{r:.2f}" for t, p, r in grid.cells()]  # dump and row
+    if len(set(labels)) < len(labels):
+        raise EvaluationError(f"two grid cells share the label {max(labels, key=labels.count)}")
 
 
 def grid_search(
@@ -436,10 +415,18 @@ def grid_search(
             raise EvaluationError(f"category {cat!r} has no control codes")
     if idx is not None and idx.k != DEFAULT_K:
         raise EvaluationError(f"grid overlap needs a {DEFAULT_K}-gram index, not {idx.k}-grams")
-    cells = [
-        _run_cell(ckpt, v, category, params, texts_per_cell, max_new_tokens,
-                  base_seed, idx)
-        for category in sorted(categories)
-        for params in grid.cells()
-    ]
+    cells = []
+    for category in sorted(categories):
+        sps = [SamplingParams(temperature=t, nucleus_p=p, repetition_penalty=r,
+                              max_new_tokens=max_new_tokens,
+                              rng_seed=cell_seed(base_seed, category, t, p, r, sample))
+               for t, p, r in grid.cells() for sample in range(texts_per_cell)]
+        records = []
+        for gr in generate_batch(ckpt, [v.occ_id(category)], sps, v.ecc_ids):
+            out = ecc_outcome(gr, category, v)
+            records.append(CellRecord("", decode(v, gr.body), gr.stop_reason, out.kind,
+                                      out.category, gr.generated_ids))
+        cells += [summarize_cell(v, category, params,
+                                 records[c * texts_per_cell:(c + 1) * texts_per_cell], idx)
+                  for c, params in enumerate(grid.cells())]
     return GridReport(cells=tuple(cells))

@@ -218,7 +218,7 @@ def _merge_heads(x):
 
 @dataclass
 class KVCache:
-    """Per-layer (keys, values), each (rows, heads, context, head_dim), of
+    """Per-layer (keys, values), each (rows, heads, columns, head_dim), of
     the token rows ``ids``, shaped (rows, t): row b holds the keys and values
     of ids[b] at positions 0..t-1.  Rows only leave, through ``keep``."""
 
@@ -240,12 +240,13 @@ class KVCache:
         self.ids = self.ids[rows]
 
 
-def kv_cache(ckpt: Checkpoint, rows: int = 1) -> KVCache:
+def kv_cache(ckpt: Checkpoint, rows: int = 1, columns: int | None = None) -> KVCache:
     """Empty K/V cache of ``rows`` sequences for ``ckpt``, allocated once:
-    per layer a (keys, values) pair, each (rows, heads, context, head_dim)
-    in the checkpoint's dtype, holding no tokens yet."""
+    per layer a (keys, values) pair, each (rows, heads, columns, head_dim)
+    in the checkpoint's dtype, holding no tokens yet.  ``columns``, the
+    longest sequence a pass may give it, defaults to the context."""
     cfg = ckpt.config
-    shape = (rows, cfg.heads, cfg.context, cfg.head_dim)
+    shape = (rows, cfg.heads, columns or cfg.context, cfg.head_dim)
     return KVCache([(np.empty(shape, ckpt.dtype), np.empty(shape, ckpt.dtype))
                     for _ in range(cfg.layers)], np.empty((rows, 0), np.int64))
 
@@ -285,6 +286,8 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
     if kv is not None:
         if ids.shape[0] != len(kv.ids):
             raise ModelError(f"{ids.shape[0]} id rows for a K/V cache of {len(kv.ids)} rows")
+        if t > kv.layers[0][0].shape[2]:
+            raise ModelError(f"{t} ids for a K/V cache of {kv.layers[0][0].shape[2]} columns")
         held = kv.ids[:, :t - rows]
         differ = np.flatnonzero((held != ids[:, :held.shape[1]]).any(axis=0))
         start = int(differ[0]) if differ.size else held.shape[1]

@@ -7,17 +7,17 @@ truncation, in that order.  Free generation stops at any registered ending
 control code; greedy task decoding stops only at the task's own ECC and
 blocks it at the first step.
 
-There is one decoding loop, ``generate_batch``: it decodes several
-continuations of one prompt as rows that advance in lockstep, each with its
-own sampling parameters and rng stream, through one K/V cache allocated for
-all of them.  The first pass prefills the prompt in every row.  Each step
-then makes one model pass over the last ``context`` ids of every live row,
-which computes one new column per row until the window fills, and picks
-each row's token from its own logits; a row that reaches a stop id or its
-budget leaves the batch and the cache (``KVCache.keep``).
-Positions are absolute sinusoids, so once the window fills every row slides
-on the same step and the pass re-prefills the windows; that is exact, and no
-slower than a full forward.  A single continuation is a batch of one.
+There is one decoding loop, ``generate_batch``: it decodes continuations
+of one prompt as rows in lockstep, each with its own sampling parameters and
+rng stream, through one K/V cache allocated for all of them.  The first pass
+prefills the prompt in every row; each later step is one model pass over the
+last ``context`` ids of every live row, one penalty and one argmax over all
+their logits, and one ``nucleus_distribution`` over the sampled rows, each
+of which then draws from its own rng.  A row that reaches a stop id or its
+budget leaves the batch and the cache (``KVCache.keep``).  Positions are
+absolute sinusoids, so once the window fills every row slides on the same
+step and the pass re-prefills the windows; that is exact, and no slower
+than a full forward.  A single continuation is a batch of one.
 """
 
 from __future__ import annotations
@@ -105,33 +105,55 @@ class GenerationResult:
         return self.generated_ids
 
 
-def apply_repetition_penalty(
-    logits: np.ndarray, context_ids, r: float
-) -> np.ndarray:
+def apply_repetition_penalty(logits: np.ndarray, context_ids, r) -> np.ndarray:
     """Divide positive logits of context tokens by r, multiply negative ones.
 
-    ``context_ids`` is an int array, such as a slice of the decoder's id
-    buffer, or any collection of ids; repeats count once.  Multiplying (not
-    dividing) negatives keeps the penalty a penalty for tokens the model
-    already disfavors.  Both decoding paths start here, so this is where
-    non-finite logits are rejected.
+    ``logits`` is a vector or (rows, vocab) with one r or one per row, and
+    ``context_ids`` an int array of its rank, such as the decoder's (rows, t)
+    id buffer, or for a vector any collection of ids; repeats count once.
+    Multiplying (not dividing) negatives keeps the penalty a penalty for
+    tokens the model already disfavors; at r = 1 both are exact.  Decoding
+    starts here, so this is where non-finite logits are rejected.
     """
     if not np.all(np.isfinite(logits)):
         raise SamplingError("logits must be finite")
-    out = logits.astype(np.float64, copy=True)
-    if r == 1.0 or len(context_ids) == 0:
-        return out
-    idx = (context_ids if isinstance(context_ids, np.ndarray)
-           else np.fromiter(context_ids, dtype=np.int64))
-    vals = out[idx]
-    out[idx] = np.where(vals > 0, vals / r, vals * r)
-    return out
+    out = np.atleast_2d(logits).astype(np.float64)
+    idx = np.atleast_2d(context_ids if isinstance(context_ids, np.ndarray)
+                        else np.fromiter(context_ids, dtype=np.int64))
+    at = np.arange(len(out))[:, None], idx
+    vals, r = out[at], np.asarray(r, dtype=np.float64)[..., None]
+    out[at] = np.where(vals > 0, vals / r, vals * r)
+    return out.reshape(logits.shape)
+
+
+def nucleus_distribution(
+    scores: np.ndarray, temperature: np.ndarray, nucleus_p: np.ndarray
+) -> np.ndarray:
+    """Probabilities of penalized (rows, vocab) ``scores`` after each row's
+    temperature -> softmax -> nucleus, in one new array.
+
+    A nucleus row keeps the smallest prefix of its stably sorted
+    probabilities whose sum reaches p, top token always included, and is
+    renormalized; a row at p = 1 is the plain softmax.
+    """
+    probs = M.softmax(scores / temperature[:, None])
+    cut = nucleus_p < 1.0
+    head = probs[cut]
+    at = np.arange(len(head))[:, None], np.argsort(-head, axis=-1, kind="stable")
+    ranked = head[at]
+    cum = np.cumsum(ranked, axis=-1)  # nondecreasing: rank k stays iff k = 0 or cum[k-1] < p
+    ranked[:, 1:][cum[:, :-1] >= nucleus_p[cut, None]] = 0.0
+    head[at] = ranked
+    head /= head.sum(-1, keepdims=True)
+    probs[cut] = head
+    return probs
 
 
 def adjust_distribution(
     logits: np.ndarray, context_ids, sp: SamplingParams
 ) -> np.ndarray:
-    """Probability vector after penalty -> temperature -> softmax -> nucleus.
+    """Probability vector after penalty -> temperature -> softmax -> nucleus:
+    one row of ``nucleus_distribution``.
 
     The output sums to 1 and is supported only on the nucleus set; the top
     token is always kept.  temperature=0 is served by the greedy path, not
@@ -140,18 +162,8 @@ def adjust_distribution(
     if sp.temperature == 0.0:
         raise SamplingError("temperature 0 is greedy decoding; use the greedy path")
     scores = apply_repetition_penalty(logits, context_ids, sp.repetition_penalty)
-    scores /= sp.temperature
-    probs = M.softmax(scores)
-    if sp.nucleus_p >= 1.0:
-        return probs
-    order = np.argsort(-probs, kind="stable")
-    cum = np.cumsum(probs[order])
-    cutoff = int(np.searchsorted(cum, sp.nucleus_p)) + 1  # smallest prefix >= p
-    keep = order[:cutoff]
-    nucleus = np.zeros_like(probs)
-    nucleus[keep] = probs[keep]
-    nucleus /= nucleus.sum()
-    return nucleus
+    return nucleus_distribution(
+        scores[None], np.array([sp.temperature]), np.array([sp.nucleus_p]))[0]
 
 
 def generate(
@@ -198,38 +210,36 @@ def generate_batch(
     if p > n:
         raise SamplingError(f"prompt of {p} tokens exceeds the context window {n}")
     results = [GenerationResult((), STOP_MAX)] * len(sps)
-    live = [i for i, sp in enumerate(sps) if sp.max_new_tokens > 0]  # sps index of each row
-    if not live:
-        return results
+    live = np.flatnonzero([sp.max_new_tokens > 0 for sp in sps])  # sps index of each row
+    temperature, nucleus_p, penalty, budget = (  # one entry per row
+        np.array([getattr(sps[i], name) for i in live])
+        for name in ("temperature", "nucleus_p", "repetition_penalty", "max_new_tokens"))
     rngs = [np.random.default_rng(sp.rng_seed) for sp in sps]
-    buf = np.empty((len(live), p + max(sps[i].max_new_tokens for i in live)), np.int64)
+    blocked = tuple(zip(*[(row, sps[i].block_first_ecc) for row, i in enumerate(live)
+                          if sps[i].block_first_ecc is not None]))  # (rows, ids)
+    buf = np.empty((len(live), p + int(budget.max(initial=0))), np.int64)
     buf[:, :p] = prompt_ids
-    kv = M.kv_cache(ckpt, len(live))
+    kv = M.kv_cache(ckpt, len(live), min(n, buf.shape[1]))
     t = p
-    while True:  # the first pass prefills the prompt in every row
+    while live.size:  # the first pass prefills the prompt in every row
         logits = M.forward(ckpt, buf[:, max(0, t - n):t], kv)
-        for row, i in enumerate(live):
-            sp, context = sps[i], buf[row, :t]
-            if sp.temperature == 0.0:
-                scores = apply_repetition_penalty(logits[row], context, sp.repetition_penalty)
-                if t == p and sp.block_first_ecc is not None:
-                    scores[sp.block_first_ecc] = -np.inf
-                buf[row, t] = np.argmax(scores)
-            else:
-                probs = adjust_distribution(logits[row], context, sp)
-                buf[row, t] = rngs[i].choice(len(probs), p=probs)
+        scores = apply_repetition_penalty(logits, buf[:, :t], penalty)
+        if t == p and blocked:
+            scores[blocked] = -np.inf
+        buf[:, t] = scores.argmax(-1)
+        draw = np.flatnonzero(temperature > 0.0)
+        probs = nucleus_distribution(scores[draw], temperature[draw], nucleus_p[draw])
+        for row, row_probs in zip(draw.tolist(), probs):
+            buf[row, t] = rngs[live[row]].choice(len(row_probs), p=row_probs)
         t += 1
-        keep = []
-        for row, i in enumerate(live):
-            if int(buf[row, t - 1]) in stop_ids:
-                results[i] = GenerationResult(tuple(buf[row, p:t].tolist()), STOP_ECC)
-            elif t - p == sps[i].max_new_tokens:
-                results[i] = GenerationResult(tuple(buf[row, p:t].tolist()), STOP_MAX)
-            else:
-                keep.append(row)
-        if not keep:
-            return results
-        if len(keep) < len(live):
-            live = [live[row] for row in keep]
-            buf = buf[keep]
+        ecc = np.array([i in stop_ids for i in buf[:, t - 1].tolist()])
+        done = ecc | (t - p == budget)
+        for row in np.flatnonzero(done).tolist():
+            results[live[row]] = GenerationResult(tuple(buf[row, p:t].tolist()),
+                                                  STOP_ECC if ecc[row] else STOP_MAX)
+        if done.any():
+            keep = np.flatnonzero(~done)
+            live, buf, temperature, nucleus_p, penalty, budget = (
+                a[keep] for a in (live, buf, temperature, nucleus_p, penalty, budget))
             kv.keep(keep)
+    return results

@@ -16,8 +16,10 @@ The cases: ``index-build`` at k 1, 3 and 13 over a corpus with a non-ASCII
 document and one shorter than k, and over an empty corpus; ``index-search``
 with missing words; ``index-overlap`` with and without ``--unique``;
 greedy, sampled and preset ``generate`` past the context window; ``grid
---idx`` at 2 texts per cell over the default grid and at 10 texts per cell
-with windows that slide, rows stopping at different steps; ``perplexity``;
+--idx`` at 2 texts per cell over the default grid, at 10 texts per cell
+with windows that slide, rows stopping at different steps, and at 4 (3 with
+``--small``) texts per cell over a grid that mixes greedy (T 0) cells with
+sampled ones in one batch; ``perplexity``;
 ``finetune`` + ``eval-task`` for a generation task (swewinograd) and an
 answer-selection task (swefaq).  ``--small`` shrinks the corpus, the model
 and the grids, for the test suite.
@@ -52,11 +54,14 @@ SCALES = {
                  model=["--layers", "2", "--dim", "32", "--inner", "64", "--context", "48"],
                  grids=[(2, [], 24),
                         (10, ["--p-grid", "0.9,1.0", "--t-grid", "0.5", "--r-grid", "1.0,1.6"],
-                         50)]),
+                         50),
+                        (4, ["--p-grid", "0.8", "--t-grid", "0.0,0.7", "--r-grid", "1.0,1.4"],
+                         40)]),
     "small": dict(docs=30, epochs=1, new_tokens=30,
                   model=["--layers", "1", "--dim", "16", "--inner", "32", "--context", "24"],
                   grids=[(2, ["--p-grid", "1.0", "--t-grid", "0.5", "--r-grid", "1.0,1.6"], 12),
-                         (10, ["--p-grid", "0.9", "--t-grid", "", "--r-grid", "1.3"], 26)]),
+                         (10, ["--p-grid", "0.9", "--t-grid", "", "--r-grid", "1.3"], 26),
+                         (3, ["--p-grid", "0.8", "--t-grid", "0.0", "--r-grid", "1.0,1.4"], 16)]),
 }
 
 WORDS = {"alpha": [f"a{i}" for i in range(12)], "beta": [f"b{i}" for i in range(12)]}

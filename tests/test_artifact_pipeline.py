@@ -20,6 +20,9 @@ def test_two_small_runs_write_equal_manifests_over_every_verb(tmp_path):
         assert len({len(r["token_ids"]) for r in records}) > 1
         assert {r["stop_reason"] for r in records} == {"ecc_reached", "max_length"}
         assert 1 + max(len(r["token_ids"]) for r in records) > 24
+    # The mixed grid decodes greedy and sampled cells in one batch.
+    report = (tmp_path / "a" / "grid-3" / "report.csv").read_text().splitlines()[1:]
+    assert {line.split(",")[1] for line in report} == {"0.00", "1.00"}
 
 
 def test_compare_names_each_artifact_that_differs(tmp_path):

@@ -78,6 +78,7 @@ BAD_OPTIONS = {
         (["--categories", "alpha", "--max-new-tokens", "-1"], "SamplingError"),
         (["--categories", "alpha", "--t-grid", "5"], "SamplingError"),
         (["--categories", "alpha,alpha"], "EvaluationError"),
+        (["--categories", "alpha", "--p-grid", "0.901,0.902"], "EvaluationError"),
     ]),
     "perplexity": (["--ckpt", "--vocab", "--text-file"], [
         (["--window", "0"], "EvaluationError"),

@@ -281,7 +281,7 @@ class TestEccOutcome:
 
     def test_confusion_keys(self, two_genre):
         # One correct, one wrong and one none text under the alpha OCC, each
-        # recorded from ecc_outcome the way the grid's _run_cell records it.
+        # recorded from ecc_outcome the way grid_search records it.
         v = two_genre.vocab
         records = []
         for gr in (GenerationResult((v.ecc_id("alpha"),), STOP_ECC),
@@ -454,12 +454,39 @@ class TestGridSearch:
         assert calls == []
 
     def test_sample_does_not_depend_on_texts_per_cell(self, two_genre):
-        # One batch per cell, yet sample s keeps its own cell_seed stream,
-        # also when the rows before it stop early.
-        cell = [E._run_cell(two_genre.trained, two_genre.vocab, "alpha", (1.0, 0.9, 1.2),
-                            n, 24, 7, None) for n in (3, 5)]
+        # Sample s keeps its own cell_seed stream, also when the rows before
+        # it stop early.
+        grid = E.GridSpec(p_values=(0.9,), t_values=(), r_values=(1.2,))
+        cell = [E.grid_search(two_genre.trained, two_genre.vocab, ["alpha"], grid,
+                              texts_per_cell=n, max_new_tokens=24, base_seed=7).cells[0]
+                for n in (3, 5)]
         assert cell[1].records[:3] == cell[0].records
         assert len({rec.n_tokens for rec in cell[1].records}) > 1
+
+    def test_cell_does_not_depend_on_the_cells_in_its_batch(self, two_genre):
+        # A category's cells share one batch, whose rows stop at different
+        # steps; each cell equals the same cell run alone.
+        grid = E.GridSpec(p_values=(0.7, 0.9), t_values=(0.0, 0.5), r_values=(1.0, 1.4))
+        rep = E.grid_search(two_genre.trained, two_genre.vocab, ["beta", "alpha"], grid,
+                            texts_per_cell=4, max_new_tokens=20, base_seed=3)
+        for cell in rep.cells:
+            alone = E.GridSpec(p_values=(cell.nucleus_p,) if cell.temperature == 1.0 else (),
+                               t_values=(cell.temperature,) if cell.nucleus_p == 1.0 else (),
+                               r_values=(cell.repetition_penalty,))
+            assert E.grid_search(two_genre.trained, two_genre.vocab, [cell.category], alone,
+                                 texts_per_cell=4, max_new_tokens=20, base_seed=3).cells == (cell,)
+        lengths = {rec.n_tokens for cell in rep.cells for rec in cell.records}
+        assert len(lengths) > 3 and 20 in lengths
+        assert {c.temperature for c in rep.cells} == {0.0, 0.5, 1.0}
+
+    def test_grid_values_with_one_label_rejected(self):
+        # Dump names and report rows print T, p and r at two decimals.
+        grid = E.GridSpec(p_values=(0.901, 0.902), t_values=(), r_values=(1.0,))
+        with pytest.raises(E.EvaluationError, match="share the label T1.00_p0.90_r1.00"):
+            E.check_grid(["alpha"], grid, 1, 8)
+        with pytest.raises(E.EvaluationError, match="share the label"):
+            E.check_grid(["alpha"], E.GridSpec(p_values=(), t_values=(0.999, 1.0)), 1, 8)
+        E.check_grid(["alpha"], E.GridSpec(p_values=(0.9, 0.91), t_values=()), 1, 8)
 
     def test_trained_model_reaches_correct_ecc_in_greedy_cells(self, report):
         rep, _, _ = report

@@ -201,6 +201,17 @@ class TestSequenceLogprob:
                 M.forward(ckpt, ids, kv)
             npt.assert_array_equal(kv.ids, [self.IDS, self.IDS[::-1]])
 
+    def test_cache_of_fewer_columns_than_the_context(self):
+        ckpt = perturbed_checkpoint(M.toy_config())
+        kv = M.kv_cache(ckpt, 1, 6)
+        assert kv.layers[0][0].shape[2] == 6 < ckpt.config.context
+        M.forward(ckpt, self.IDS[:4], kv)
+        got = M.sequence_logprob(ckpt, self.IDS[:6], start=3, kv=kv)
+        assert abs(got - M.sequence_logprob(ckpt, self.IDS[:6], start=3)) <= 1e-12
+        with pytest.raises(M.ModelError, match="7 ids for a K/V cache of 6 columns"):
+            M.forward(ckpt, self.IDS[:7], kv)
+        npt.assert_array_equal(kv.ids, [self.IDS[:5]])
+
 
 class TestLastBlockCut:
     """An int ``rows`` runs the last block on the read columns only; its

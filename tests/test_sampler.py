@@ -12,6 +12,67 @@ def softmax(x):
     return e / e.sum()
 
 
+def penalty_oracle(logits, context_ids, r):
+    """The repetition penalty of one row, id by id."""
+    out = np.array(logits, dtype=np.float64)
+    for i in set(int(i) for i in context_ids):
+        out[i] = out[i] / r if out[i] > 0 else out[i] * r
+    return out
+
+
+def adjust_distribution_oracle(logits, context_ids, sp):
+    """One row's penalty -> temperature -> softmax -> nucleus, as the
+    per-row sampler computed it."""
+    scores = penalty_oracle(logits, context_ids, sp.repetition_penalty)
+    scores /= sp.temperature
+    probs = M.softmax(scores)
+    if sp.nucleus_p >= 1.0:
+        return probs
+    order = np.argsort(-probs, kind="stable")
+    cum = np.cumsum(probs[order])
+    cutoff = int(np.searchsorted(cum, sp.nucleus_p)) + 1  # smallest prefix >= p
+    keep = order[:cutoff]
+    nucleus = np.zeros_like(probs)
+    nucleus[keep] = probs[keep]
+    nucleus /= nucleus.sum()
+    return nucleus
+
+
+class TestBatchedTransform:
+    """Every row of the batched penalty and nucleus is bitwise equal to the
+    per-row oracle."""
+
+    def test_rows_equal_the_per_row_oracle(self):
+        rng = np.random.default_rng(8)
+        rows, vocab, t = 60, 32, 12
+        logits = rng.normal(size=(rows, vocab)) * 3
+        logits[::3, :10] = 1.25  # ties, some of them at the top
+        logits[1::4] = np.round(logits[1::4])
+        logits[:6] = 0.5  # probabilities of exactly 1/32, so a prefix sums to p exactly
+        logits = logits.astype(np.float32)
+        ids = rng.integers(0, vocab, size=(rows, t))
+        sps = [S.SamplingParams(temperature=float(rng.choice([0.2, 0.7, 1.0])),
+                                nucleus_p=[0.25, 0.5][i % 2] if i < 6 else
+                                float(rng.choice([0.3, 0.8, 0.95, 1.0])),
+                                repetition_penalty=1.0 if i < 6 else
+                                float(rng.choice([1.0, 1.3, 2.0])))
+               for i in range(rows)]
+        temperature, nucleus_p, r = (np.array([getattr(sp, name) for sp in sps]) for name in
+                                     ("temperature", "nucleus_p", "repetition_penalty"))
+        for width in (t, 0):  # an empty context leaves every logit as it is
+            scores = S.apply_repetition_penalty(logits, ids[:, :width], r)
+            probs = S.nucleus_distribution(scores, temperature, nucleus_p)
+            for i, sp in enumerate(sps):
+                want = penalty_oracle(logits[i], ids[i, :width], sp.repetition_penalty)
+                assert np.array_equal(scores[i], want)
+                want = adjust_distribution_oracle(logits[i], ids[i, :width], sp)
+                assert np.array_equal(probs[i], want), (width, sp)
+                assert np.array_equal(S.adjust_distribution(logits[i], ids[i, :width], sp), want)
+        assert [np.count_nonzero(row) for row in probs[:6]] == [8, 16] * 3
+        assert {sp.nucleus_p for sp in sps} > {0.3, 0.8, 0.95, 1.0}
+        assert {sp.repetition_penalty for sp in sps} == {1.0, 1.3, 2.0}
+
+
 class TestAdjustDistribution:
     def test_identity_transforms_give_plain_softmax(self):
         logits = np.array([2.0, 1.0, 0.0])
@@ -242,17 +303,20 @@ def decode_task_answer(ckpt, prompt_ids, task_ecc, max_new_tokens):
 
 
 def full_window_decode(ckpt, prompt_ids, sp, stop_ids):
-    """Reference decoder: a full-window ``M.forward`` for every token."""
+    """Reference decoder: a full-window ``M.forward`` for every token and
+    the per-row oracles."""
     n = ckpt.config.context
     rng = np.random.default_rng(sp.rng_seed)
     context, generated = list(prompt_ids), []
-    for _ in range(sp.max_new_tokens):
+    for step in range(sp.max_new_tokens):
         logits = M.forward(ckpt, context[-n:])[-1]
         if sp.temperature == 0.0:
-            scores = S.apply_repetition_penalty(logits, context, sp.repetition_penalty)
+            scores = penalty_oracle(logits, context, sp.repetition_penalty)
+            if step == 0 and sp.block_first_ecc is not None:
+                scores[sp.block_first_ecc] = -np.inf
             nxt = int(np.argmax(scores))
         else:
-            probs = S.adjust_distribution(logits, context, sp)
+            probs = adjust_distribution_oracle(logits, context, sp)
             nxt = int(rng.choice(len(probs), p=probs))
         context.append(nxt)
         generated.append(nxt)
@@ -330,6 +394,16 @@ def batch_case(name, v):
                S.SamplingParams(temperature=0.0, repetition_penalty=1.3, max_new_tokens=90),
                S.SamplingParams(temperature=0.7, max_new_tokens=75, rng_seed=9)]
         return prompt, sps, frozenset()
+    if name == "greedy-and-sampled":  # after a full text the ECC is the argmax; row 0 blocks it
+        alpha = v.ecc_id("alpha")
+        sps = [S.SamplingParams(temperature=0.0, max_new_tokens=12, block_first_ecc=alpha),
+               S.SamplingParams(max_new_tokens=20, rng_seed=6, **sampled),
+               S.SamplingParams(temperature=0.0, repetition_penalty=1.6, max_new_tokens=20),
+               S.SamplingParams(temperature=0.4, max_new_tokens=20, rng_seed=7),
+               S.SamplingParams(temperature=0.0, max_new_tokens=16),
+               S.SamplingParams(nucleus_p=0.6, repetition_penalty=2.0, max_new_tokens=20,
+                                rng_seed=8)]
+        return [v.occ_id("alpha")] + encode(v, "a1 a2 a3 a4 a5 a6 a7 a8 a9 a10"), sps, v.ecc_ids
     if name == "zero-budget":
         sps = [S.SamplingParams(max_new_tokens=0, rng_seed=1),
                S.SamplingParams(max_new_tokens=5, rng_seed=2, **sampled),
@@ -343,12 +417,13 @@ class TestGenerateBatch:
     """Rows decoded in lockstep equal each row decoded alone, and each step
     is one model pass over every live row."""
 
-    CASES = ["different-stops", "window-slides", "zero-budget", "single-row"]
+    CASES = ["different-stops", "window-slides", "greedy-and-sampled", "zero-budget",
+             "single-row"]
 
     @pytest.mark.parametrize("name", CASES)
     def test_rows_match_per_sequence_streams(self, two_genre, name):
-        ckpt = float64_copy(two_genre.trained)
-        prompt, sps, stop_ids = batch_case(name, two_genre.vocab)
+        ckpt, v = float64_copy(two_genre.trained), two_genre.vocab
+        prompt, sps, stop_ids = batch_case(name, v)
         got = S.generate_batch(ckpt, prompt, sps, stop_ids)
         assert got == [S.generate_ids(ckpt, prompt, sp, stop_ids) for sp in sps]
         for gr, sp in zip(got, sps):
@@ -360,9 +435,31 @@ class TestGenerateBatch:
         if name == "window-slides":
             assert lengths == [sp.max_new_tokens for sp in sps]
             assert len(prompt) + max(lengths) > ckpt.config.context
+        if name == "greedy-and-sampled":
+            assert got[0].generated_ids[0] != got[4].generated_ids[0] == v.ecc_id("alpha")
+            assert lengths[0] > 1 == lengths[4]
         if name == "zero-budget":
             assert lengths == [0, 5, 0] and got[0].stop_reason == S.STOP_MAX
             assert S.generate_batch(ckpt, [], sps[::2], stop_ids) == [got[0]] * 2
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_cache_holds_only_the_columns_a_row_reaches(self, two_genre, monkeypatch, name):
+        ckpt, cfg = two_genre.trained, two_genre.config
+        prompt, sps, stop_ids = batch_case(name, two_genre.vocab)
+        shapes = []
+        kv_cache = M.kv_cache
+
+        def recording(*args):
+            kv = kv_cache(*args)
+            shapes.append(kv.layers[0][0].shape)
+            return kv
+
+        monkeypatch.setattr(M, "kv_cache", recording)
+        S.generate_batch(ckpt, prompt, sps, stop_ids)
+        longest = max(sp.max_new_tokens for sp in sps)
+        rows = sum(sp.max_new_tokens > 0 for sp in sps)
+        columns = min(cfg.context, len(prompt) + longest)
+        assert shapes == [(rows, cfg.heads, columns, cfg.head_dim)]
 
     def test_rows_that_move_down_keep_their_own_keys_and_values(self, two_genre):
         # The first rows stop first, so every drop moves the later rows down
