@@ -181,11 +181,8 @@ def cmd_grid(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "report.csv"), report.to_csv())
     for cell in report.cells:
-        name = (
-            f"cell_{cell.category.replace('/', '_')}"
-            f"_T{cell.temperature:.2f}_p{cell.nucleus_p:.2f}"
-            f"_r{cell.repetition_penalty:.2f}.jsonl"
-        )
+        name = "cell_{}_T{}_p{}_r{}.jsonl".format(cell.category.replace("/", "_"),
+                                                  *evaluation.cell_label(*cell.key[1:]))
         _write(os.path.join(args.out, name),
                "".join(rec.to_json() + "\n" for rec in cell.records))
     print(f"wrote grid report with {len(report.cells)} cells to {args.out}")

@@ -3,8 +3,9 @@
 Covers sliding-window perplexity, sampling-loop detection, the ECC outcome
 of a generation, self-BLEU-4, and a grid search that pairs the nucleus
 threshold and the temperature with the repetition penalty.  A category's
-cells decode as one batch, each sample seeded from its cell key, so no cell
-depends on its batch; the report is ordered lexicographically by cell key.
+cells decode in one ``generate_batch`` call, each sample seeded from its
+cell key, so no cell depends on its batch; the report is ordered
+lexicographically by cell key.
 """
 
 from __future__ import annotations
@@ -321,12 +322,16 @@ class GridReport:
         lines = [self.CSV_HEADER]
         for c in self.cells:
             lines.append(
-                f"{c.category},{c.temperature:.2f},{c.nucleus_p:.2f},"
-                f"{c.repetition_penalty:.2f},{c.ecc_correct},{c.ecc_wrong},"
-                f"{c.ecc_none},{fmt(c.mean_loop_len)},{fmt(c.mean_tokens)},"
+                f"{c.category},{','.join(cell_label(*c.key[1:]))},{c.ecc_correct},"
+                f"{c.ecc_wrong},{c.ecc_none},{fmt(c.mean_loop_len)},{fmt(c.mean_tokens)},"
                 f"{fmt(c.median_selfbleu4)},{fmt(c.median_overlap13)}"
             )
         return "\n".join(lines) + "\n"
+
+
+def cell_label(t: float, p: float, r: float) -> tuple[str, str, str]:
+    """T, p and r as a cell's ``report.csv`` row and dump name write them."""
+    return f"{t:.2f}", f"{p:.2f}", f"{r:.2f}"
 
 
 def cell_seed(base_seed: int, category: str, t: float, p: float, r: float,
@@ -388,9 +393,10 @@ def check_grid(categories: list[str], grid: GridSpec, texts_per_cell: int,
     for t, p, r in grid.cells():
         SamplingParams(temperature=t, nucleus_p=p, repetition_penalty=r,
                        max_new_tokens=max_new_tokens)
-    labels = [f"T{t:.2f}_p{p:.2f}_r{r:.2f}" for t, p, r in grid.cells()]  # dump and row
+    labels = [cell_label(*cell) for cell in grid.cells()]
     if len(set(labels)) < len(labels):
-        raise EvaluationError(f"two grid cells share the label {max(labels, key=labels.count)}")
+        raise EvaluationError("two grid cells share the label T{}_p{}_r{}".format(
+            *max(labels, key=labels.count)))
 
 
 def grid_search(

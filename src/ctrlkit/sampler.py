@@ -17,7 +17,8 @@ of which then draws from its own rng.  A row that reaches a stop id or its
 budget leaves the batch and the cache (``KVCache.keep``).  Positions are
 absolute sinusoids, so once the window fills every row slides on the same
 step and the pass re-prefills the windows; that is exact, and no slower
-than a full forward.  A single continuation is a batch of one.
+than a full forward.  A single continuation is a batch of one, and rows
+past ``BATCH_BYTES`` of K/V cache and logits go to the next batch.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ def preset(name: str, **overrides) -> SamplingParams:
 STOP_ECC = "ecc_reached"
 STOP_MAX = "max_length"
 
+# Bytes of per-row arrays one decoding batch may hold: each row's K/V cache
+# and its share of a step's (rows, vocab) arrays, up to ten float64 copies
+# of its logits.  ``generate_batch`` splits larger batches.
+BATCH_BYTES = 2**25
+
 
 @dataclass(frozen=True)
 class GenerationResult:
@@ -137,13 +143,16 @@ def nucleus_distribution(
     renormalized; a row at p = 1 is the plain softmax.
     """
     probs = M.softmax(scores / temperature[:, None])
-    cut = nucleus_p < 1.0
-    head = probs[cut]
-    at = np.arange(len(head))[:, None], np.argsort(-head, axis=-1, kind="stable")
-    ranked = head[at]
-    cum = np.cumsum(ranked, axis=-1)  # nondecreasing: rank k stays iff k = 0 or cum[k-1] < p
-    ranked[:, 1:][cum[:, :-1] >= nucleus_p[cut, None]] = 0.0
-    head[at] = ranked
+    cut = np.flatnonzero(nucleus_p < 1.0)
+    head, v = probs[cut], probs.shape[-1]
+    at = np.argsort(-head, axis=-1, kind="stable")
+    at += np.arange(0, head.size, v)[:, None]  # the flat index in head of each rank
+    ranked = head.take(at)
+    # Rank k stays iff k = 0 or the running sum before it is below p; that
+    # sum never decreases, so each row keeps a prefix of its ranks.
+    kept = np.arange(v) <= (np.cumsum(ranked[:, :-1], -1) < nucleus_p[cut, None]).sum(-1)[:, None]
+    head[...] = 0.0
+    head.put(at[kept], ranked[kept])
     head /= head.sum(-1, keepdims=True)
     probs[cut] = head
     return probs
@@ -204,11 +213,17 @@ def generate_batch(
     """Decode one continuation of ``prompt_ids`` per entry of ``sps``, each
     until an id in ``stop_ids`` or its own budget, as rows in lockstep.  Row
     i draws from ``default_rng(sps[i].rng_seed)`` and cannot start with
-    ``sps[i].block_first_ecc``, so its result equals decoding it alone."""
-    n = ckpt.config.context
-    p = len(prompt_ids)
-    if p > n:
-        raise SamplingError(f"prompt of {p} tokens exceeds the context window {n}")
+    ``sps[i].block_first_ecc``, so its result equals decoding it alone, and
+    rows beyond ``BATCH_BYTES`` go to the next batch."""
+    cfg, p = ckpt.config, len(prompt_ids)
+    if p > cfg.context:
+        raise SamplingError(f"prompt of {p} tokens exceeds the context window {cfg.context}")
+    columns = min(cfg.context, p + max((sp.max_new_tokens for sp in sps), default=0))
+    rows = max(1, BATCH_BYTES // (80 * cfg.vocab_size + ckpt.dtype.itemsize * columns
+                                  * 2 * cfg.layers * cfg.model_dim))
+    if len(sps) > rows:
+        return [gr for part in np.array_split(np.arange(len(sps)), -(-len(sps) // rows))
+                for gr in generate_batch(ckpt, prompt_ids, [sps[i] for i in part], stop_ids)]
     results = [GenerationResult((), STOP_MAX)] * len(sps)
     live = np.flatnonzero([sp.max_new_tokens > 0 for sp in sps])  # sps index of each row
     temperature, nucleus_p, penalty, budget = (  # one entry per row
@@ -219,18 +234,19 @@ def generate_batch(
                           if sps[i].block_first_ecc is not None]))  # (rows, ids)
     buf = np.empty((len(live), p + int(budget.max(initial=0))), np.int64)
     buf[:, :p] = prompt_ids
-    kv = M.kv_cache(ckpt, len(live), min(n, buf.shape[1]))
+    kv = M.kv_cache(ckpt, len(live), columns)
     t = p
     while live.size:  # the first pass prefills the prompt in every row
-        logits = M.forward(ckpt, buf[:, max(0, t - n):t], kv)
+        logits = M.forward(ckpt, buf[:, max(0, t - cfg.context):t], kv)
         scores = apply_repetition_penalty(logits, buf[:, :t], penalty)
         if t == p and blocked:
             scores[blocked] = -np.inf
         buf[:, t] = scores.argmax(-1)
         draw = np.flatnonzero(temperature > 0.0)
-        probs = nucleus_distribution(scores[draw], temperature[draw], nucleus_p[draw])
-        for row, row_probs in zip(draw.tolist(), probs):
-            buf[row, t] = rngs[live[row]].choice(len(row_probs), p=row_probs)
+        if draw.size:
+            probs = nucleus_distribution(scores[draw], temperature[draw], nucleus_p[draw])
+            for row, row_probs in zip(draw.tolist(), probs):
+                buf[row, t] = rngs[live[row]].choice(len(row_probs), p=row_probs)
         t += 1
         ecc = np.array([i in stop_ids for i in buf[:, t - 1].tolist()])
         done = ecc | (t - p == budget)

@@ -6,7 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ctrlkit import corpus, evaluation as E, model as M, ngram, tokenizer as T, trainer
+from ctrlkit import (corpus, evaluation as E, model as M, ngram, sampler as S,
+                     tokenizer as T, trainer)
 from ctrlkit.sampler import STOP_ECC, STOP_MAX, GenerationResult
 from tests.conftest import WORDS, float64_copy, held_out_prompts, perturbed_checkpoint
 
@@ -463,9 +464,10 @@ class TestGridSearch:
         assert cell[1].records[:3] == cell[0].records
         assert len({rec.n_tokens for rec in cell[1].records}) > 1
 
-    def test_cell_does_not_depend_on_the_cells_in_its_batch(self, two_genre):
+    def test_cell_does_not_depend_on_the_cells_in_its_batch(self, two_genre, monkeypatch):
         # A category's cells share one batch, whose rows stop at different
-        # steps; each cell equals the same cell run alone.
+        # steps; each cell equals the same cell run alone, and the report
+        # is the same when every row is a batch of its own.
         grid = E.GridSpec(p_values=(0.7, 0.9), t_values=(0.0, 0.5), r_values=(1.0, 1.4))
         rep = E.grid_search(two_genre.trained, two_genre.vocab, ["beta", "alpha"], grid,
                             texts_per_cell=4, max_new_tokens=20, base_seed=3)
@@ -478,6 +480,9 @@ class TestGridSearch:
         lengths = {rec.n_tokens for cell in rep.cells for rec in cell.records}
         assert len(lengths) > 3 and 20 in lengths
         assert {c.temperature for c in rep.cells} == {0.0, 0.5, 1.0}
+        monkeypatch.setattr(S, "BATCH_BYTES", 1)
+        assert E.grid_search(two_genre.trained, two_genre.vocab, ["beta", "alpha"], grid,
+                             texts_per_cell=4, max_new_tokens=20, base_seed=3) == rep
 
     def test_grid_values_with_one_label_rejected(self):
         # Dump names and report rows print T, p and r at two decimals.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -42,13 +44,16 @@ class TestBatchedTransform:
     """Every row of the batched penalty and nucleus is bitwise equal to the
     per-row oracle."""
 
-    def test_rows_equal_the_per_row_oracle(self):
+    @pytest.mark.parametrize("vocab", [32, 330])  # numpy sums pairwise past 128 elements
+    def test_rows_equal_the_per_row_oracle(self, vocab):
         rng = np.random.default_rng(8)
-        rows, vocab, t = 60, 32, 12
+        rows, t = 60, 12
+        exact = 2 ** int(np.log2(vocab))
         logits = rng.normal(size=(rows, vocab)) * 3
         logits[::3, :10] = 1.25  # ties, some of them at the top
         logits[1::4] = np.round(logits[1::4])
-        logits[:6] = 0.5  # probabilities of exactly 1/32, so a prefix sums to p exactly
+        # Probabilities of exactly 1/exact, and 0 past them, so a prefix sums to p exactly.
+        logits[:6], logits[:6, exact:] = 0.5, -1000.0
         logits = logits.astype(np.float32)
         ids = rng.integers(0, vocab, size=(rows, t))
         sps = [S.SamplingParams(temperature=float(rng.choice([0.2, 0.7, 1.0])),
@@ -68,7 +73,7 @@ class TestBatchedTransform:
                 want = adjust_distribution_oracle(logits[i], ids[i, :width], sp)
                 assert np.array_equal(probs[i], want), (width, sp)
                 assert np.array_equal(S.adjust_distribution(logits[i], ids[i, :width], sp), want)
-        assert [np.count_nonzero(row) for row in probs[:6]] == [8, 16] * 3
+        assert [np.count_nonzero(row) for row in probs[:6]] == [exact // 4, exact // 2] * 3
         assert {sp.nucleus_p for sp in sps} > {0.3, 0.8, 0.95, 1.0}
         assert {sp.repetition_penalty for sp in sps} == {1.0, 1.3, 2.0}
 
@@ -471,6 +476,47 @@ class TestGenerateBatch:
         got = S.generate_batch(ckpt, prompt, sps, frozenset())
         for gr, sp in zip(got, sps):
             assert list(gr.generated_ids) == full_window_decode(ckpt, prompt, sp, frozenset())
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_rows_past_the_byte_budget_go_to_further_batches(self, two_genre, monkeypatch,
+                                                            name):
+        ckpt, cfg = two_genre.trained, two_genre.config
+        prompt, sps, stop_ids = batch_case(name, two_genre.vocab)
+        want = S.generate_batch(ckpt, prompt, sps, stop_ids)
+        columns = min(cfg.context, len(prompt) + max(sp.max_new_tokens for sp in sps))
+        row_bytes = 80 * cfg.vocab_size + 4 * columns * 2 * cfg.layers * cfg.model_dim
+        monkeypatch.setattr(S, "BATCH_BYTES", 2 * row_bytes + row_bytes // 2)
+        shapes = []
+        kv_cache = M.kv_cache
+
+        def recording(*args):
+            kv = kv_cache(*args)
+            shapes.append(kv.layers[0][0].shape[0])
+            return kv
+
+        monkeypatch.setattr(M, "kv_cache", recording)
+        assert S.generate_batch(ckpt, prompt, sps, stop_ids) == want
+        # Batches of two rows, or one and two, each with its own cache.
+        parts = np.array_split(np.arange(len(sps)), -(-len(sps) // 2))
+        assert shapes == [sum(sps[i].max_new_tokens > 0 for i in part) for part in parts]
+
+    def test_batch_arrays_stay_within_the_byte_budget(self, monkeypatch):
+        # A large vocabulary: a sampling step's (rows, vocab) arrays are most
+        # of a row's bytes, and 24 nucleus rows would take six budgets.
+        cfg = M.ModelConfig(layers=1, heads=1, model_dim=8, inner_dim=8, context=16,
+                            vocab_size=20_000)
+        ckpt = perturbed_checkpoint(cfg, dtype=np.float32)
+        sps = [S.SamplingParams(nucleus_p=0.9, repetition_penalty=1.2, max_new_tokens=3,
+                                rng_seed=seed) for seed in range(24)]
+        row_bytes = 80 * cfg.vocab_size + 4 * 4 * 2 * cfg.layers * cfg.model_dim
+        monkeypatch.setattr(S, "BATCH_BYTES", 4 * row_bytes)
+        tracemalloc.start()
+        try:
+            S.generate_batch(ckpt, [1], sps, frozenset())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.BATCH_BYTES / 2 < peak <= S.BATCH_BYTES
 
     @pytest.mark.parametrize("name", CASES)
     def test_one_pass_per_step_over_the_live_rows(self, two_genre, computed_columns,
