@@ -572,7 +572,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write((CKPT_MAGIC + "\n").encode("ascii"))
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for n in names:
-            fh.write(np.ascontiguousarray(ckpt.weights[n], dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(ckpt.weights[n], dtype="<f4"))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -595,11 +595,9 @@ def _parse_checkpoint(fh) -> Checkpoint:
         raise ModelError("checkpoint tensor list does not match its config")
     weights: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        buf = fh.read(count * 4)
-        if len(buf) != count * 4:
+        weights[name] = np.empty(shape, dtype="<f4")
+        if fh.readinto(weights[name]) != weights[name].nbytes:
             raise ModelError(f"checkpoint truncated while reading {name}")
-        weights[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
     if fh.read(1):
         raise ModelError("checkpoint has trailing bytes after its tensors")
     return Checkpoint(config=config, weights=weights, step=step, seed=seed)

@@ -12,13 +12,14 @@ of one prompt as rows in lockstep, each with its own sampling parameters and
 rng stream, through one K/V cache allocated for all of them.  The first pass
 prefills the prompt in every row; each later step is one model pass over the
 last ``context`` ids of every live row, one penalty and one argmax over all
-their logits, and one ``nucleus_distribution`` over the sampled rows, each
-of which then draws from its own rng.  A row that reaches a stop id or its
-budget leaves the batch and the cache (``KVCache.keep``).  Positions are
-absolute sinusoids, so once the window fills every row slides on the same
-step and the pass re-prefills the windows; that is exact, and no slower
-than a full forward.  A single continuation is a batch of one, and rows
-past ``BATCH_BYTES`` of K/V cache and logits go to the next batch.
+their logits, and one ``nucleus_distribution`` over the sampled rows, which
+cuts each row's sorted probabilities at one floor; each row then draws from
+its own rng.  A row that reaches a stop id or its budget leaves the batch
+and the cache (``KVCache.keep``).  Positions are absolute sinusoids, so once
+the window fills every row slides on the same step and the pass re-prefills
+the windows; that is exact, and no slower than a full forward.  A single
+continuation is a batch of one, and rows past ``BATCH_BYTES`` of K/V cache
+and logits go to the next batch.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ STOP_ECC = "ecc_reached"
 STOP_MAX = "max_length"
 
 # Bytes of per-row arrays one decoding batch may hold: each row's K/V cache
-# and its share of a step's (rows, vocab) arrays, up to ten float64 copies
-# of its logits.  ``generate_batch`` splits larger batches.
+# and 80 bytes per vocab id for its share of a step's (rows, vocab) arrays,
+# which peak near 70.  ``generate_batch`` splits larger batches.
 BATCH_BYTES = 2**25
 
 
@@ -138,21 +139,22 @@ def nucleus_distribution(
     """Probabilities of penalized (rows, vocab) ``scores`` after each row's
     temperature -> softmax -> nucleus, in one new array.
 
-    A nucleus row keeps the smallest prefix of its stably sorted
-    probabilities whose sum reaches p, top token always included, and is
-    renormalized; a row at p = 1 is the plain softmax.
+    A nucleus row keeps the smallest prefix of its probabilities, sorted
+    down with ties by id, whose sum reaches p, top token always included,
+    and is renormalized; a row at p = 1 is the plain softmax.
     """
     probs = M.softmax(scores / temperature[:, None])
     cut = np.flatnonzero(nucleus_p < 1.0)
-    head, v = probs[cut], probs.shape[-1]
-    at = np.argsort(-head, axis=-1, kind="stable")
-    at += np.arange(0, head.size, v)[:, None]  # the flat index in head of each rank
-    ranked = head.take(at)
+    head = probs[cut]
+    desc = np.sort(head, -1)[:, ::-1]
     # Rank k stays iff k = 0 or the running sum before it is below p; that
-    # sum never decreases, so each row keeps a prefix of its ranks.
-    kept = np.arange(v) <= (np.cumsum(ranked[:, :-1], -1) < nucleus_p[cut, None]).sum(-1)[:, None]
-    head[...] = 0.0
-    head.put(at[kept], ranked[kept])
+    # sum never decreases, so a row keeps its ranks up to `last`: every
+    # probability above the floor there, then the ties at it in id order.
+    last = (desc[:, :-1].cumsum(-1) < nucleus_p[cut, None]).sum(-1, keepdims=True)
+    floor = desc[np.arange(cut.size)[:, None], last]
+    tie = head == floor
+    above = (desc > floor).sum(-1, keepdims=True)
+    head[(head < floor) | (tie & (tie.cumsum(-1) > last + 1 - above))] = 0.0
     head /= head.sum(-1, keepdims=True)
     probs[cut] = head
     return probs
@@ -216,8 +218,8 @@ def generate_batch(
     ``sps[i].block_first_ecc``, so its result equals decoding it alone, and
     rows beyond ``BATCH_BYTES`` go to the next batch."""
     cfg, p = ckpt.config, len(prompt_ids)
-    if p > cfg.context:
-        raise SamplingError(f"prompt of {p} tokens exceeds the context window {cfg.context}")
+    if not 0 < p <= cfg.context:
+        raise SamplingError(f"a prompt takes 1 to {cfg.context} tokens (the context), got {p}")
     columns = min(cfg.context, p + max((sp.max_new_tokens for sp in sps), default=0))
     rows = max(1, BATCH_BYTES // (80 * cfg.vocab_size + ckpt.dtype.itemsize * columns
                                   * 2 * cfg.layers * cfg.model_dim))

@@ -645,6 +645,27 @@ class TestCheckpointIO:
         loaded.weights["tok_emb"][2, :] = 9.0
         npt.assert_array_equal(loaded.weights["lm_head"][:, 2], 9.0)
 
+    def test_save_and_load_hold_no_second_copy(self, tmp_path):
+        # The embedding is almost all of the weights, so a copy of it while
+        # saving or loading would double the peak.
+        cfg = M.ModelConfig(layers=1, heads=1, model_dim=64, inner_dim=64, context=16,
+                            vocab_size=20_000)
+        ckpt = M.init_model(cfg, seed=9)
+        path = tmp_path / "model.ckpt"
+        tracemalloc.start()
+        try:
+            M.save_checkpoint(path, ckpt)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = M.load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weights = sum(loaded.weights[n].nbytes for n in M.param_shapes(cfg))
+        assert weights > 5_000_000
+        assert save_peak <= 2**16
+        assert weights <= load_peak <= weights + 2**16
+
 
 class _FailsToConvert:
     """A float32 "tensor" whose bytes cannot be produced."""

@@ -77,6 +77,31 @@ class TestBatchedTransform:
         assert {sp.nucleus_p for sp in sps} > {0.3, 0.8, 0.95, 1.0}
         assert {sp.repetition_penalty for sp in sps} == {1.0, 1.3, 2.0}
 
+    def test_rows_equal_the_per_row_oracle_at_the_paper_vocabulary(self):
+        vocab, exact = 256_076, 2**17
+        rng = np.random.default_rng(9)
+        logits = rng.normal(size=(3, vocab)).astype(np.float32)
+        # Row 0: three tokens above a run of 2 640 ties that holds most of the
+        # mass, so p = 0.5 cuts inside the run.
+        logits[0, 5::97], logits[0, :3] = 8.0, 9.0
+        # Row 1: probabilities of exactly 2**-17, so a prefix sums to p exactly.
+        logits[1], logits[1, exact:] = 0.5, -1000.0
+        ids = rng.integers(0, vocab, size=(3, 12))
+        sps = [S.SamplingParams(nucleus_p=0.5),
+               S.SamplingParams(temperature=0.7, nucleus_p=0.25),
+               S.SamplingParams(temperature=0.7, nucleus_p=1e-6, repetition_penalty=1.3)]
+        temperature, nucleus_p, r = (np.array([getattr(sp, name) for sp in sps]) for name in
+                                     ("temperature", "nucleus_p", "repetition_penalty"))
+        probs = S.nucleus_distribution(S.apply_repetition_penalty(logits, ids, r),
+                                       temperature, nucleus_p)
+        for i, sp in enumerate(sps):
+            want = adjust_distribution_oracle(logits[i], ids[i], sp)
+            assert np.array_equal(probs[i], want), sp
+            assert np.array_equal(S.adjust_distribution(logits[i], ids[i], sp), want)
+        tied = probs[0, 5::97]
+        assert np.all(probs[0, :3] > 0) and 0 < np.count_nonzero(tied) < tied.size
+        assert [np.count_nonzero(row) for row in probs[1:]] == [exact // 4, 1]
+
 
 class TestAdjustDistribution:
     def test_identity_transforms_give_plain_softmax(self):
@@ -268,6 +293,12 @@ class TestGenerate:
         with pytest.raises(S.SamplingError):
             S.generate(two_genre.untrained, two_genre.vocab, long_prompt, "alpha", sp)
 
+    @pytest.mark.parametrize("budget", [0, 3])
+    def test_empty_prompt_rejected(self, two_genre, budget):
+        sp = S.SamplingParams(max_new_tokens=budget)
+        with pytest.raises(S.SamplingError, match=f"1 to {two_genre.config.context} tokens"):
+            S.generate_batch(two_genre.untrained, [], [sp], frozenset())
+
     def test_window_slides_past_context(self, two_genre):
         # Budget larger than the context window: generation must not crash
         # and must respect the window length internally.
@@ -445,7 +476,7 @@ class TestGenerateBatch:
             assert lengths[0] > 1 == lengths[4]
         if name == "zero-budget":
             assert lengths == [0, 5, 0] and got[0].stop_reason == S.STOP_MAX
-            assert S.generate_batch(ckpt, [], sps[::2], stop_ids) == [got[0]] * 2
+            assert S.generate_batch(ckpt, prompt, sps[::2], stop_ids) == [got[0]] * 2
 
     @pytest.mark.parametrize("name", CASES)
     def test_cache_holds_only_the_columns_a_row_reaches(self, two_genre, monkeypatch, name):
