@@ -244,8 +244,7 @@ def cmd_index_overlap(args) -> int:
     _at_least("--threshold", min(thresholds), 1, ngram.NGramIndexError)
     idx = ngram.load_index(args.idx)
     texts = corpus.load_texts(args.eval)
-    results = [ngram.overlap(texts, idx, threshold=t, unique=args.unique)
-               for t in thresholds]
+    results = ngram.overlaps(texts, idx, thresholds, unique=args.unique)
     header = "k,n_short_pct," + ",".join(f"O_{t}" for t in thresholds)
     row = (
         f"{idx.k},{results[0].short_text_pct:.4f},"

@@ -15,6 +15,10 @@ tokens, not the padding.  A scorer that reads only the trailing columns
 of each row (``sequence_logprob``, cached decoding) runs the last block's
 query, attention and feed-forward on those columns alone.  A K/V cache
 records its tokens, and a pass reuses the prefix it shares with them.
+A decoding step is one column per row, so a pass's fixed numpy cost
+counts: the sinusoidal table is computed once per (model_dim, dtype) and
+sliced, the causal mask is built only when a pass has later keys (more
+than one column), and layer norm and softmax reduce through the ufuncs.
 
 Weights are float32 for training and evaluation and float64 for gradient
 checks, and a pass computes in its checkpoint's dtype: float32 weights give
@@ -154,24 +158,38 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> Checkpoint:
     return Checkpoint(config=config, weights=weights, step=0, seed=seed)
 
 
+_PE_TABLES: dict[tuple[int, np.dtype], np.ndarray] = {}  # (model_dim, dtype) -> table
+
+
 def positional_encoding(context: int, model_dim: int, dtype=np.float64,
                         start: int = 0) -> np.ndarray:
-    """Sinusoidal encodings of positions start..start+context-1."""
-    pos = np.arange(start, start + context, dtype=np.float64)[:, None]
-    dim = np.arange(0, model_dim, 2, dtype=np.float64)[None, :]
-    angle = pos / np.power(10000.0, dim / model_dim)
-    pe = np.zeros((context, model_dim), dtype=np.float64)
-    pe[:, 0::2] = np.sin(angle)
-    pe[:, 1::2] = np.cos(angle)
-    return pe.astype(dtype)
+    """Sinusoidal encodings of positions start..start+context-1, a read-only
+    view of one table per (model_dim, dtype).  The table holds the first
+    power of two of positions that covers them, and is rebuilt at the next
+    power of two when a call reaches past it; each entry is computed as if
+    for that position alone."""
+    end = start + context
+    key = (model_dim, np.dtype(dtype))
+    table = _PE_TABLES.get(key)
+    if table is None or len(table) < end:
+        n = 1 << (end - 1).bit_length()
+        pos = np.arange(n, dtype=np.float64)[:, None]
+        dim = np.arange(0, model_dim, 2, dtype=np.float64)[None, :]
+        angle = pos / np.power(10000.0, dim / model_dim)
+        pe = np.zeros((n, model_dim), dtype=np.float64)
+        pe[:, 0::2] = np.sin(angle)
+        pe[:, 1::2] = np.cos(angle)
+        table = _PE_TABLES[key] = pe.astype(dtype)
+        table.flags.writeable = False
+    return table[start:end]
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Probabilities over the last axis, computed in the input's dtype in
     one new array."""
-    e = x - np.max(x, axis=-1, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -185,24 +203,32 @@ def log_softmax(x) -> np.ndarray:
 
 
 def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    std = np.sqrt(var + LN_EPS)
-    xhat = (x - mu) / std
-    return g * xhat + b, (xhat, std)
+    """g * xhat + b over the last axis, and (xhat, std) for the backward.
+    Means are ``np.add.reduce`` over the axis divided by its length, the
+    values ``ndarray.mean`` gives without its Python wrapper."""
+    n = x.shape[-1]
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    std = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / n
+    std += LN_EPS
+    np.sqrt(std, out=std)
+    xhat /= std
+    y = g * xhat
+    y += b
+    return y, (xhat, std)
 
 
 def _layer_norm_backward(dy, g, cache):
     xhat, std = cache
+    n = dy.shape[-1]
     axes = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=axes)
-    db = dy.sum(axis=axes)
-    dxhat = dy * g
-    dx = (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    ) / std
+    dg = np.add.reduce(dy * xhat, axis=axes)
+    db = np.add.reduce(dy, axis=axes)
+    dx = dy * g  # dxhat, then dx in place
+    m1 = np.add.reduce(dx, axis=-1, keepdims=True) / n
+    m2 = np.add.reduce(dx * xhat, axis=-1, keepdims=True) / n
+    dx -= m1
+    dx -= xhat * m2
+    dx /= std
     return dx, dg, db
 
 
@@ -244,9 +270,14 @@ def kv_cache(ckpt: Checkpoint, rows: int = 1, columns: int | None = None) -> KVC
     """Empty K/V cache of ``rows`` sequences for ``ckpt``, allocated once:
     per layer a (keys, values) pair, each (rows, heads, columns, head_dim)
     in the checkpoint's dtype, holding no tokens yet.  ``columns``, the
-    longest sequence a pass may give it, defaults to the context."""
+    longest sequence a pass may give it, is 1..context, and None means the
+    context."""
     cfg = ckpt.config
-    shape = (rows, cfg.heads, columns or cfg.context, cfg.head_dim)
+    columns = cfg.context if columns is None else columns
+    if not 1 <= columns <= cfg.context:
+        raise ModelError(f"a K/V cache takes 1..{cfg.context} columns (the context), "
+                         f"got {columns}")
+    shape = (rows, cfg.heads, columns, cfg.head_dim)
     return KVCache([(np.empty(shape, ckpt.dtype), np.empty(shape, ckpt.dtype))
                     for _ in range(cfg.layers)], np.empty((rows, 0), np.int64))
 
@@ -295,15 +326,18 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
         seq, ids = ids.copy(), ids[:, start:]
         t = ids.shape[1]
     # Reused columns were checked when they were computed.
-    if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
+    if (ids < 0).any() or (ids >= cfg.vocab_size).any():
         raise ModelError("token id outside the vocabulary range")
     scale = math.sqrt(cfg.model_dim)
     pe = positional_encoding(t, cfg.model_dim, dtype=ckpt.dtype, start=start)
-    hidden = np.triu(np.ones((t, start + t), dtype=bool), k=start + 1)  # later keys
+    hidden = None  # a one-column pass has no later key and no other window
+    if t > 1:
+        hidden = np.triu(np.ones((t, start + t), dtype=bool), k=start + 1)  # later keys
+        if positions is not None:
+            window = np.cumsum(positions == 0, axis=1)
+            hidden = (hidden | (window[:, :, None] != window[:, None, :]))[:, None]
     if positions is not None:
         pe = pe[positions]
-        window = np.cumsum(positions == 0, axis=1)
-        hidden = (hidden | (window[:, :, None] != window[:, None, :]))[:, None]
     x = scale * W["tok_emb"][ids] + pe
     cut = rows if isinstance(rows, int) and not keep_cache else None
     if isinstance(rows, int):
@@ -318,7 +352,9 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
         v = _split_heads(h @ W[p + "attn.wv"] + W[p + "attn.bv"], cfg.heads)
         if cut and i == cfg.layers - 1:
             # Keys and values cover every column; the rest only the read ones.
-            x, h, hidden = x[:, -cut:], h[:, -cut:], hidden[..., -cut:, :]
+            x, h = x[:, -cut:], h[:, -cut:]
+            if hidden is not None:
+                hidden = hidden[..., -cut:, :]
         q = _split_heads(h @ W[p + "attn.wq"] + W[p + "attn.bq"], cfg.heads)
         if kv is not None:
             k_all, v_all = kv.layers[i]
@@ -327,7 +363,8 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
             k, v = k_all[:, :, :start + t], v_all[:, :, :start + t]
         scores = q @ k.swapaxes(-1, -2)
         scores *= att_scale
-        np.copyto(scores, -np.inf, where=hidden)
+        if hidden is not None:
+            np.copyto(scores, -np.inf, where=hidden)
         attn = softmax(scores)
         ctx = _merge_heads(attn @ v)
         a_out = ctx @ W[p + "attn.wo"] + W[p + "attn.bo"]
@@ -335,7 +372,9 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
 
         h2, ln2_cache = _layer_norm(x_attn, W[p + "ln2.g"], W[p + "ln2.b"])
         z1 = h2 @ W[p + "ffn.w1"] + W[p + "ffn.b1"]
-        cdf = 0.5 * (1.0 + erf(z1 / math.sqrt(2.0)))  # GELU: z1 * Phi(z1)
+        cdf = erf(z1 / math.sqrt(2.0))  # GELU: z1 * Phi(z1), Phi = (1 + erf) / 2
+        cdf += 1.0
+        cdf *= 0.5
         act = z1 * cdf
         ff = act @ W[p + "ffn.w2"] + W[p + "ffn.b2"]
         x_next = x_attn + ff

@@ -187,8 +187,21 @@ def overlap(
     ``short_text_pct``.  By default k-grams are counted as occurrences
     (multiset); ``unique=True`` counts distinct k-gram types instead.
     """
-    if threshold < 1:
-        raise NGramIndexError(f"threshold must be >= 1, got {threshold}")
+    return overlaps(eval_texts, idx, [threshold], unique)[0]
+
+
+def overlaps(
+    eval_texts: list[str],
+    idx: NGramIndex,
+    thresholds: list[int],
+    unique: bool = False,
+) -> list[OverlapResult]:
+    """``overlap`` at each of ``thresholds``, in order: the texts are split,
+    keyed and looked up in the index once, and each threshold counts the
+    hits of the one tf array."""
+    for threshold in thresholds:
+        if threshold < 1:
+            raise NGramIndexError(f"threshold must be >= 1, got {threshold}")
     k = idx.k
     texts = [text.split() for text in eval_texts]
     long_texts = [words for words in texts if len(words) >= k]
@@ -204,17 +217,20 @@ def overlap(
     keys, _ = _kgram_keys(long_texts, word_id, k)
     if unique:
         keys = np.unique(keys)
-    hits = int(np.count_nonzero(idx._tfs(keys) >= threshold))
-    pct = 100.0 * hits / len(keys) if len(keys) else 0.0
+    tfs = idx._tfs(keys)
     short_pct = 100.0 * n_short / len(eval_texts) if eval_texts else 0.0
-    return OverlapResult(
-        k=k,
-        threshold=threshold,
-        overlap_pct=pct,
-        short_text_pct=short_pct,
-        n_grams=len(keys),
-        n_texts=len(eval_texts),
-    )
+    results = []
+    for threshold in thresholds:
+        hits = int(np.count_nonzero(tfs >= threshold))
+        results.append(OverlapResult(
+            k=k,
+            threshold=threshold,
+            overlap_pct=100.0 * hits / len(keys) if len(keys) else 0.0,
+            short_text_pct=short_pct,
+            n_grams=len(keys),
+            n_texts=len(eval_texts),
+        ))
+    return results
 
 
 def search(idx: NGramIndex, query: str) -> list[SearchHit]:

@@ -488,6 +488,28 @@ class TestIndexVerbs:
         assert k == "3"
         assert float(o1) >= float(o10)
 
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_overlap_csv_equals_one_overlap_per_threshold(self, workspace, tmp_path, unique):
+        from ctrlkit import corpus, ngram
+
+        idx_path, out = tmp_path / "idx.jsonl", tmp_path / "overlap.csv"
+        assert main(["index-build", "--corpus", str(workspace["corpus"]),
+                     "--k", "2", "--out", str(idx_path)]) == 0
+        docs = corpus.load_corpus(workspace["corpus"], corpus.table_from_names(["alpha", "beta"]))
+        eval_file = tmp_path / "eval.txt"
+        eval_file.write_text("".join(d.text + "\n" for d in docs[:6]) + "a0\nzz a0 a1 qq\n")
+        thresholds = [1, 3, 10, 30]
+        assert main(["index-overlap", "--idx", str(idx_path), "--eval", str(eval_file),
+                     "--threshold", ",".join(map(str, thresholds)), "--out", str(out)]
+                    + ["--unique"] * unique) == 0
+        idx, texts = ngram.load_index(idx_path), corpus.load_texts(eval_file)
+        results = [ngram.overlap(texts, idx, threshold=t, unique=unique) for t in thresholds]
+        assert len({r.overlap_pct for r in results}) > 2
+        assert out.read_text() == (
+            "k,n_short_pct,O_1,O_3,O_10,O_30\n"
+            f"2,{results[0].short_text_pct:.4f},"
+            + ",".join(f"{r.overlap_pct:.4f}" for r in results) + "\n")
+
     def test_build_with_default_table(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.tsv"
         corpus_path.write_text(

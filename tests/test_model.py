@@ -201,6 +201,17 @@ class TestSequenceLogprob:
                 M.forward(ckpt, ids, kv)
             npt.assert_array_equal(kv.ids, [self.IDS, self.IDS[::-1]])
 
+    @pytest.mark.parametrize("columns", [0, -1, 17])
+    def test_columns_outside_the_context_rejected(self, columns):
+        with pytest.raises(M.ModelError, match=f"1..16 columns \\(the context\\), got {columns}$"):
+            M.kv_cache(perturbed_checkpoint(M.toy_config()), 1, columns)
+
+    @pytest.mark.parametrize("rows, columns, width", [(1, 1, 1), (2, 16, 16), (0, None, 16)])
+    def test_columns_within_the_context_allocated(self, rows, columns, width):
+        kv = M.kv_cache(perturbed_checkpoint(M.toy_config()), rows, columns)
+        assert {a.shape for pair in kv.layers for a in pair} == {(rows, 2, width, 4)}
+        assert kv.ids.shape == (rows, 0)
+
     def test_cache_of_fewer_columns_than_the_context(self):
         ckpt = perturbed_checkpoint(M.toy_config())
         kv = M.kv_cache(ckpt, 1, 6)
@@ -259,6 +270,30 @@ class TestLastBlockCut:
         assert cache["layers"][-1]["z1"].shape[1] == 11
         full, _ = M._forward_batch(ckpt, self.IDS, False)
         npt.assert_allclose(logits, full[:, -2:], rtol=0, atol=1e-12)
+
+
+class TestOneColumnPass:
+    """A one-column pass builds no attention mask: it has no later key and
+    no other window.  With ``positions`` it still encodes its position, and
+    a pass of several columns still hides the other windows."""
+
+    CFG = TestLastBlockCut.CFG
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    def test_one_column_positions_pass_equals_forward(self, rows):
+        ckpt = perturbed_checkpoint(self.CFG)
+        ids = np.array([[7], [3]])
+        got, _ = M._forward_batch(ckpt, ids, False, rows=rows,
+                                  positions=np.zeros_like(ids))
+        for row, token in zip(got, ids[:, 0]):
+            npt.assert_allclose(row[0], M.forward(ckpt, [token])[0], rtol=0, atol=1e-12)
+
+    def test_one_column_last_window_of_a_packed_row(self):
+        ckpt = perturbed_checkpoint(self.CFG)
+        ids = np.array([[4, 9, 2, 7]])
+        got, _ = M._forward_batch(ckpt, ids, False, positions=np.array([[0, 1, 2, 0]]))
+        npt.assert_allclose(got[0, 3], M.forward(ckpt, [7])[0], rtol=0, atol=1e-12)
+        npt.assert_allclose(got[0, :3], M.forward(ckpt, [4, 9, 2]), rtol=0, atol=1e-12)
 
 
 @st.composite
@@ -575,9 +610,116 @@ def _full_logits_batch_loss(ckpt, ids, mask):
     return loss, M._backward_batch(ckpt, dlogits, cache)
 
 
+def _layer_norm_oracle(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    std = np.sqrt(var + M.LN_EPS)
+    xhat = (x - mu) / std
+    return g * xhat + b, (xhat, std)
+
+
+def _layer_norm_backward_oracle(dy, g, cache):
+    xhat, std = cache
+    axes = tuple(range(dy.ndim - 1))
+    dg = (dy * xhat).sum(axis=axes)
+    db = dy.sum(axis=axes)
+    dxhat = dy * g
+    dx = (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    ) / std
+    return dx, dg, db
+
+
+def _softmax_oracle(x):
+    e = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
+
+
+def _positional_encoding_oracle(context, model_dim, dtype, start):
+    pos = np.arange(start, start + context, dtype=np.float64)[:, None]
+    dim = np.arange(0, model_dim, 2, dtype=np.float64)[None, :]
+    angle = pos / np.power(10000.0, dim / model_dim)
+    pe = np.zeros((context, model_dim), dtype=np.float64)
+    pe[:, 0::2] = np.sin(angle)
+    pe[:, 1::2] = np.cos(angle)
+    return pe.astype(dtype)
+
+
+def _assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    npt.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _rows_with_a_constant_one(shape, dtype, seed):
+    """Normal values over ``shape`` whose first row along the last axis is
+    constant, so that its variance is zero."""
+    x = np.random.default_rng(seed).normal(0.0, 3.0, size=shape).astype(dtype)
+    x.reshape(-1, shape[-1])[0] = 1.25
+    return x
+
+
 class TestFastPaths:
-    """Each fast path of the training step against the slow form it replaced,
-    in float64."""
+    """Each fast path of the model pass and the training step against the
+    slow form it replaced: bitwise in float32 and float64 where the new form
+    keeps every operation, to 1e-12 in float64 where it reorders them."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(40,), (3, 5, 40), (2, 7, 128)])
+    def test_layer_norm_and_backward_match_their_oracles(self, dtype, shape):
+        x = _rows_with_a_constant_one(shape, dtype, 0)
+        rng = np.random.default_rng(1)
+        g, b, dy = (rng.normal(size=s).astype(dtype) for s in (shape[-1:], shape[-1:], shape))
+        y, cache = M._layer_norm(x, g, b)
+        want_y, want_cache = _layer_norm_oracle(x, g, b)
+        for got, want in zip((y, *cache), (want_y, *want_cache)):
+            _assert_bitwise(got, want)
+        assert np.all(cache[0].reshape(-1, shape[-1])[0] == 0.0)  # the zero-variance row
+        for got, want in zip(M._layer_norm_backward(dy, g, cache),
+                             _layer_norm_backward_oracle(dy, g, want_cache)):
+            _assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(40,), (3, 5, 40), (2, 4, 6, 9)])
+    def test_softmax_matches_its_oracle(self, dtype, shape):
+        x = _rows_with_a_constant_one(shape, dtype, 2)
+        rows = x.reshape(-1, shape[-1])
+        rows[1:, 1::3] = -np.inf  # masked scores, every row keeping some finite ones
+        if len(rows) > 2:
+            rows[2, :-1] = -np.inf
+        _assert_bitwise(M.softmax(x), _softmax_oracle(x.copy()))
+
+    @pytest.mark.parametrize("model_dim", [32, 128])
+    def test_positional_encoding_matches_its_oracle(self, model_dim):
+        differ = []
+        for end in range(1, 257):
+            for start in range(end):
+                want = _positional_encoding_oracle(end - start, model_dim, np.float64, start)
+                for dtype in (np.float64, np.float32):  # the oracle casts its float64 table
+                    got = M.positional_encoding(end - start, model_dim, dtype, start)
+                    assert not got.flags.writeable
+                    if not (got.dtype == dtype and np.array_equal(
+                            got.view(np.uint8), want.astype(dtype).view(np.uint8))):
+                        differ.append((dtype.__name__, start, end - start))
+        assert differ == []
+
+    def test_positional_encoding_reuses_its_table(self):
+        first = M.positional_encoding(100, 24, np.float32)
+        assert first.base.shape == (128, 24)  # the power of two covering 100 positions
+        tracemalloc.start()
+        try:
+            steps = [M.positional_encoding(1, 24, np.float32, start) for start in range(100, 128)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < first.base.nbytes
+        assert all(step.base is first.base for step in steps)
+        with pytest.raises(ValueError, match="read-only"):
+            steps[0][0, 0] = 0.0
 
     def test_wgrad_matches_einsum(self):
         rng = np.random.default_rng(0)

@@ -164,6 +164,18 @@ class TestOverlap:
             assert res.overlap_pct == pct
             assert res.short_text_pct == short
 
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_overlaps_equal_one_overlap_per_threshold(self, unique):
+        rng = np.random.default_rng(3)
+        train = random_texts(rng, 60, vocab=6)
+        eval_texts = random_texts(rng, 20, vocab=8) + ["a"]
+        idx = ngram.build_index(docs_from_texts(train), k=2)
+        thresholds = [10, 1, 3, 100, 3]
+        assert ngram.overlaps(eval_texts, idx, thresholds, unique) == [
+            ngram.overlap(eval_texts, idx, threshold=t, unique=unique) for t in thresholds]
+        with pytest.raises(ngram.NGramIndexError, match="threshold must be >= 1, got 0"):
+            ngram.overlaps(eval_texts, idx, [1, 0])
+
     def test_unique_type_variant(self):
         # "a b" occurs twice in the eval text but is one type.
         idx = ngram.build_index(docs_from_texts(["a b"]), k=2)
