@@ -1,9 +1,11 @@
 """Decoder-only transformer with tied embeddings, in plain numpy.
 
 Architecture: token embedding scaled by sqrt(d) plus sinusoidal positional
-encodings, pre-norm blocks (self-attention then GELU feed-forward, both with
-residual connections), a final layer norm, and an output projection tied to
-the token embedding.  Attention logits are scaled by 1/sqrt(d/H).
+encodings, pre-norm blocks (self-attention then CTRL's ReLU feed-forward
+FF(X) = max(0, XU)V, both with residual connections), a final layer norm,
+and an output projection tied to the token embedding.  Attention logits are
+scaled by 1/sqrt(d/H).  The backward passes the feed-forward gradient where
+``act > 0``, so at exactly 0 it takes the ReLU's left derivative, 0.
 
 Forward and backward passes are written out explicitly; the backward pass is
 validated against central finite differences in the test suite.
@@ -36,7 +38,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .fileio import atomic_open, parsing
 
@@ -267,12 +268,14 @@ class KVCache:
 
 
 def kv_cache(ckpt: Checkpoint, rows: int = 1, columns: int | None = None) -> KVCache:
-    """Empty K/V cache of ``rows`` sequences for ``ckpt``, allocated once:
-    per layer a (keys, values) pair, each (rows, heads, columns, head_dim)
-    in the checkpoint's dtype, holding no tokens yet.  ``columns``, the
-    longest sequence a pass may give it, is 1..context, and None means the
-    context."""
+    """Empty K/V cache of ``rows`` sequences (0 or more) for ``ckpt``,
+    allocated once: per layer a (keys, values) pair, each (rows, heads,
+    columns, head_dim) in the checkpoint's dtype, holding no tokens yet.
+    ``columns``, the longest sequence a pass may give it, is 1..context, and
+    None means the context."""
     cfg = ckpt.config
+    if rows < 0:
+        raise ModelError(f"a K/V cache takes 0 or more rows, got {rows}")
     columns = cfg.context if columns is None else columns
     if not 1 <= columns <= cfg.context:
         raise ModelError(f"a K/V cache takes 1..{cfg.context} columns (the context), "
@@ -371,18 +374,15 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
         x_attn = x + a_out
 
         h2, ln2_cache = _layer_norm(x_attn, W[p + "ln2.g"], W[p + "ln2.b"])
-        z1 = h2 @ W[p + "ffn.w1"] + W[p + "ffn.b1"]
-        cdf = erf(z1 / math.sqrt(2.0))  # GELU: z1 * Phi(z1), Phi = (1 + erf) / 2
-        cdf += 1.0
-        cdf *= 0.5
-        act = z1 * cdf
+        act = h2 @ W[p + "ffn.w1"] + W[p + "ffn.b1"]
+        np.maximum(act, 0.0, out=act)
         ff = act @ W[p + "ffn.w2"] + W[p + "ffn.b2"]
         x_next = x_attn + ff
 
         if keep_cache:
             layer_caches.append(
                 dict(h=h, ln1=ln1_cache, q=q, k=k, v=v, attn=attn, ctx=ctx,
-                     h2=h2, ln2=ln2_cache, z1=z1, cdf=cdf, act=act)
+                     h2=h2, ln2=ln2_cache, act=act)
             )
         x = x_next
 
@@ -445,9 +445,7 @@ def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, n
         grads[p + "ffn.w2"] += _wgrad(c["act"], dff)
         grads[p + "ffn.b2"] += dff.sum(axis=(0, 1))
         dact = dff @ W[p + "ffn.w2"].T
-        z1 = c["z1"]
-        pdf = np.exp(-0.5 * z1 * z1) / math.sqrt(2.0 * math.pi)
-        dz1 = dact * (c["cdf"] + z1 * pdf)
+        dz1 = dact * (c["act"] > 0)
         grads[p + "ffn.w1"] += _wgrad(c["h2"], dz1)
         grads[p + "ffn.b1"] += dz1.sum(axis=(0, 1))
         dh2 = dz1 @ W[p + "ffn.w1"].T
@@ -586,7 +584,7 @@ def batch_loss(
     return loss, grads
 
 
-CKPT_MAGIC = "ctrlkit-ckpt-1"
+CKPT_MAGIC = "ctrlkit-ckpt-2"
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -622,6 +620,9 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _parse_checkpoint(fh) -> Checkpoint:
     magic = fh.readline().decode("ascii").strip()
+    if magic == "ctrlkit-ckpt-1":
+        raise ModelError("a ctrlkit-ckpt-1 checkpoint was trained for a GELU "
+                         "feed-forward, and the model now uses ReLU; retrain it")
     if magic != CKPT_MAGIC:
         raise ModelError(f"unsupported checkpoint format {magic!r}")
     header = json.loads(fh.readline().decode("utf-8"))

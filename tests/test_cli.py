@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctrlkit
 from ctrlkit import tokenizer, trainer
 from ctrlkit.cli import _parse_floats, _sampling_params, _write, build_parser, main
 from ctrlkit.evaluation import GridSpec
@@ -641,3 +646,16 @@ class TestTaskVerbs:
         ])
         assert rc == 0
         assert capsys.readouterr().out.startswith("task,epoch,metric,value,N_missing%\n")
+
+
+def test_import_loads_no_scipy():
+    # The package needs numpy alone; only the tests use scipy, as an oracle.
+    src = str(Path(ctrlkit.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, ctrlkit.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

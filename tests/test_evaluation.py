@@ -362,8 +362,10 @@ def report(two_genre):
 @pytest.fixture(scope="module")
 def long_report(two_genre):
     """A grid with nonzero 13-gram overlap.  A copy of the trained model,
-    trained further on 14-20-word documents, writes greedy texts of 16 words;
-    the index holds the greedy texts of a first run of the same grid."""
+    trained further on 14-20-word documents, writes greedy texts; the index
+    holds the greedy texts of a first run of the same grid.  A greedy text
+    that stops at an ECC before 13 words (alpha at r = 1.6 writes 9) has no
+    13-gram, so its cell reads 0.0 while the longer ones read 100.0."""
     rng = np.random.default_rng(5)
     docs = [corpus.Document(i, " ".join(rng.choice(WORDS[genre], size=rng.integers(14, 21))),
                             two_genre.table[genre], "manual")
@@ -425,8 +427,11 @@ class TestGridSearch:
         rep, plain, _ = long_report
         for cell, bare in zip(rep.cells, plain.cells):
             assert replace(cell, median_overlap13=None) == bare
-            if cell.temperature == 0.0:  # its 16-word text is in the index
-                assert cell.median_overlap13 == 100.0
+            if cell.temperature == 0.0:  # its text is in the index
+                # A text of fewer than 13 words has no 13-gram to match.
+                words = len(cell.records[0].text.split())
+                assert cell.median_overlap13 == (100.0 if words >= 13 else 0.0)
+        assert any(cell.median_overlap13 == 100.0 for cell in rep.cells)
 
     def test_csv_shape(self, report):
         rep, _, _ = report

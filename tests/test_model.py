@@ -206,6 +206,11 @@ class TestSequenceLogprob:
         with pytest.raises(M.ModelError, match=f"1..16 columns \\(the context\\), got {columns}$"):
             M.kv_cache(perturbed_checkpoint(M.toy_config()), 1, columns)
 
+    @pytest.mark.parametrize("rows", [-1, -3])
+    def test_negative_rows_rejected(self, rows):
+        with pytest.raises(M.ModelError, match=f"0 or more rows, got {rows}$"):
+            M.kv_cache(perturbed_checkpoint(M.toy_config()), rows)
+
     @pytest.mark.parametrize("rows, columns, width", [(1, 1, 1), (2, 16, 16), (0, None, 16)])
     def test_columns_within_the_context_allocated(self, rows, columns, width):
         kv = M.kv_cache(perturbed_checkpoint(M.toy_config()), rows, columns)
@@ -224,6 +229,49 @@ class TestSequenceLogprob:
         npt.assert_array_equal(kv.ids, [self.IDS[:5]])
 
 
+def _ctrl_reference(ckpt, ids):
+    """Logits of CTRL's forward pass, written out in plain float64 numpy."""
+    cfg, W = ckpt.config, ckpt.weights
+    d, heads = cfg.model_dim, cfg.heads
+    hd, t = d // heads, len(ids)
+
+    def norm(x, name):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        return W[name + ".g"] * (x - mu) / np.sqrt(var + 1e-5) + W[name + ".b"]
+
+    col = np.arange(d)
+    angle = np.arange(t)[:, None] / 10000.0 ** ((col - col % 2) / d)
+    x = W["tok_emb"][ids] * np.sqrt(d) + np.where(col % 2 == 0, np.sin(angle), np.cos(angle))
+    later = np.triu(np.ones((t, t), dtype=bool), k=1)
+    for layer in range(cfg.layers):
+        p = f"h{layer}.attn."
+        h = norm(x, f"h{layer}.ln1")
+        q, k, v = (h @ W[p + "w" + n] + W[p + "b" + n] for n in "qkv")
+        outs = []
+        for j in range(heads):
+            c = slice(j * hd, (j + 1) * hd)
+            s = q[:, c] @ k[:, c].T / np.sqrt(hd)
+            s[later] = -np.inf
+            a = np.exp(s - s.max(axis=-1, keepdims=True))
+            outs.append(a / a.sum(axis=-1, keepdims=True) @ v[:, c])
+        x = x + np.concatenate(outs, axis=1) @ W[p + "wo"] + W[p + "bo"]
+        p = f"h{layer}.ffn."
+        h = norm(x, f"h{layer}.ln2")
+        x = x + np.maximum(0.0, h @ W[p + "w1"] + W[p + "b1"]) @ W[p + "w2"] + W[p + "b2"]
+    return norm(x, "lnf") @ W["tok_emb"].T
+
+
+class TestArchitecture:
+    def test_forward_is_ctrl(self):
+        # Two pre-norm blocks with a ReLU feed-forward; any other activation,
+        # even one whose backward matched it, differs.
+        ckpt = perturbed_checkpoint(M.toy_config())
+        ids = np.random.default_rng(8).integers(0, 50, size=16)
+        want = _ctrl_reference(ckpt, ids)
+        npt.assert_allclose(M.forward(ckpt, ids), want, rtol=0, atol=1e-12)
+
+
 class TestLastBlockCut:
     """An int ``rows`` runs the last block on the read columns only; its
     logits equal the full pass's trailing rows in float64."""
@@ -234,15 +282,16 @@ class TestLastBlockCut:
 
     def test_ffn_runs_only_the_read_columns_in_the_last_block(self, monkeypatch):
         widths = []
-        erf = M.erf
+        layer_norm = M._layer_norm
 
-        def recording_erf(z):
-            widths.append(z.shape[1])
-            return erf(z)
+        def recording_layer_norm(x, g, b):
+            widths.append(x.shape[1])
+            return layer_norm(x, g, b)
 
-        monkeypatch.setattr(M, "erf", recording_erf)
+        monkeypatch.setattr(M, "_layer_norm", recording_layer_norm)
         M._forward_batch(perturbed_checkpoint(self.CFG), self.IDS, False, rows=2)
-        assert widths == [11, 11, 2]
+        # ln1 and ln2 of each block, then lnf; the last block's ln2 feeds its FFN.
+        assert widths == [11, 11, 11, 11, 11, 2, 2]
 
     @pytest.mark.parametrize("n", [1, 4, 11])
     def test_matches_full_forward(self, n):
@@ -267,7 +316,7 @@ class TestLastBlockCut:
     def test_keep_cache_keeps_the_whole_last_block(self):
         ckpt = perturbed_checkpoint(self.CFG)
         logits, cache = M._forward_batch(ckpt, self.IDS, True, rows=2)
-        assert cache["layers"][-1]["z1"].shape[1] == 11
+        assert cache["layers"][-1]["act"].shape[1] == 11
         full, _ = M._forward_batch(ckpt, self.IDS, False)
         npt.assert_allclose(logits, full[:, -2:], rtol=0, atol=1e-12)
 
@@ -435,19 +484,23 @@ class TestKVCacheReuse:
             npt.assert_allclose(row, M.forward(self.CKPT, ids)[-1], rtol=0, atol=1e-12)
 
     def test_pass_failing_midway_leaves_a_valid_cache(self, monkeypatch):
-        erf = M.erf
+        layer_norm = M._layer_norm
 
-        def failing_erf(z):
-            raise FloatingPointError("late failure")
+        def failing_layer_norm(x, g, b):
+            calls.append(1)
+            if len(calls) == 2:  # layer 0's ln2, after it wrote its K/V
+                raise FloatingPointError("late failure")
+            return layer_norm(x, g, b)
 
         for rows in (1, 2):
             kv = M.kv_cache(self.CKPT, rows)
             M.forward(self.CKPT, [[3, 1, 4, 1, 5]] * rows, kv)
-            monkeypatch.setattr(M, "erf", failing_erf)
+            calls = []
+            monkeypatch.setattr(M, "_layer_norm", failing_layer_norm)
             with pytest.raises(FloatingPointError):
                 M.forward(self.CKPT, [[3, 1, 7, 7, 7, 7]] * rows, kv)
             npt.assert_array_equal(kv.ids, [[3, 1]] * rows)
-            monkeypatch.setattr(M, "erf", erf)
+            monkeypatch.setattr(M, "_layer_norm", layer_norm)
             # Layer 0 had overwritten positions 2.. before the failure.
             want = M.forward(self.CKPT, [3, 1, 4, 1, 6])[-1]
             for got in M.forward(self.CKPT, [[3, 1, 4, 1, 6]] * rows, kv):
@@ -772,7 +825,14 @@ class TestCheckpointIO:
         ckpt = M.init_model(M.toy_config(), seed=9)
         path = tmp_path / "model.ckpt"
         M.save_checkpoint(path, ckpt)
-        assert path.read_bytes().startswith(b"ctrlkit-ckpt-1\n")
+        assert path.read_bytes().startswith(b"ctrlkit-ckpt-2\n")
+
+    def test_gelu_checkpoint_rejected_with_a_retrain_message(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, M.init_model(M.toy_config(), seed=9))
+        path.write_bytes(path.read_bytes().replace(b"ctrlkit-ckpt-2", b"ctrlkit-ckpt-1", 1))
+        with pytest.raises(M.ModelError, match="GELU .* ReLU; retrain it"):
+            M.load_checkpoint(path)
 
     def test_float64_rejected(self, tmp_path):
         ckpt = M.init_model(M.toy_config(), seed=9, dtype=np.float64)

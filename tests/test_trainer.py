@@ -388,8 +388,8 @@ class TestPack:
 
 class TestBatchLossPositions:
     def test_unpacked_batch_unchanged(self):
-        # Recorded before batch_loss took positions; the unpacked path must
-        # keep computing exactly this.
+        # Recorded under the ReLU feed-forward, without positions; the
+        # unpacked path must keep computing exactly this.
         cfg = M.toy_config()
         ckpt = _perturbed_float64(cfg, seed=4)
         rng = np.random.default_rng(4)
@@ -401,8 +401,8 @@ class TestBatchLossPositions:
         loss, grads = M.batch_loss(ckpt, ids, mask)
         digest = hashlib.sha256(
             b"".join(grads[n].tobytes() for n in M.param_shapes(cfg))).hexdigest()
-        assert loss.hex() == "0x1.04aeef540ed7ap+2"
-        assert digest == "75d92fbced9811e61bc1fdf2374894e7939bd4a254d1f3096cc45133280a8955"
+        assert loss.hex() == "0x1.03fafa604c3a7p+2"
+        assert digest == "896e535f1f4d922d667abad72b36a1d8054a92f44176af64c03e495017093103"
 
     def test_one_window_per_row_positions_change_nothing(self):
         cfg = M.toy_config()
