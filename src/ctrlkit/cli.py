@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -137,24 +136,11 @@ def cmd_generate(args) -> int:
     _at_least("--num", args.num, 1, sampler.SamplingError)
     params = [_sampling_params(args, args.seed + i) for i in range(args.num)]
     ckpt, vocab = _load_model(args)
-    lines = []
-    for sp in params:
-        gr = sampler.generate(ckpt, vocab, args.prompt, args.occ, sp)
-        record = {
-            "prompt": args.prompt,
-            "text": tokenizer.decode(vocab, gr.body),
-            "stop_reason": gr.stop_reason,
-            "params": {
-                "T": sp.temperature,
-                "p": sp.nucleus_p,
-                "r": sp.repetition_penalty,
-                "max_new_tokens": sp.max_new_tokens,
-                "seed": sp.rng_seed,
-                "preset": args.preset,
-            },
-        }
-        lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False))
-    _write(args.out, "\n".join(lines) + "\n")
+    records = [evaluation.CellRecord.of(
+        vocab, args.prompt, args.occ, sp,
+        sampler.generate(ckpt, vocab, args.prompt, args.occ, sp), args.preset)
+        for sp in params]
+    _write(args.out, "".join(rec.to_json() + "\n" for rec in records))
     return 0
 
 

@@ -70,7 +70,7 @@ class Document:
     def __post_init__(self):
         if not self.text:
             raise CorpusError("document text must be non-empty")
-        if self.provenance not in ("manual", "auto"):
+        if self.provenance not in _PROVENANCE.values():
             raise CorpusError(f"unknown provenance {self.provenance!r}")
 
 
@@ -187,7 +187,7 @@ def table_from_names(names: list[str]) -> CategoryTable:
     )
 
 
-_PROVENANCE = {"m": "manual", "a": "auto"}
+_PROVENANCE = {"m": "manual", "a": "auto"}  # a corpus line's code -> Document.provenance
 _ESCAPE_RE = re.compile(r"\\([\\n])")
 
 
@@ -222,7 +222,8 @@ def load_corpus(path, table: CategoryTable) -> list[Document]:
             raise CorpusError(f"{path}:{lineno}: unregistered category {name!r}")
         if prov not in _PROVENANCE:
             raise CorpusError(
-                f"{path}:{lineno}: provenance must be 'm' or 'a', got {prov!r}"
+                f"{path}:{lineno}: provenance must be "
+                f"{' or '.join(map(repr, _PROVENANCE))}, got {prov!r}"
             )
         text = _unescape(text)
         if not text:
@@ -251,9 +252,10 @@ def save_corpus(path, docs: list[Document]) -> None:
     a url that is empty or exactly ``-`` (the field's mark for no url) has no
     such line and raises CorpusError naming the document.  The write is atomic
     (``fileio.atomic_open``)."""
+    codes = {provenance: c for c, provenance in _PROVENANCE.items()}
     with atomic_open(path, "w", encoding="utf-8") as fh:
         for d in docs:
-            prov = "m" if d.provenance == "manual" else "a"
+            prov = codes[d.provenance]
             url = d.source_url if d.source_url else "-"
             if (any(c in d.text for c in "\t\r") or any(c in url for c in "\t\n\r")
                     or d.source_url in ("", "-")):

@@ -15,7 +15,7 @@ import json
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -232,11 +232,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CellRecord:
-    """One generated text, as dumped to the cell's JSON-lines file.
+    """One generated text, as ``generate`` writes it and a grid cell dumps it.
 
     ``token_ids`` are the raw generated ids (ECC included); sampled ids are
     not necessarily a canonical encoding of ``text``, so aggregates must be
-    recomputed from the ids, never from re-encoded text.
+    recomputed from the ids, never from re-encoded text.  ``params`` holds
+    the ``T``, ``p``, ``r``, ``max_new_tokens`` and ``seed`` it was sampled
+    with and the ``preset`` named, or null.
     """
 
     prompt: str
@@ -245,36 +247,43 @@ class CellRecord:
     outcome: str
     reached: str | None
     token_ids: tuple[int, ...]
+    params: dict
+
+    @classmethod
+    def of(cls, v: Vocab, prompt: str, occ: str, sp: SamplingParams,
+           gr: GenerationResult, preset: str | None) -> "CellRecord":
+        """The record of ``gr``, sampled with ``sp`` (named ``preset``, if
+        any) after ``occ`` + ``prompt``."""
+        out = ecc_outcome(gr, occ, v)
+        params = {"T": sp.temperature, "p": sp.nucleus_p, "r": sp.repetition_penalty,
+                  "max_new_tokens": sp.max_new_tokens, "seed": sp.rng_seed,
+                  "preset": preset}
+        return cls(prompt, decode(v, gr.body), gr.stop_reason, out.kind, out.category,
+                   gr.generated_ids, params)
 
     @property
     def n_tokens(self) -> int:
         return len(self.token_ids)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "prompt": self.prompt,
-                "text": self.text,
-                "stop_reason": self.stop_reason,
-                "outcome": self.outcome,
-                "reached": self.reached,
-                "token_ids": list(self.token_ids),
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                          sort_keys=True, ensure_ascii=False)
 
     @classmethod
     def from_json(cls, line: str) -> "CellRecord":
-        data = json.loads(line)
-        return cls(
-            prompt=data["prompt"],
-            text=data["text"],
-            stop_reason=data["stop_reason"],
-            outcome=data["outcome"],
-            reached=data["reached"],
-            token_ids=tuple(data["token_ids"]),
-        )
+        """The record of a ``to_json`` line; EvaluationError for a line that
+        is not a JSON object of exactly the record's keys with integer ids."""
+        try:
+            data = json.loads(line)
+        except ValueError as exc:
+            raise EvaluationError(f"a generated-text record is not JSON: {exc}") from None
+        names = {f.name for f in fields(cls)}
+        if not (isinstance(data, dict) and data.keys() == names
+                and isinstance(data["token_ids"], list)
+                and all(type(i) is int for i in data["token_ids"])):
+            raise EvaluationError(f"a generated-text record is an object of the keys "
+                                  f"{', '.join(sorted(names))}, not {line.strip()[:80]!r}")
+        return cls(**{**data, "token_ids": tuple(data["token_ids"])})
 
 
 @dataclass(frozen=True)
@@ -427,11 +436,8 @@ def grid_search(
                               max_new_tokens=max_new_tokens,
                               rng_seed=cell_seed(base_seed, category, t, p, r, sample))
                for t, p, r in grid.cells() for sample in range(texts_per_cell)]
-        records = []
-        for gr in generate_batch(ckpt, [v.occ_id(category)], sps, v.ecc_ids):
-            out = ecc_outcome(gr, category, v)
-            records.append(CellRecord("", decode(v, gr.body), gr.stop_reason, out.kind,
-                                      out.category, gr.generated_ids))
+        records = [CellRecord.of(v, "", category, sp, gr, None) for sp, gr in
+                   zip(sps, generate_batch(ckpt, [v.occ_id(category)], sps, v.ecc_ids))]
         cells += [summarize_cell(v, category, params,
                                  records[c * texts_per_cell:(c + 1) * texts_per_cell], idx)
                   for c, params in enumerate(grid.cells())]

@@ -7,7 +7,8 @@ atomic on POSIX and Windows; nothing is fsynced, so the guarantee covers a
 failing process, not a power loss.
 
 ``read_lines`` is the only text-file reader: a line ends at ``\\n``, ``\\r\\n``
-or ``\\r``, and invalid UTF-8 raises the caller's error naming the line.
+or ``\\r``, one leading byte-order mark (U+FEFF) is dropped, and invalid
+UTF-8 raises the caller's error naming the line.
 ``parsing`` turns a parser's exception into the caller's error.
 """
 
@@ -35,8 +36,9 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 def read_lines(path, error: type[Exception]) -> io.StringIO:
     """The lines of the UTF-8 text file ``path``, as iterating the file in
-    text mode gives them; bytes that are not UTF-8 raise ``error`` naming
-    the line (counted by ``\\n``)."""
+    text mode gives them, without one leading U+FEFF (a byte-order mark, not
+    data; any other U+FEFF is); bytes that are not UTF-8 raise ``error``
+    naming the line (counted by ``\\n``)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -46,7 +48,7 @@ def read_lines(path, error: type[Exception]) -> io.StringIO:
         raise error(
             f"{path}:{line}: byte {data[exc.start]:#04x} is not valid UTF-8"
         ) from None
-    return io.StringIO(text, newline=None)
+    return io.StringIO(text.removeprefix("\ufeff"), newline=None)
 
 
 @contextmanager

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import ctrlkit
-from ctrlkit import tokenizer, trainer
+from ctrlkit import model, sampler, tokenizer, trainer
 from ctrlkit.cli import _parse_floats, _sampling_params, _write, build_parser, main
-from ctrlkit.evaluation import GridSpec
+from ctrlkit.evaluation import CellRecord, GridSpec, cell_seed
 from tests.conftest import make_two_genre_docs
+from tests.test_evaluation import RECORD_KEYS, assert_record_of
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +212,28 @@ class TestGenerate:
         assert len(err.strip().split("\n")) == 1
         assert not out.exists()
 
+    def test_each_line_is_the_record_of_its_sample(self, workspace, tmp_path):
+        out = tmp_path / "gen.jsonl"
+        assert main([
+            "generate", "--ckpt", str(workspace["ckpt"]),
+            "--vocab", str(workspace["vocab"]), "--occ", "beta", "--prompt", "b1 a2",
+            "--preset", "M1", "--max-new-tokens", "12", "--num", "3", "--seed", "7",
+            "--out", str(out),
+        ]) == 0
+        ckpt = model.load_checkpoint(workspace["ckpt"])
+        vocab = tokenizer.load_vocab(workspace["vocab"])
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3
+        for i, line in enumerate(lines):
+            assert set(json.loads(line)) == RECORD_KEYS
+            rec = CellRecord.from_json(line)
+            sp = sampler.preset("M1", max_new_tokens=12, rng_seed=7 + i)
+            assert_record_of(rec, sampler.generate(ckpt, vocab, "b1 a2", "beta", sp),
+                             "beta", vocab)
+            assert rec.prompt == "b1 a2"
+            assert rec.params == {"T": 1.0, "p": 0.8, "r": 1.6, "max_new_tokens": 12,
+                                  "seed": 7 + i, "preset": "M1"}
+
     def test_same_seed_byte_identical(self, workspace, tmp_path):
         outs = []
         for name in ("a.jsonl", "b.jsonl"):
@@ -381,6 +404,35 @@ class TestGrid:
         assert capsys.readouterr().err.startswith(
             "error: EvaluationError: grid overlap needs a 13-gram index, not 1-grams")
         assert not out.exists()
+
+    def test_each_dump_line_is_the_record_of_its_sample(self, workspace, tmp_path):
+        out = tmp_path / "grid"
+        assert main([
+            "grid", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+            "--categories", "beta,alpha", "--texts-per-cell", "2", "--max-new-tokens", "9",
+            "--p-grid", "0.9", "--t-grid", "0,0.5", "--r-grid", "1.2", "--seed", "4",
+            "--out", str(out),
+        ]) == 0
+        ckpt = model.load_checkpoint(workspace["ckpt"])
+        vocab = tokenizer.load_vocab(workspace["vocab"])
+        assert len(list(out.glob("cell_*.jsonl"))) == 6  # a greedy and two sampled cells
+        for category in ("alpha", "beta"):
+            for t, p, r in GridSpec((0.9,), (0.0, 0.5), (1.2,)).cells():
+                path = out / f"cell_{category}_T{t:.2f}_p{p:.2f}_r{r:.2f}.jsonl"
+                lines = path.read_text(encoding="utf-8").splitlines()
+                assert len(lines) == 2
+                for sample, line in enumerate(lines):
+                    assert set(json.loads(line)) == RECORD_KEYS
+                    rec = CellRecord.from_json(line)
+                    seed = cell_seed(4, category, t, p, r, sample)
+                    sp = sampler.SamplingParams(temperature=t, nucleus_p=p,
+                                                repetition_penalty=r, max_new_tokens=9,
+                                                rng_seed=seed)
+                    assert_record_of(rec, sampler.generate(ckpt, vocab, "", category, sp),
+                                     category, vocab)
+                    assert rec.prompt == ""
+                    assert rec.params == {"T": t, "p": p, "r": r, "max_new_tokens": 9,
+                                          "seed": seed, "preset": None}
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_texts_per_cell_below_one_rejected(self, workspace, tmp_path, capsys, n):
@@ -648,14 +700,15 @@ class TestTaskVerbs:
         assert capsys.readouterr().out.startswith("task,epoch,metric,value,N_missing%\n")
 
 
-def test_import_loads_no_scipy():
-    # The package needs numpy alone; only the tests use scipy, as an oracle.
+def test_import_loads_only_numpy_and_the_stdlib():
+    # The package needs numpy alone; only the tests use scipy and hypothesis.
+    # The modules loaded before the import (site hooks among them) are not its.
     src = str(Path(ctrlkit.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, ctrlkit.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    code = ("import sys; before = set(sys.modules); import ctrlkit.cli; "
+            "print(*{m.split('.')[0] for m in set(sys.modules) - before})")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert set(proc.stdout.split()) - sys.stdlib_module_names == {"ctrlkit", "numpy"}

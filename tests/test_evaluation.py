@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -282,20 +283,79 @@ class TestEccOutcome:
 
     def test_confusion_keys(self, two_genre):
         # One correct, one wrong and one none text under the alpha OCC, each
-        # recorded from ecc_outcome the way grid_search records it.
+        # recorded the way grid_search records it.
         v = two_genre.vocab
         records = []
         for gr in (GenerationResult((v.ecc_id("alpha"),), STOP_ECC),
                    GenerationResult((v.ecc_id("beta"),), STOP_ECC),
                    GenerationResult((1, 2), STOP_MAX)):
-            out = E.ecc_outcome(gr, "alpha", v)
-            records.append(E.CellRecord("", "", gr.stop_reason, out.kind,
-                                        out.category, gr.generated_ids))
+            records.append(E.CellRecord.of(v, "", "alpha", S.SamplingParams(), gr, None))
         cell = E.summarize_cell(v, "alpha", (1.0, 1.0, 1.0), records)
         rep = E.GridReport(cells=(cell,))
         assert rep.confusion == {
             ("alpha", "alpha"): 1, ("alpha", "beta"): 1, ("alpha", "none"): 1,
         }
+
+
+RECORD_KEYS = {"prompt", "text", "stop_reason", "outcome", "reached", "token_ids", "params"}
+
+
+def assert_record_of(rec: E.CellRecord, gr: GenerationResult, occ: str, v) -> None:
+    """``rec`` holds what the sampler returned for it: its stop reason, ids
+    and ECC outcome, and the decoding of its ids without the stopping ECC."""
+    out = E.ecc_outcome(gr, occ, v)
+    assert (rec.stop_reason, rec.token_ids) == (gr.stop_reason, gr.generated_ids)
+    assert (rec.outcome, rec.reached) == (out.kind, out.category)
+    body = rec.token_ids[:-1] if rec.stop_reason == STOP_ECC else rec.token_ids
+    assert rec.text == T.decode(v, body)
+
+
+class TestCellRecord:
+    def test_record_of_each_stop(self, two_genre):
+        v = two_genre.vocab
+        sp = S.SamplingParams(temperature=0.5, nucleus_p=0.9, repetition_penalty=1.2,
+                              max_new_tokens=3, rng_seed=11)
+        a1, a2 = v.token_to_id["a1"], v.token_to_id["a2"]
+        for gr in (GenerationResult((a1, v.ecc_id("alpha")), STOP_ECC),
+                   GenerationResult((a2, v.ecc_id("beta")), STOP_ECC),
+                   GenerationResult((a1, a2, a1), STOP_MAX)):
+            rec = E.CellRecord.of(v, "a2", "alpha", sp, gr, "M2")
+            assert_record_of(rec, gr, "alpha", v)
+            assert rec.prompt == "a2"
+            assert rec.params == {"T": 0.5, "p": 0.9, "r": 1.2, "max_new_tokens": 3,
+                                  "seed": 11, "preset": "M2"}
+
+    def test_json_round_trip_has_exactly_the_fields(self, two_genre):
+        v = two_genre.vocab
+        gr = GenerationResult((v.token_to_id["a1"], v.ecc_id("beta")), STOP_ECC)
+        rec = E.CellRecord.of(v, "å \"x\"", "alpha", S.SamplingParams(rng_seed=2**63), gr, None)
+        line = rec.to_json()
+        assert set(json.loads(line)) == RECORD_KEYS
+        assert "å" in line and "\n" not in line
+        assert E.CellRecord.from_json(line) == rec
+        assert E.CellRecord.from_json(line).to_json() == line
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [d], lambda d: None, lambda d: "x", lambda d: 3,
+        lambda d: {k: x for k, x in d.items() if k != "params"},
+        lambda d: {k: x for k, x in d.items() if k != "token_ids"},
+        lambda d: {**d, "span": "a1"},
+        lambda d: {**d, "token_ids": "12"},
+        lambda d: {**d, "token_ids": [1, 2.0]},
+        lambda d: {**d, "token_ids": [1, True]},
+    ], ids=["list", "null", "string", "number", "no-params", "no-ids", "extra-key",
+            "ids-string", "float-id", "bool-id"])
+    def test_line_not_a_record_rejected(self, two_genre, edit):
+        v = two_genre.vocab
+        gr = GenerationResult((v.token_to_id["a1"],), STOP_MAX)
+        data = json.loads(E.CellRecord.of(v, "", "alpha", S.SamplingParams(), gr, None).to_json())
+        with pytest.raises(E.EvaluationError, match="a generated-text record is an object"):
+            E.CellRecord.from_json(json.dumps(edit(data)))
+
+    @pytest.mark.parametrize("line", ["", "{", '{"prompt": "a"} x'])
+    def test_line_not_json_rejected(self, line):
+        with pytest.raises(E.EvaluationError, match="a generated-text record is not JSON"):
+            E.CellRecord.from_json(line)
 
 
 class TestBleu4:

@@ -97,6 +97,53 @@ def datapoints_bytes():
     return "".join(json.dumps(p, ensure_ascii=False) + "\n" for p in points).encode("utf-8")
 
 
+def _docs_read_with(table):
+    def load(path):
+        docs, categories = _load_docs(str(path), table)
+        return list(map(_fields, docs)), [c.name for c in categories]
+    return load
+
+
+def _index_fields(path):
+    idx = ngram.load_index(path)
+    return idx.k, idx.entries, idx.doc_meta, idx.texts
+
+
+# Each text loader, the file it reads, and what of the read it compares.
+BOM_LOADERS = {
+    "corpus-auto": ("corpus_bytes", _docs_read_with("auto")),
+    "corpus-default": ("corpus_bytes", _docs_read_with("default")),
+    "texts": ("corpus_bytes", corpus.load_texts),
+    "datapoints": ("datapoints_bytes", tasks.load_datapoints),
+    "vocab": ("vocab_bytes", T.load_vocab),
+    "index": ("index_bytes", _index_fields),
+}
+
+
+@pytest.mark.parametrize("name", BOM_LOADERS)
+def test_leading_byte_order_mark_is_not_data(tmp_path, request, name):
+    fixture, load = BOM_LOADERS[name]
+    data = request.getfixturevalue(fixture)
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(data)
+    marked.write_bytes("\ufeff".encode("utf-8") + data)
+    assert load(marked) == load(plain)
+
+
+def test_any_other_byte_order_mark_is_data(tmp_path):
+    path = tmp_path / "texts.txt"
+    path.write_text("\ufeff\ufeffa b\nc\ufeff\n\ufeffd\n", encoding="utf-8")
+    assert corpus.load_texts(path) == ["\ufeffa b", "c\ufeff", "\ufeffd"]
+
+
+def test_bad_utf8_after_a_byte_order_mark_names_its_line(tmp_path):
+    path = tmp_path / "texts.txt"
+    path.write_bytes("\ufeffa\nb".encode("utf-8") + b"\xff\n")
+    with pytest.raises(corpus.CorpusError) as info:
+        corpus.load_texts(path)
+    assert str(info.value) == f"{path}:2: byte 0xff is not valid UTF-8"
+
+
 @PROPERTY_SETTINGS
 @given(edit=byte_edits())
 def test_edited_checkpoint_loads_or_raises_model_error(tmp_path, checkpoint_bytes, edit):

@@ -187,6 +187,13 @@ class TestSequenceLogprob:
         got = M.sequence_logprob(ckpt, self.IDS, start=6, kv=kv)
         assert abs(got - M.sequence_logprob(ckpt, self.IDS, start=6)) <= 1e-12
 
+    def test_cached_ids_of_three_dimensions_rejected(self):
+        ckpt = perturbed_checkpoint(M.toy_config())
+        kv = M.kv_cache(ckpt)
+        with pytest.raises(M.ModelError, match=r"one sequence or a \(rows, time\) stack"):
+            M.forward(ckpt, self.IDS[None, None, :], kv)
+        assert kv.ids.size == 0
+
     def test_cache_with_stacked_rows_rejected(self):
         ckpt = perturbed_checkpoint(M.toy_config())
         kv = M.kv_cache(ckpt)

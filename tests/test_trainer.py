@@ -342,6 +342,27 @@ class TestPack:
             starts.remove(found[0])
         assert not starts  # every window start belongs to a window
 
+    def test_window_with_no_set_mask_is_left_out(self):
+        cfg = M.toy_config()
+        ckpt = _perturbed_float64(cfg, seed=10)
+        rng = np.random.default_rng(10)
+        windows = _windows(rng, N, [range(5), range(N), [0, 3]])
+        empty = _window(rng.integers(0, 50, N), [])
+        packed = trainer._pack(windows)
+        with_empty = trainer._pack(windows[:1] + [empty] + windows[1:])
+        for a, b in zip(packed, with_empty):
+            npt.assert_array_equal(a, b)
+        loss, grads = M.batch_loss(ckpt, packed[0], packed[1], positions=packed[2])
+        again, regrads = M.batch_loss(ckpt, with_empty[0], with_empty[1],
+                                      positions=with_empty[2])
+        assert again == loss
+        for name in M.param_shapes(cfg):
+            npt.assert_array_equal(regrads[name], grads[name], err_msg=name)
+        ids, mask, positions = trainer._pack([empty, empty])
+        assert ids.shape == mask.shape == positions.shape == (0, 0)
+        with pytest.raises(M.ModelError, match="no unmasked target positions"):
+            M.batch_loss(ckpt, ids, mask, positions=positions)
+
     def test_holes_are_kept_and_the_tail_is_cut(self):
         windows = [
             _window([1, 2, 3, 0, 0, 0, 0, 0], range(3)),
