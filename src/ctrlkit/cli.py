@@ -136,11 +136,12 @@ def cmd_generate(args) -> int:
     _at_least("--num", args.num, 1, sampler.SamplingError)
     params = [_sampling_params(args, args.seed + i) for i in range(args.num)]
     ckpt, vocab = _load_model(args)
-    records = [evaluation.CellRecord.of(
-        vocab, args.prompt, args.occ, sp,
-        sampler.generate(ckpt, vocab, args.prompt, args.occ, sp), args.preset)
-        for sp in params]
-    _write(args.out, "".join(rec.to_json() + "\n" for rec in records))
+    lines = []
+    for sp in params:
+        gr = sampler.generate(ckpt, vocab, args.prompt, args.occ, sp)
+        rec = evaluation.CellRecord.of(vocab, args.prompt, args.occ, sp, gr, args.preset)
+        lines.append(rec.to_json() + "\n")
+    _write(args.out, "".join(lines))
     return 0
 
 
