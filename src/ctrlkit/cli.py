@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -271,7 +272,12 @@ def cmd_eval_task(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ctrlkit`` parser, built once per process and shared by every
+    ``main`` call.  Its ``set_defaults(func=...)`` binds the ``cmd_*``
+    functions when it is first built, so a test patches what those
+    functions call, not ``cli.cmd_*``."""
     parser = argparse.ArgumentParser(
         prog="ctrlkit",
         description="Controllable language modeling toolkit",

@@ -21,6 +21,11 @@ A decoding step is one column per row, so a pass's fixed numpy cost
 counts: the sinusoidal table is computed once per (model_dim, dtype) and
 sliced, the causal mask is built only when a pass has later keys (more
 than one column), and layer norm and softmax reduce through the ufuncs.
+Each weight product (``wq``, ``wk``, ``wv``, ``wo``, ``w1``, ``w2`` and the
+tied head) is one 2-D product over every (row, column), because numpy runs
+a stacked (rows, t, d) product as one small product per row.  Its bias,
+and then the residual, are added in place on the fresh product, and the
+attention softmax normalises its fresh scores in place.
 
 Weights are float32 for training and evaluation and float64 for gradient
 checks, and a pass computes in its checkpoint's dtype: float32 weights give
@@ -185,10 +190,10 @@ def positional_encoding(context: int, model_dim: int, dtype=np.float64,
     return table[start:end]
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Probabilities over the last axis, computed in the input's dtype in
-    one new array."""
-    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    one new array, or in ``out`` (which may be ``x`` itself)."""
+    e = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
@@ -231,6 +236,15 @@ def _layer_norm_backward(dy, g, cache):
     dx -= xhat * m2
     dx /= std
     return dx, dg, db
+
+
+def _linear(x, w, b=None):
+    """x @ w (+ b) over the last axis of x, as one 2-D product over every
+    leading index, the bias added in place on the fresh product."""
+    y = x.reshape(-1, x.shape[-1]) @ w
+    if b is not None:
+        y += b
+    return y.reshape(x.shape[:-1] + y.shape[-1:])
 
 
 def _split_heads(x, heads):
@@ -351,14 +365,14 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
     for i in range(cfg.layers):
         p = f"h{i}."
         h, ln1_cache = _layer_norm(x, W[p + "ln1.g"], W[p + "ln1.b"])
-        k = _split_heads(h @ W[p + "attn.wk"] + W[p + "attn.bk"], cfg.heads)
-        v = _split_heads(h @ W[p + "attn.wv"] + W[p + "attn.bv"], cfg.heads)
+        k = _split_heads(_linear(h, W[p + "attn.wk"], W[p + "attn.bk"]), cfg.heads)
+        v = _split_heads(_linear(h, W[p + "attn.wv"], W[p + "attn.bv"]), cfg.heads)
         if cut and i == cfg.layers - 1:
             # Keys and values cover every column; the rest only the read ones.
             x, h = x[:, -cut:], h[:, -cut:]
             if hidden is not None:
                 hidden = hidden[..., -cut:, :]
-        q = _split_heads(h @ W[p + "attn.wq"] + W[p + "attn.bq"], cfg.heads)
+        q = _split_heads(_linear(h, W[p + "attn.wq"], W[p + "attn.bq"]), cfg.heads)
         if kv is not None:
             k_all, v_all = kv.layers[i]
             k_all[:, :, start:start + t] = k
@@ -368,16 +382,16 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
         scores *= att_scale
         if hidden is not None:
             np.copyto(scores, -np.inf, where=hidden)
-        attn = softmax(scores)
+        attn = softmax(scores, out=scores)
         ctx = _merge_heads(attn @ v)
-        a_out = ctx @ W[p + "attn.wo"] + W[p + "attn.bo"]
-        x_attn = x + a_out
+        x_attn = _linear(ctx, W[p + "attn.wo"], W[p + "attn.bo"])
+        x_attn += x  # residual
 
         h2, ln2_cache = _layer_norm(x_attn, W[p + "ln2.g"], W[p + "ln2.b"])
-        act = h2 @ W[p + "ffn.w1"] + W[p + "ffn.b1"]
+        act = _linear(h2, W[p + "ffn.w1"], W[p + "ffn.b1"])
         np.maximum(act, 0.0, out=act)
-        ff = act @ W[p + "ffn.w2"] + W[p + "ffn.b2"]
-        x_next = x_attn + ff
+        x_next = _linear(act, W[p + "ffn.w2"], W[p + "ffn.b2"])
+        x_next += x_attn  # residual
 
         if keep_cache:
             layer_caches.append(
@@ -389,7 +403,7 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
     if rows is not None:
         x = x[rows]
     hf, lnf_cache = _layer_norm(x, W["lnf.g"], W["lnf.b"])
-    logits = hf @ W["lm_head"]
+    logits = _linear(hf, W["lm_head"])
     cache = None
     if keep_cache:
         cache = dict(ids=ids, layers=layer_caches, hf=hf, lnf=lnf_cache,

@@ -148,6 +148,23 @@ class TestVerbBasics:
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
 
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_failed_parse_leaves_the_shared_parser_as_built(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.tsv"
+        corpus_path.write_text("news\tm\t-\tett två tre\n")
+        argv = ["index-build", "--corpus", str(corpus_path), "--k", "2",
+                "--out", str(tmp_path / "idx.jsonl")]
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--ckpt", "x", "--vocab", "y", "--occ", "alpha",
+                  "--num", "two"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "indexed 2 2-grams from 1 documents\n"
+
     def test_missing_file_is_one_line_error(self, workspace, capsys):
         rc = main([
             "generate", "--ckpt", "/nonexistent.ckpt",

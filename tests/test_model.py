@@ -744,14 +744,20 @@ class TestFastPaths:
             _assert_bitwise(got, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(40,), (3, 5, 40), (2, 4, 6, 9)])
-    def test_softmax_matches_its_oracle(self, dtype, shape):
+    @pytest.mark.parametrize("shape, in_place", [
+        pytest.param(shape, in_place, id=f"shape{i}" + "-in_place" * in_place)
+        for in_place in (False, True)
+        for i, shape in enumerate([(40,), (3, 5, 40), (2, 4, 6, 9)])])
+    def test_softmax_matches_its_oracle(self, dtype, shape, in_place):
         x = _rows_with_a_constant_one(shape, dtype, 2)
         rows = x.reshape(-1, shape[-1])
         rows[1:, 1::3] = -np.inf  # masked scores, every row keeping some finite ones
         if len(rows) > 2:
             rows[2, :-1] = -np.inf
-        _assert_bitwise(M.softmax(x), _softmax_oracle(x.copy()))
+        want = _softmax_oracle(x.copy())
+        got = M.softmax(x, out=x if in_place else None)
+        assert (got is x) == in_place
+        _assert_bitwise(got, want)
 
     @pytest.mark.parametrize("model_dim", [32, 128])
     def test_positional_encoding_matches_its_oracle(self, model_dim):
@@ -814,6 +820,83 @@ class TestFastPaths:
         for name in M.param_shapes(cfg):
             npt.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
                                 err_msg=name)
+
+
+def _stacked_linear(x, w, b=None):
+    """The forward pass's weight products as stacked ``@``: numpy runs one
+    product per leading index of ``x``."""
+    return x @ w if b is None else x @ w + b
+
+
+def _assert_float32_close(got, want):
+    """Equal up to the float32 rounding that regrouped sums of products
+    carry through a two-block pass: a few ulps of the largest value."""
+    assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+    bound = 16 * np.finfo(np.float32).eps * np.abs(want).max()
+    assert np.abs(got.astype(np.float64) - want).max() <= bound
+
+
+class TestTwoDimensionalProducts:
+    """Each weight product of the forward pass is one 2-D product over
+    every (row, column) pair; held to the stacked products within float32
+    rounding, and its temporaries bounded."""
+
+    CFG = M.ModelConfig(layers=2, heads=4, model_dim=32, inner_dim=64, context=48,
+                        vocab_size=60)
+
+    @staticmethod
+    def _stacked_windows(ckpt):
+        ids = np.random.default_rng(4).integers(0, 60, size=(8, 32))
+        logits, _ = M._forward_batch(ckpt, ids[:, :-1], keep_cache=False, rows=1)
+        return [logits]
+
+    @staticmethod
+    def _one_column_per_row(ckpt):
+        ids = np.random.default_rng(5).integers(0, 60, size=(4, 16))
+        kv = M.kv_cache(ckpt, 4)
+        return [M.forward(ckpt, ids[:, :end], kv) for end in range(10, 17)]
+
+    @staticmethod
+    def _packed_batch_loss(ckpt):
+        rng = np.random.default_rng(6)
+        ids = rng.integers(0, 60, size=(3, 24))
+        positions = np.array([list(range(10)) + list(range(14)),
+                              list(range(24)),
+                              list(range(5)) + list(range(12)) + list(range(7))])
+        mask = positions > 0  # a window's first column is no target
+        mask[2, 20:] = False
+        loss, grads = M.batch_loss(ckpt, ids, mask, positions=positions)
+        return [np.float32(loss)] + [grads[n] for n in M.param_shapes(ckpt.config)]
+
+    @pytest.mark.parametrize("case", ["_stacked_windows", "_one_column_per_row",
+                                      "_packed_batch_loss"])
+    def test_matches_the_stacked_products(self, case, monkeypatch):
+        ckpt = perturbed_checkpoint(self.CFG, dtype=np.float32)
+        got = getattr(self, case)(ckpt)
+        monkeypatch.setattr(M, "_linear", _stacked_linear)
+        want = getattr(self, case)(ckpt)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_float32_close(np.asarray(g), np.asarray(w))
+
+    def test_prefill_temporaries_are_bounded(self):
+        """Bias, residual and softmax are applied in place on each fresh
+        product: 8 stacked windows of 31 columns peak below 5.5 times one
+        (rows * columns, inner) float32 activation (4.8 times here; a new
+        array per epilogue makes it 6.6 times)."""
+        cfg = M.ModelConfig(layers=4, heads=4, model_dim=128, inner_dim=512, context=256,
+                            vocab_size=300)
+        ckpt = M.init_model(cfg, seed=0)
+        ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(8, 32))
+        want = M.sequence_logprob(ckpt, ids, start=31)  # builds the positional table
+        tracemalloc.start()
+        try:
+            got = M.sequence_logprob(ckpt, ids, start=31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 5.5 * (8 * 31 * cfg.inner_dim * 4)
 
 
 class TestCheckpointIO:
