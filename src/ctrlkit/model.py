@@ -130,6 +130,19 @@ def param_count(config: ModelConfig) -> int:
     return sum(int(np.prod(s)) for s in param_shapes(config).values())
 
 
+def flat_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """The trainable tensors as views of ``flat``, a 1-D array of
+    ``param_count(config)`` elements: end to end in ``param_shapes`` order,
+    the order of the checkpoint file.  When ``flat`` owns its memory, each
+    view's ``base`` is ``flat``."""
+    views, start = {}, 0
+    for name, shape in param_shapes(config).items():
+        end = start + math.prod(shape)
+        views[name] = flat[start:end].reshape(shape)
+        start = end
+    return views
+
+
 @dataclass
 class Checkpoint:
     """Config, weights and training position; the tied ``ALIASES`` views
@@ -141,6 +154,10 @@ class Checkpoint:
     seed: int = 0
 
     def __post_init__(self):
+        self.tie()
+
+    def tie(self) -> None:
+        """Attach each ``ALIASES`` view to the tensor it aliases, as it is now."""
         for alias, target in ALIASES.items():
             self.weights[alias] = self.weights[target].T
 
@@ -435,11 +452,12 @@ def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
 
 def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, np.ndarray]:
     """Parameter gradients, given the loss gradient ``dlogits`` of the
-    logits rows that ``cache["rows"]`` selected."""
+    logits rows that ``cache["rows"]`` selected, as the ``flat_views`` of
+    one zeroed buffer."""
     cfg, W = ckpt.config, ckpt.weights
     ids = cache["ids"]
     att_scale = 1.0 / math.sqrt(cfg.head_dim)
-    grads = {n: np.zeros_like(W[n]) for n in param_shapes(cfg)}
+    grads = flat_views(cfg, np.zeros(param_count(cfg), dtype=ckpt.dtype))
 
     grads["tok_emb"] += _wgrad(dlogits, cache["hf"])
     dhf = dlogits @ W["tok_emb"]

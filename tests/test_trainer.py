@@ -240,6 +240,141 @@ class TestTrain:
         npt.assert_array_equal(M.forward(M.load_checkpoint(path), ids), before)
 
 
+def _per_tensor_adamw_step(state, params, grads, lr):
+    """The per-tensor AdamW step that the flat one replaced: the oracle.
+    ``state`` holds ``t`` and per-tensor ``m`` and ``v``."""
+    state["t"] += 1
+    bc1 = 1.0 - trainer.ADAM_BETA1 ** state["t"]
+    bc2 = 1.0 - trainer.ADAM_BETA2 ** state["t"]
+    for name, p in params.items():
+        g = grads[name]
+        m = state["m"].setdefault(name, np.zeros_like(p))
+        v = state["v"].setdefault(name, np.zeros_like(p))
+        m *= trainer.ADAM_BETA1
+        m += (1.0 - trainer.ADAM_BETA1) * g
+        v *= trainer.ADAM_BETA2
+        v += (1.0 - trainer.ADAM_BETA2) * g * g
+        p *= 1.0 - lr * trainer.WEIGHT_DECAY
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + trainer.ADAM_EPS)
+
+
+def _new_state():
+    return {"t": 0, "m": {}, "v": {}}
+
+
+def _joined(tensors):
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in tensors)
+
+
+class TestAdamW:
+    @pytest.mark.parametrize("size", [
+        trainer.ADAM_BLOCK - 7, trainer.ADAM_BLOCK, 2 * trainer.ADAM_BLOCK + 1_001,
+    ], ids=["under_one_block", "one_block", "two_blocks_and_a_rest"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_the_per_tensor_formula(self, size, dtype):
+        rng = np.random.default_rng(size)
+        flat = rng.normal(0.0, 0.5, size).astype(dtype)
+        # Uneven tensors, so that block and tensor edges do not line up.
+        cuts = [0, 5, size // 3, size // 3 + 1, size - 2, size]
+        names = [f"w{i}" for i in range(len(cuts) - 1)]
+        ref = {n: flat[a:b].copy() for n, a, b in zip(names, cuts, cuts[1:])}
+        state = _new_state()
+        tc = trainer.TrainingConfig(lr=3e-2)
+        opt = trainer.AdamW(flat, tc)
+        for _ in range(3):  # the bias corrections move each step
+            grads = rng.normal(0.0, 1.0, size).astype(dtype)
+            grads[rng.integers(0, size, 10)] = 0.0
+            opt.step(flat, grads)
+            _per_tensor_adamw_step(state, ref, {n: grads[a:b] for n, a, b
+                                                in zip(names, cuts, cuts[1:])}, tc.lr)
+        assert opt.t == state["t"] == 3
+        assert flat.tobytes() == _joined(ref[n] for n in names)
+        assert opt.m.tobytes() == _joined(state["m"][n] for n in names)
+        assert opt.v.tobytes() == _joined(state["v"][n] for n in names)
+
+    def test_step_allocates_no_model_sized_temporaries(self):
+        # 4/4/128/512 at vocab 330, the decoder the benchmark's set-up
+        # trains: 835 584 parameters, whose largest tensor is 256 KiB.
+        cfg = M.ModelConfig(layers=4, heads=4, model_dim=128, inner_dim=512,
+                            context=32, vocab_size=330)
+        rng = np.random.default_rng(0)
+        flat = rng.normal(0.0, 0.02, M.param_count(cfg)).astype(np.float32)
+        grads = rng.normal(0.0, 1e-3, flat.size).astype(np.float32)
+        opt = trainer.AdamW(flat, trainer.TrainingConfig())
+        opt.step(flat, grads)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            opt.step(flat, grads)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+class TestFlatTraining:
+    @staticmethod
+    def _setup():
+        docs, v, _ = tiny_vocab_and_table(
+            ["c d e f g h i j", "f g h c d", "c f g i j e", "j i h g"], vocab_size=30)
+        cfg = M.ModelConfig(layers=2, heads=2, model_dim=16, inner_dim=32,
+                            context=8, vocab_size=len(v))
+        windows = trainer.windows_from_docs(docs, v, cfg.context)
+        tc = trainer.TrainingConfig(batch_size=2, lr=1e-2, epochs=2, seed=7)
+        return cfg, v, windows, tc
+
+    def test_weights_equal_a_per_tensor_reference_loop(self):
+        cfg, v, windows, tc = self._setup()
+        ref = M.init_model(cfg, seed=3)
+        params = {n: ref.weights[n] for n in M.param_shapes(cfg)}
+        state = _new_state()
+        rng = np.random.default_rng(tc.seed)
+        for _ in range(tc.epochs):
+            order = rng.permutation(len(windows))
+            for start in range(0, len(order), tc.batch_size):
+                batch = [windows[i] for i in order[start:start + tc.batch_size]]
+                ids, mask, positions = trainer._pack(batch)
+                _, grads = M.batch_loss(ref, ids, mask, positions=positions)
+                trainer.clip_global_norm(grads, trainer.GRAD_CLIP_NORM)
+                _per_tensor_adamw_step(state, params, grads, tc.lr)
+                ref.step += 1
+
+        ckpt = M.init_model(cfg, seed=3)
+        trainer.train(ckpt, [], v, tc, windows=windows)
+        assert ckpt.step == ref.step > 0
+
+        def digest(c):
+            return hashlib.sha256(_joined(c.weights[n] for n in M.param_shapes(cfg))).hexdigest()
+        assert digest(ckpt) == digest(ref)
+
+    def test_trained_weights_are_one_buffer_and_the_head_stays_tied(self, tmp_path):
+        cfg, v, windows, tc = self._setup()
+        ckpt = M.init_model(cfg, seed=3)
+        trainer.train(ckpt, [], v, tc, windows=windows)
+        flat = ckpt.weights["tok_emb"].base
+        assert flat.shape == (M.param_count(cfg),)
+        assert all(ckpt.weights[n].base is flat for n in M.param_shapes(cfg))
+        assert flat.tobytes() == _joined(ckpt.weights[n] for n in M.param_shapes(cfg))
+        head = ckpt.weights["lm_head"]
+        assert head.base is flat
+        npt.assert_array_equal(head, ckpt.weights["tok_emb"].T)
+        path = tmp_path / "m.ckpt"
+        M.save_checkpoint(path, ckpt)
+        ids = [1, 2, 3, 4, 5, 6]
+        npt.assert_array_equal(M.forward(ckpt, ids), M.forward(M.load_checkpoint(path), ids))
+
+    def test_batch_loss_gradients_view_one_buffer(self):
+        cfg = M.toy_config()
+        ckpt = M.init_model(cfg, seed=0)
+        ids = np.array([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])
+        _, grads = M.batch_loss(ckpt, ids, np.ones_like(ids, dtype=bool))
+        flat = grads["tok_emb"].base
+        assert flat.shape == (M.param_count(cfg),)
+        assert list(grads) == list(M.param_shapes(cfg))
+        assert all(grads[n].base is flat for n in grads)
+        assert flat.tobytes() == _joined(grads.values())
+
+
 class TestTrainingConfigFile:
     def test_defaults_match_published_setup(self):
         tc = trainer.TrainingConfig()
