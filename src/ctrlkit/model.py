@@ -27,6 +27,11 @@ a stacked (rows, t, d) product as one small product per row.  Its bias,
 and then the residual, are added in place on the fresh product, and the
 attention softmax normalises its fresh scores in place.
 
+``batch_loss`` returns its gradients as the ``flat_views`` of one zeroed
+buffer, or writes them into ``out``, such as the views of a buffer that a
+training run keeps for all its steps, which it zeroes first: a step then
+allocates no whole-model gradient buffer.
+
 Weights are float32 for training and evaluation and float64 for gradient
 checks, and a pass computes in its checkpoint's dtype: float32 weights give
 float32 activations, logits, K/V and gradients from the embedding to the
@@ -127,7 +132,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def param_count(config: ModelConfig) -> int:
     """Exact number of trainable scalars, counting the tied embedding once."""
-    return sum(int(np.prod(s)) for s in param_shapes(config).values())
+    return sum(math.prod(s) for s in param_shapes(config).values())
 
 
 def flat_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -450,14 +455,20 @@ def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     out[sorted_ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
-def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache) -> dict[str, np.ndarray]:
+def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache,
+                    out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Parameter gradients, given the loss gradient ``dlogits`` of the
-    logits rows that ``cache["rows"]`` selected, as the ``flat_views`` of
-    one zeroed buffer."""
+    logits rows that ``cache["rows"]`` selected, accumulated into ``out``
+    after zeroing it, or else into the ``flat_views`` of a new zeroed buffer."""
     cfg, W = ckpt.config, ckpt.weights
     ids = cache["ids"]
     att_scale = 1.0 / math.sqrt(cfg.head_dim)
-    grads = flat_views(cfg, np.zeros(param_count(cfg), dtype=ckpt.dtype))
+    if out is None:
+        grads = flat_views(cfg, np.zeros(param_count(cfg), dtype=ckpt.dtype))
+    else:
+        grads = out
+        for g in grads.values():
+            g.fill(0)
 
     grads["tok_emb"] += _wgrad(dlogits, cache["hf"])
     dhf = dlogits @ W["tok_emb"]
@@ -569,6 +580,7 @@ def batch_loss(
     mask: np.ndarray,
     compute_grads: bool = True,
     positions: np.ndarray | None = None,
+    out: dict[str, np.ndarray] | None = None,
 ):
     """Mean next-token NLL over unmasked target positions.
 
@@ -578,11 +590,23 @@ def batch_loss(
     column must then be unmasked, so that no target is predicted across a
     window boundary.  Returns (loss, grads) with grads=None when
     ``compute_grads`` is false.
+
+    The gradients are the ``flat_views`` of a new zeroed buffer, or, given
+    ``out`` (one array per ``param_shapes`` tensor, in the checkpoint's
+    dtype, such as the ``flat_views`` of a buffer kept across steps), are
+    written into those arrays after they are zeroed, and ``out`` is the
+    returned dict: nothing of an earlier call carries over.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
     if ids.ndim == 1:
         ids, mask = ids[None, :], mask[None, :]
+    if out is not None:
+        shapes = param_shapes(ckpt.config)
+        if out.keys() != shapes.keys() or any(
+                out[n].shape != s or out[n].dtype != ckpt.dtype for n, s in shapes.items()):
+            raise ModelError("out must hold one array per trainable tensor, "
+                             "of its shape and the checkpoint's dtype")
     target_mask = mask[:, 1:]
     n_targets = int(target_mask.sum())
     if n_targets == 0:
@@ -612,7 +636,7 @@ def batch_loss(
     dlogits[rows, targets] -= 1.0
     dlogits /= n_targets
     np.copyto(logits, dlogits, casting="same_kind")
-    grads = _backward_batch(ckpt, logits, cache)
+    grads = _backward_batch(ckpt, logits, cache, out)
     return loss, grads
 
 

@@ -12,10 +12,14 @@ an ``on_epoch`` callback, so memory does not grow with the number of
 epochs and a caller can save every epoch as it ends.  At its start it
 rebinds the checkpoint's trainable arrays to views of one flat buffer
 (``model.flat_views``), so a caller reads ``ckpt.weights`` after ``train``,
-not before: an array taken from it earlier is not the one trained.  The
-backward pass writes its gradients into views of one flat buffer too, and
-``AdamW`` updates the whole model in a few array operations per block of
-``ADAM_BLOCK`` elements.
+not before: an array taken from it earlier is not the one trained.  Next
+to it, the run allocates one flat gradient buffer, whose views every step's
+backward pass zeroes and fills (``batch_loss(..., out=)``), and ``AdamW``
+holds ``m`` and ``v`` flat and updates the whole model in a few array
+operations per block of ``ADAM_BLOCK`` elements.  A run therefore holds
+four float32 copies of the model (the weights, the gradients, ``m`` and
+``v``), plus one batch's activations while a step computes and one
+tensor's float64 squares while the clip norm sums them.
 
 Each step packs its own windows into shared rows (``_pack``): a row holds
 several short windows end to end, each with its own positions and
@@ -134,9 +138,16 @@ def lm_loss(ckpt: M.Checkpoint, window: Window) -> float:
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so the global norm is <= max_norm."""
-    total = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
-                        for g in grads.values()))
+    """Scale all gradients in place so the global norm is <= max_norm.
+
+    Each tensor's squares are summed in float64, in one float64 copy of
+    the tensor that is squared in place and lives only while it is summed."""
+    total = 0.0
+    for g in grads.values():
+        squares = g.astype(np.float64)
+        total += float(np.square(squares, out=squares).sum())
+        del squares  # before the next tensor's copy is made
+    total = np.sqrt(total)
     if total > max_norm:
         scale = max_norm / total
         for g in grads.values():
@@ -274,6 +285,8 @@ def train(
         view[...] = ckpt.weights[name]
         ckpt.weights[name] = view
     ckpt.tie()
+    grad_flat = np.empty_like(flat)
+    grads = M.flat_views(ckpt.config, grad_flat)
     opt = AdamW(flat, tc)
     rng = np.random.default_rng(tc.seed)
     for epoch in range(1, tc.epochs + 1):
@@ -281,11 +294,11 @@ def train(
         for start in range(0, len(order), tc.batch_size):
             batch = [windows[i] for i in order[start:start + tc.batch_size]]
             ids, mask, positions = _pack(batch)
-            loss, grads = M.batch_loss(ckpt, ids, mask, positions=positions)
+            loss, _ = M.batch_loss(ckpt, ids, mask, positions=positions, out=grads)
             if not np.isfinite(loss):
                 raise TrainingDiverged(ckpt.step, loss)
             clip_global_norm(grads, GRAD_CLIP_NORM)
-            opt.step(flat, grads["tok_emb"].base)  # the buffer the gradients view
+            opt.step(flat, grad_flat)
             ckpt.step += 1
         if on_epoch is not None:
             on_epoch(epoch, ckpt)

@@ -523,6 +523,11 @@ class TestParamCount:
         #   final ln               2*8         = 16
         expected = 400 + 2 * (16 + 256 + 32 + 16 + 128 + 16 + 128 + 8) + 16
         assert M.param_count(M.toy_config()) == expected == 1616
+        # The published preset, L=48, d=640, f=4096, V=256 076, by the same sum.
+        d, f = 640, 4096
+        per_layer = 2 * d + 4 * d * d + 4 * d + 2 * d + d * f + f + f * d + d
+        expected = 256_076 * d + 48 * per_layer + 2 * d
+        assert M.param_count(M.full_scale_config()) == expected == 494_664_448
 
     def test_doubling_inner_dim_delta(self):
         base = M.ModelConfig(layers=3, heads=2, model_dim=10, inner_dim=20,

@@ -126,6 +126,42 @@ class TestClip:
         trainer.clip_global_norm(grads, 1.0)
         npt.assert_array_equal(grads["a"], before)
 
+    @staticmethod
+    def _float32_grads(scale):
+        # Each under 32 768 elements, so under numpy's 256 KiB threshold for
+        # eliding temporaries in float64: there the squares of a float64
+        # copy, ``g.astype(np.float64) ** 2``, are a second array.
+        rng = np.random.default_rng(8)
+        return {n: rng.normal(0.0, scale, s).astype(np.float32) for n, s in
+                [("emb", (100, 64)), ("w1", (64, 256)), ("b", (256,)), ("g", (64,))]}
+
+    @pytest.mark.parametrize("scale", [1e-2, 1e-5], ids=["clips", "does_not_clip"])
+    def test_bitwise_equal_to_the_astype_formula(self, scale):
+        grads, ref = self._float32_grads(scale), self._float32_grads(scale)
+        # The formula this one replaced, with a float64 copy and its squares.
+        ref_total = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                                for g in ref.values()))
+        if ref_total > 1.0:
+            for g in ref.values():
+                g *= 1.0 / ref_total
+        total = trainer.clip_global_norm(grads, 1.0)
+        assert (total > 1.0) == (scale == 1e-2)
+        assert total.hex() == ref_total.hex()
+        assert _joined(grads.values()) == _joined(ref.values())
+
+    def test_one_float64_temporary_at_a_time(self):
+        grads = self._float32_grads(1e-2)
+        largest = max(g.size for g in grads.values()) * 8
+        tracemalloc.start()
+        try:
+            trainer.clip_global_norm(grads, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A float64 copy and then its squares would be 2x the largest tensor;
+        # one copy squared in place measured 1.0x.
+        assert peak < 1.5 * largest
+
 
 class TestTrain:
     def test_single_window_descent(self):
@@ -230,6 +266,32 @@ class TestTrain:
 
         one_checkpoint = 4 * M.param_count(cfg)
         assert peak_bytes(6) - peak_bytes(1) < one_checkpoint
+
+    def test_peak_is_four_model_copies_and_one_batch(self):
+        # 4/4/128/512 at vocab 330, the decoder the benchmark's set-up trains.
+        cfg = M.ModelConfig(layers=4, heads=4, model_dim=128, inner_dim=512,
+                            context=32, vocab_size=330)
+        rng = np.random.default_rng(0)
+        windows = _windows(rng, cfg.context, [range(cfg.context)] * 8)
+        _, v, _ = tiny_vocab_and_table(["c d e f"])
+        tc = trainer.TrainingConfig(batch_size=2, lr=1e-3, epochs=1, seed=0)
+        ckpt = M.init_model(cfg, seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trainer.train(ckpt, [], v, tc, windows=windows)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # The weights, their gradients, AdamW's m and v; the clip's float64
+        # squares of the largest tensor; and one step's activations and
+        # backward temporaries, whose traced rise inside batch_loss at this
+        # batch (2 x 32 tokens) measured 2.9 MiB.  The previous step's
+        # gradients, alive while the next are computed, would add a fifth copy.
+        model_copy = 4 * M.param_count(cfg)
+        largest = max(math.prod(s) for s in M.param_shapes(cfg).values())
+        activations = 3.5 * 2 ** 20
+        assert peak < 4 * model_copy + 8 * largest + activations
 
     def test_trained_checkpoint_round_trips_bitwise(self, two_genre, tmp_path):
         ckpt = two_genre.trained
@@ -584,3 +646,33 @@ class TestBatchLossPositions:
         ids, mask = np.array([[1, 2, 3, 4, 5]]), np.ones((1, 5), dtype=bool)
         with pytest.raises(M.ModelError, match=message):
             M.batch_loss(ckpt, ids, mask, positions=positions)
+
+
+class TestGradientBuffer:
+    def test_reused_buffer_carries_nothing_over(self):
+        cfg = M.toy_config()
+        ckpt = _perturbed_float64(cfg, seed=6)
+        rng = np.random.default_rng(6)
+        batches = [trainer._pack(_windows(rng, N, PACK_CASES[case]))
+                   for case in ("ragged", "holes")]
+        out = M.flat_views(cfg, np.full(M.param_count(cfg), np.nan))
+        for ids, mask, positions in batches:
+            _, fresh = M.batch_loss(ckpt, ids, mask, positions=positions)
+            _, grads = M.batch_loss(ckpt, ids, mask, positions=positions, out=out)
+            assert grads is out
+            assert _joined(out.values()) == _joined(fresh.values())
+
+    @pytest.mark.parametrize("change", ["missing", "shape", "dtype"])
+    def test_bad_buffer_rejected(self, change):
+        cfg = M.toy_config()
+        ckpt = M.init_model(cfg, seed=0)
+        out = M.flat_views(cfg, np.zeros(M.param_count(cfg), dtype=np.float32))
+        if change == "missing":
+            del out["lnf.b"]
+        elif change == "shape":
+            out["lnf.b"] = np.zeros(cfg.model_dim + 1, dtype=np.float32)
+        else:
+            out["lnf.b"] = out["lnf.b"].astype(np.float64)
+        ids = np.array([[1, 2, 3, 4, 5]])
+        with pytest.raises(M.ModelError, match="out must hold"):
+            M.batch_loss(ckpt, ids, np.ones_like(ids, dtype=bool), out=out)
