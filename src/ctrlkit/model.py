@@ -9,14 +9,17 @@ scaled by 1/sqrt(d/H).  The backward passes the feed-forward gradient where
 
 Forward and backward passes are written out explicitly; the backward pass is
 validated against central finite differences in the test suite.
-``batch_loss`` sends only its target positions through the final layer norm
-and the tied LM head, and takes per-position ids that pack several windows
-into one row, each attending only within itself (``trainer._pack`` builds
-them).  The whole pass, not only the head, therefore costs about the real
-tokens, not the padding.  A scorer that reads only the trailing columns
-of each row (``sequence_logprob``, cached decoding) runs the last block's
-query, attention and feed-forward on those columns alone.  A K/V cache
-records its tokens, and a pass reuses the prefix it shares with them.
+``_forward_batch`` runs the blocks up to the residual rows a caller reads,
+and ``_head``, the one output layer, turns them into logits, or into target
+scores through the one ``log_softmax`` and, for ``batch_loss``, gradients;
+it reads the tied projection as ``tok_emb.T``.  ``batch_loss`` sends only
+its target positions through it, and takes per-position ids that pack
+several windows into one row, each attending only within itself
+(``trainer._pack`` builds them).  The whole pass, not only the head,
+therefore costs about the real tokens, not the padding.  A scorer that
+reads only the trailing columns of each row (``sequence_logprob``, cached
+decoding) runs the last block's query, attention and feed-forward on those
+columns alone.  A K/V cache records its tokens, and a pass reuses the prefix it shares with them.
 A decoding step is one column per row, so a pass's fixed numpy cost
 counts: the sinusoidal table is computed once per (model_dim, dtype) and
 sliced, the causal mask is built only when a pass has later keys (more
@@ -36,9 +39,9 @@ Weights are float32 for training and evaluation and float64 for gradient
 checks, and a pass computes in its checkpoint's dtype: float32 weights give
 float32 activations, logits, K/V and gradients from the embedding to the
 logits and back.  Scalar constants are Python floats, which numpy 2
-promotion casts to the array's dtype.  Only ``log_softmax`` and the loss
-value are float64; ``batch_loss`` casts the loss gradient back to the
-checkpoint's dtype before the backward pass.
+promotion casts to the array's dtype.  Only ``log_softmax``, the scores
+and the loss value are float64; ``_head`` casts the loss gradient back to
+the checkpoint's dtype before the backward pass.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .fileio import atomic_open, parsing
 LN_EPS = 1e-5
 INIT_STD = 0.02
 
-# Output projection reuses the embedding storage (transposed view).
+# The output projection is ``tok_emb.T``, as checkpoint headers record.
 ALIASES = {"lm_head": "tok_emb"}
 
 
@@ -150,21 +153,12 @@ def flat_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
 
 @dataclass
 class Checkpoint:
-    """Config, weights and training position; the tied ``ALIASES`` views
-    are attached to ``weights`` on construction."""
+    """Config, weights (the ``param_shapes`` tensors) and training position."""
 
     config: ModelConfig
     weights: dict[str, np.ndarray]
     step: int = 0
     seed: int = 0
-
-    def __post_init__(self):
-        self.tie()
-
-    def tie(self) -> None:
-        """Attach each ``ALIASES`` view to the tensor it aliases, as it is now."""
-        for alias, target in ALIASES.items():
-            self.weights[alias] = self.weights[target].T
 
     @property
     def dtype(self):
@@ -321,32 +315,31 @@ def kv_cache(ckpt: Checkpoint, rows: int = 1, columns: int | None = None) -> KVC
                     for _ in range(cfg.layers)], np.empty((rows, 0), np.int64))
 
 
-def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
-                   kv=None, rows=None, positions=None):
-    """Run the model on a (batch, time) id array.
+def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool, rows,
+                   kv=None, positions=None):
+    """Run the model's blocks on a (batch, time) id array.
 
-    Returns (logits, cache); cache is None unless ``keep_cache``.  A K/V
-    cache ``kv`` takes as many id rows as it holds, each the whole sequence
-    of its row, and an int ``rows``.  The rows advance in lockstep: the pass
-    reuses the keys and values of the shortest prefix any row of ``kv.ids``
-    shares with its id row, up to time - rows tokens so that every column
-    read is computed, runs the rest, and leaves ``kv.ids`` the id rows.
+    Returns (x, cache): x, for ``_head``, is the residual stream at the rows
+    read; cache is None unless ``keep_cache``.  A K/V cache ``kv`` takes as
+    many id rows as it holds, each the whole sequence of its row, and an int
+    ``rows``.  The rows advance in lockstep: the pass reuses the keys and
+    values of the shortest prefix any row of ``kv.ids`` shares with its id
+    row, up to time - rows tokens so that every column read is computed,
+    runs the rest, and leaves ``kv.ids`` the id rows.
 
     ``positions``, a (batch, time) array like ``ids``, lays several windows
     end to end in one row: a window starts where ``positions`` is 0 and
     counts up from there.  Each column takes its positional encoding from
     ``positions``, and attends only to earlier columns of its own window.
 
-    ``rows`` selects the logits wanted; without it every position gets
-    logits.  An index (``batch_loss``'s target positions) sends only those
-    (batch, time) positions through the final layer norm and the LM head,
-    and logits are shaped as ``x[rows]``.  An int n reads the last n
-    columns of every row, and logits are (batch, n, vocab): the last block
-    then computes keys and values for every column, but the query,
-    attention, ``wo`` and the feed-forward only for those n columns.
-    ``sequence_logprob`` and cached decoding read this way.  With
-    ``keep_cache`` the last block stays whole, as the backward needs every
-    column.
+    ``rows`` is an index or an int.  An index (``batch_loss``'s target
+    positions) reads those (batch, time) positions, and x is shaped as
+    ``x[rows]``.  An int n reads the last n columns of every row, and x is
+    (batch, n, model_dim): the last block then computes keys and values for
+    every column, but the query, attention, ``wo`` and the feed-forward only
+    for those n columns.  ``forward``, ``sequence_logprob`` and cached
+    decoding read this way.  With ``keep_cache`` the last block stays whole,
+    as the backward needs every column.
     """
     cfg, W = ckpt.config, ckpt.weights
     t = ids.shape[1]
@@ -422,17 +415,40 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool,
             )
         x = x_next
 
-    if rows is not None:
-        x = x[rows]
-    hf, lnf_cache = _layer_norm(x, W["lnf.g"], W["lnf.b"])
-    logits = _linear(hf, W["lm_head"])
     cache = None
     if keep_cache:
-        cache = dict(ids=ids, layers=layer_caches, hf=hf, lnf=lnf_cache,
-                     scale=scale, rows=rows)
+        cache = dict(ids=ids, layers=layer_caches, scale=scale, rows=rows)
     if kv is not None:
         kv.ids = seq
-    return logits, cache
+    return x[rows], cache
+
+
+def _head(ckpt: Checkpoint, x: np.ndarray, targets=None, grads=None):
+    """The final layer norm and the product with ``tok_emb.T`` on residual
+    rows ``x``: the logits, or with ``targets`` (one id per row) each row's
+    float64 log-probability of its target.  Given ``grads`` as well, it adds
+    the head's gradients of the rows' mean negative log-probability to
+    ``grads`` and returns (log-probabilities, the gradient of ``x``)."""
+    W = ckpt.weights
+    hf, lnf_cache = _layer_norm(x, W["lnf.g"], W["lnf.b"])
+    logits = _linear(hf, W["tok_emb"].T)
+    if targets is None:
+        return logits
+    logz = log_softmax(logits)
+    at = (*np.indices(targets.shape, sparse=True), targets)
+    logp = logz[at]
+    if grads is None:
+        return logp
+    # The loss gradient reuses the buffers of logz and the logits.
+    dlogits = np.exp(logz, out=logz)
+    dlogits[at] -= 1.0
+    dlogits /= targets.size
+    np.copyto(logits, dlogits, casting="same_kind")
+    grads["tok_emb"] += _wgrad(logits, hf)
+    dx, dg, db = _layer_norm_backward(_linear(logits, W["tok_emb"]), W["lnf.g"], lnf_cache)
+    grads["lnf.g"] += dg
+    grads["lnf.b"] += db
+    return logp, dx
 
 
 def _wgrad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -455,27 +471,14 @@ def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     out[sorted_ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
-def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache,
-                    out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Parameter gradients, given the loss gradient ``dlogits`` of the
-    logits rows that ``cache["rows"]`` selected, accumulated into ``out``
-    after zeroing it, or else into the ``flat_views`` of a new zeroed buffer."""
+def _backward_batch(ckpt: Checkpoint, dx_rows: np.ndarray, cache,
+                    grads: dict[str, np.ndarray]) -> None:
+    """Add the blocks' and the embedding's gradients to ``grads``, given
+    ``_head``'s gradient ``dx_rows`` of the rows that ``cache["rows"]`` read."""
     cfg, W = ckpt.config, ckpt.weights
     ids = cache["ids"]
     att_scale = 1.0 / math.sqrt(cfg.head_dim)
-    if out is None:
-        grads = flat_views(cfg, np.zeros(param_count(cfg), dtype=ckpt.dtype))
-    else:
-        grads = out
-        for g in grads.values():
-            g.fill(0)
-
-    grads["tok_emb"] += _wgrad(dlogits, cache["hf"])
-    dhf = dlogits @ W["tok_emb"]
-    dx_rows, dg, db = _layer_norm_backward(dhf, W["lnf.g"], cache["lnf"])
-    grads["lnf.g"] += dg
-    grads["lnf.b"] += db
-    # Positions outside the selected rows get no gradient from the head.
+    # Positions outside the read rows get no gradient from the head.
     dx = np.zeros(ids.shape + (cfg.model_dim,), dtype=dx_rows.dtype)
     dx[cache["rows"]] = dx_rows
 
@@ -523,11 +526,10 @@ def _backward_batch(ckpt: Checkpoint, dlogits: np.ndarray, cache,
 
     # Embedding lookup: x0 = sqrt(d) * E[ids] + PE.
     _scatter_add(grads["tok_emb"], ids, cache["scale"] * dx)
-    return grads
 
 
 def forward(ckpt: Checkpoint, ids, kv=None) -> np.ndarray:
-    """Logits for one sequence, shape (len(ids), vocab_size).
+    """Logits for one sequence, shape (len(ids), vocab_size), from ``_head``.
 
     Without a cache it is pure and read-only: repeated calls on the same
     checkpoint agree bitwise.  Row i depends only on ids[0..i].
@@ -544,34 +546,32 @@ def forward(ckpt: Checkpoint, ids, kv=None) -> np.ndarray:
     if kv is None:
         if arr.ndim != 1:
             raise ModelError("forward expects a flat id sequence")
-        logits, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False)
-        return logits[0]
+        x, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False, rows=len(arr))
+        return _head(ckpt, x)[0]
     if arr.ndim not in (1, 2):
         raise ModelError("forward expects one sequence or a (rows, time) stack")
-    logits, _ = _forward_batch(ckpt, np.atleast_2d(arr), keep_cache=False, kv=kv, rows=1)
-    return logits[:, -1]
+    x, _ = _forward_batch(ckpt, np.atleast_2d(arr), keep_cache=False, kv=kv, rows=1)
+    return _head(ckpt, x)[:, -1]
 
 
 def sequence_logprob(ckpt: Checkpoint, ids, start: int = 1, kv=None) -> float:
     """Sum of log p(ids[j] | ids[:j]) over positions j >= start.
 
     ``ids`` is one sequence, or a (batch, time) array of sequences whose
-    sums are added.  One pass over ids[..., :-1] reads the logits of the
-    columns from start-1 on, and its last block computes only those (see
-    ``_forward_batch``).  A K/V cache takes as many sequences as it holds
-    rows: the pass reuses the keys and values of the prefix the cache shares
-    with ids[..., :-1], up to start-1 tokens, and leaves the cache holding
-    ids[..., :-1], so sequences scored in turn share their common prefixes.
+    sums are added.  One pass over ids[..., :-1] reads the columns from
+    start-1 on, which ``_head`` scores, and its last block computes only
+    those (see ``_forward_batch``).  A K/V cache takes as many sequences as
+    it holds rows: the pass reuses the keys and values of the prefix the
+    cache shares with ids[..., :-1], up to start-1 tokens, and leaves it
+    holding ids[..., :-1], so sequences scored in turn share their prefixes.
     """
     arr = np.asarray(ids, dtype=np.int64)
     n = arr.shape[-1]
     if not 1 <= start < n:
         raise ModelError(f"start must be in [1, {n - 1}], got {start}")
     arr = arr.reshape(-1, n)
-    logits, _ = _forward_batch(ckpt, arr[:, :-1], keep_cache=False, kv=kv,
-                               rows=n - start)
-    logz = log_softmax(logits)
-    return float(np.take_along_axis(logz, arr[:, start:, None], axis=-1).sum())
+    x, _ = _forward_batch(ckpt, arr[:, :-1], keep_cache=False, kv=kv, rows=n - start)
+    return float(_head(ckpt, x, arr[:, start:]).sum())
 
 
 def batch_loss(
@@ -582,7 +582,8 @@ def batch_loss(
     positions: np.ndarray | None = None,
     out: dict[str, np.ndarray] | None = None,
 ):
-    """Mean next-token NLL over unmasked target positions.
+    """Mean next-token NLL over unmasked target positions, which ``_head``
+    scores and, with ``compute_grads``, differentiates.
 
     ``ids`` and ``mask`` are (batch, time); position i+1 is a prediction
     target iff mask[i+1] is set.  ``positions``, shaped like ``ids``, packs
@@ -621,23 +622,19 @@ def batch_loss(
             raise ModelError("a window's first column cannot be a target")
 
     b_idx, t_idx = np.nonzero(target_mask)
-    logits, cache = _forward_batch(ckpt, ids, keep_cache=compute_grads,
-                                   rows=(b_idx, t_idx), positions=positions)
-    logz = log_softmax(logits)
+    x, cache = _forward_batch(ckpt, ids, keep_cache=compute_grads,
+                              rows=(b_idx, t_idx), positions=positions)
     targets = ids[b_idx, t_idx + 1]
-    rows = np.arange(n_targets)
-    loss = -float(logz[rows, targets].mean())
-
     if not compute_grads:
-        return loss, None
-
-    # The loss gradient reuses the buffers of logz and the logits.
-    dlogits = np.exp(logz, out=logz)
-    dlogits[rows, targets] -= 1.0
-    dlogits /= n_targets
-    np.copyto(logits, dlogits, casting="same_kind")
-    grads = _backward_batch(ckpt, logits, cache, out)
-    return loss, grads
+        return -float(_head(ckpt, x, targets).mean()), None
+    if out is None:
+        out = flat_views(ckpt.config, np.zeros(param_count(ckpt.config), dtype=ckpt.dtype))
+    else:
+        for g in out.values():
+            g.fill(0)
+    logp, dx = _head(ckpt, x, targets, out)
+    _backward_batch(ckpt, dx, cache, out)
+    return -float(logp.mean()), out
 
 
 CKPT_MAGIC = "ctrlkit-ckpt-2"

@@ -24,6 +24,7 @@ and logits go to the next batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -141,8 +142,13 @@ def nucleus_distribution(
 
     A nucleus row keeps the smallest prefix of its probabilities, sorted
     down with ties by id, whose sum reaches p, top token always included,
-    and is renormalized; a row at p = 1 is the plain softmax.
+    and is renormalized; a row at p = 1 is the plain softmax.  A row whose
+    top score overflows at its temperature raises SamplingError.
     """
+    # Python floats divide as numpy does, without its warnings.
+    tops = zip(scores.max(-1).tolist(), temperature.tolist())
+    if any(math.isinf(top / t) for top, t in tops):
+        raise SamplingError("temperature too small: a row's top scaled logit overflows")
     probs = M.softmax(scores / temperature[:, None])
     cut = np.flatnonzero(nucleus_p < 1.0)
     head = probs[cut]

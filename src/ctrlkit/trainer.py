@@ -267,7 +267,7 @@ def train(
     Deterministic given tc.seed: the only randomness is the per-epoch
     shuffle.  Non-finite loss aborts with the offending step.  The trainable
     arrays of ``ckpt.weights`` are rebound to views of one flat buffer before
-    the first step, and the tied ``lm_head`` to the new ``tok_emb``.
+    the first step.
     """
     if windows is None:
         if not docs:
@@ -276,15 +276,12 @@ def train(
     if not windows:
         raise TrainingError("no training windows")
 
-    # Copy each tensor into its view of the flat buffer and rebind it there;
-    # with the tied views dropped first, no old tensor outlives its copy.
+    # Copy each tensor into its view of the flat buffer and rebind it there,
+    # so no old tensor outlives its copy.
     flat = np.empty(M.param_count(ckpt.config), dtype=ckpt.dtype)
-    for alias in M.ALIASES:
-        del ckpt.weights[alias]
     for name, view in M.flat_views(ckpt.config, flat).items():
         view[...] = ckpt.weights[name]
         ckpt.weights[name] = view
-    ckpt.tie()
     grad_flat = np.empty_like(flat)
     grads = M.flat_views(ckpt.config, grad_flat)
     opt = AdamW(flat, tc)

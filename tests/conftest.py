@@ -34,6 +34,17 @@ def float64_copy(ckpt):
     return M.Checkpoint(ckpt.config, weights, ckpt.step, ckpt.seed)
 
 
+def assert_head_reads_tok_emb(ckpt, ids=(1, 2, 3), k=5):
+    """The output layer is tied to ``tok_emb`` as it is now: doubling row
+    k (an id not in ``ids``) doubles logit k bitwise and leaves the others."""
+    before = M.forward(ckpt, list(ids))
+    ckpt.weights["tok_emb"][k] *= 2
+    after = M.forward(ckpt, list(ids))
+    ckpt.weights["tok_emb"][k] /= 2
+    assert (after[:, k] == 2 * before[:, k]).all()
+    assert (np.delete(after, k, axis=1) == np.delete(before, k, axis=1)).all()
+
+
 def perturbed_checkpoint(cfg, seed=3, dtype=np.float64):
     """Checkpoint with well-scaled random weights so every gradient path
     carries signal (plain init leaves attention score grads near zero)."""

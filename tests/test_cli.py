@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -463,6 +464,23 @@ class TestGrid:
         assert capsys.readouterr().err.startswith(
             "error: EvaluationError: texts_per_cell must be at least 1")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["generate", "--occ", "alpha", "--temperature", "1e-310"],
+    ["grid", "--categories", "alpha", "--t-grid", "1e-310", "--p-grid", "0.9",
+     "--r-grid", "1.0", "--texts-per-cell", "1"],
+], ids=["generate", "grid"])
+def test_overflowing_temperature_is_one_sampling_error(workspace, tmp_path, capsys, flags):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*flags, "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                   "--max-new-tokens", "4", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SamplingError: temperature too small")
+    assert len(err.strip().split("\n")) == 1
+    assert caught == []
 
 
 class TestPerplexity:

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import special
 
 from ctrlkit import model as M
-from tests.conftest import common_prefix, perturbed_checkpoint
+from tests.conftest import assert_head_reads_tok_emb, common_prefix, perturbed_checkpoint
 
 
 class TestConfig:
@@ -43,16 +43,12 @@ class TestInit:
         assert out.shape == (3, 50)
 
     def test_tied_embedding_aliases_storage(self):
-        ckpt = M.init_model(M.toy_config(), seed=0)
-        k = 5
-        ckpt.weights["tok_emb"][k, :] = 123.0
-        npt.assert_array_equal(ckpt.weights["lm_head"][:, k], 123.0)
+        assert_head_reads_tok_emb(M.init_model(M.toy_config(), seed=0))
 
     def test_checkpoint_attaches_tied_head(self):
         cfg = M.toy_config()
         ref = M.init_model(cfg, seed=0)
         weights = {n: ref.weights[n].copy() for n in M.param_shapes(cfg)}
-        assert "lm_head" not in weights
         ckpt = M.Checkpoint(cfg, weights)
         npt.assert_array_equal(M.forward(ckpt, [1, 2, 3]), M.forward(ref, [1, 2, 3]))
 
@@ -279,6 +275,16 @@ class TestArchitecture:
         npt.assert_allclose(M.forward(ckpt, ids), want, rtol=0, atol=1e-12)
 
 
+def _pass_logits(ckpt, ids, rows, **kwargs):
+    """The logits of the rows one ``_forward_batch`` pass reads."""
+    x, _ = M._forward_batch(ckpt, ids, False, rows, **kwargs)
+    return M._head(ckpt, x)
+
+
+# An index of every position: a pass that runs the last block whole.
+EVERY = np.s_[:, :]
+
+
 class TestLastBlockCut:
     """An int ``rows`` runs the last block on the read columns only; its
     logits equal the full pass's trailing rows in float64."""
@@ -296,15 +302,15 @@ class TestLastBlockCut:
             return layer_norm(x, g, b)
 
         monkeypatch.setattr(M, "_layer_norm", recording_layer_norm)
-        M._forward_batch(perturbed_checkpoint(self.CFG), self.IDS, False, rows=2)
+        _pass_logits(perturbed_checkpoint(self.CFG), self.IDS, 2)
         # ln1 and ln2 of each block, then lnf; the last block's ln2 feeds its FFN.
         assert widths == [11, 11, 11, 11, 11, 2, 2]
 
     @pytest.mark.parametrize("n", [1, 4, 11])
     def test_matches_full_forward(self, n):
         ckpt = perturbed_checkpoint(self.CFG)
-        full, _ = M._forward_batch(ckpt, self.IDS, False)
-        cut, _ = M._forward_batch(ckpt, self.IDS, False, rows=n)
+        full = _pass_logits(ckpt, self.IDS, EVERY)
+        cut = _pass_logits(ckpt, self.IDS, n)
         assert cut.shape == (3, n, 50)
         npt.assert_allclose(cut, full[:, -n:], rtol=0, atol=1e-12)
 
@@ -316,16 +322,16 @@ class TestLastBlockCut:
         kv = M.kv_cache(ckpt)
         npt.assert_allclose(M.forward(ckpt, ids[:prefill], kv), full[prefill - 1:prefill],
                             rtol=0, atol=1e-12)
-        cut, _ = M._forward_batch(ckpt, ids[None, :], False, kv=kv, rows=n)
+        cut = _pass_logits(ckpt, ids[None, :], n, kv=kv)
         npt.assert_allclose(cut[0], full[-n:], rtol=0, atol=1e-12)
         npt.assert_array_equal(kv.ids, [ids])
 
     def test_keep_cache_keeps_the_whole_last_block(self):
         ckpt = perturbed_checkpoint(self.CFG)
-        logits, cache = M._forward_batch(ckpt, self.IDS, True, rows=2)
+        x, cache = M._forward_batch(ckpt, self.IDS, True, rows=2)
         assert cache["layers"][-1]["act"].shape[1] == 11
-        full, _ = M._forward_batch(ckpt, self.IDS, False)
-        npt.assert_allclose(logits, full[:, -2:], rtol=0, atol=1e-12)
+        full = _pass_logits(ckpt, self.IDS, EVERY)
+        npt.assert_allclose(M._head(ckpt, x), full[:, -2:], rtol=0, atol=1e-12)
 
 
 class TestOneColumnPass:
@@ -335,19 +341,18 @@ class TestOneColumnPass:
 
     CFG = TestLastBlockCut.CFG
 
-    @pytest.mark.parametrize("rows", [None, 1])
+    @pytest.mark.parametrize("rows", [EVERY, 1], ids=["every", "1"])
     def test_one_column_positions_pass_equals_forward(self, rows):
         ckpt = perturbed_checkpoint(self.CFG)
         ids = np.array([[7], [3]])
-        got, _ = M._forward_batch(ckpt, ids, False, rows=rows,
-                                  positions=np.zeros_like(ids))
+        got = _pass_logits(ckpt, ids, rows, positions=np.zeros_like(ids))
         for row, token in zip(got, ids[:, 0]):
             npt.assert_allclose(row[0], M.forward(ckpt, [token])[0], rtol=0, atol=1e-12)
 
     def test_one_column_last_window_of_a_packed_row(self):
         ckpt = perturbed_checkpoint(self.CFG)
         ids = np.array([[4, 9, 2, 7]])
-        got, _ = M._forward_batch(ckpt, ids, False, positions=np.array([[0, 1, 2, 0]]))
+        got = _pass_logits(ckpt, ids, EVERY, positions=np.array([[0, 1, 2, 0]]))
         npt.assert_allclose(got[0, 3], M.forward(ckpt, [7])[0], rtol=0, atol=1e-12)
         npt.assert_allclose(got[0, :3], M.forward(ckpt, [4, 9, 2]), rtol=0, atol=1e-12)
 
@@ -617,8 +622,8 @@ class TestDtypeContract:
 
     def test_forward_cache(self, dtype):
         ckpt = perturbed_checkpoint(M.toy_config(), dtype=dtype)
-        _, cache = M._forward_batch(ckpt, np.array([self.IDS]), keep_cache=True)
-        arrays = _float_arrays(cache)
+        x, cache = M._forward_batch(ckpt, np.array([self.IDS]), True, EVERY)
+        arrays = _float_arrays(cache) + [x]
         assert len(arrays) > 12 * ckpt.config.layers
         assert {a.dtype for a in arrays} == {np.dtype(dtype)}
 
@@ -658,10 +663,14 @@ def _mask_cases():
 
 def _full_logits_batch_loss(ckpt, ids, mask):
     """Reference: logits, log-softmax and dlogits at every position of the
-    untrimmed batch, non-targets carrying zero gradient."""
+    untrimmed batch, non-targets carrying zero gradient, and the head's
+    backward written out here."""
+    W = ckpt.weights
     target_mask = mask[:, 1:]
     n_targets = int(target_mask.sum())
-    logits, cache = M._forward_batch(ckpt, ids, keep_cache=True, rows=np.s_[:, :])
+    x, cache = M._forward_batch(ckpt, ids, keep_cache=True, rows=EVERY)
+    hf, lnf_cache = _layer_norm_oracle(x, W["lnf.g"], W["lnf.b"])
+    logits = hf @ W["tok_emb"].T
     logz = M.log_softmax(logits[:, :-1, :])
     b_idx, t_idx = np.nonzero(target_mask)
     targets = ids[:, 1:][b_idx, t_idx]
@@ -672,7 +681,12 @@ def _full_logits_batch_loss(ckpt, ids, mask):
     dpred[b_idx, t_idx, targets] -= 1.0
     dpred /= n_targets
     dlogits = np.concatenate([dpred, np.zeros_like(logits[:, :1, :])], axis=1)
-    return loss, M._backward_batch(ckpt, dlogits, cache)
+    grads = {n: np.zeros(s) for n, s in M.param_shapes(ckpt.config).items()}
+    grads["tok_emb"] += np.einsum("btv,btd->vd", dlogits, hf)
+    dx, grads["lnf.g"][:], grads["lnf.b"][:] = _layer_norm_backward_oracle(
+        dlogits @ W["tok_emb"], W["lnf.g"], lnf_cache)
+    M._backward_batch(ckpt, dx, cache, grads)
+    return loss, grads
 
 
 def _layer_norm_oracle(x, g, b):
@@ -852,8 +866,7 @@ class TestTwoDimensionalProducts:
     @staticmethod
     def _stacked_windows(ckpt):
         ids = np.random.default_rng(4).integers(0, 60, size=(8, 32))
-        logits, _ = M._forward_batch(ckpt, ids[:, :-1], keep_cache=False, rows=1)
-        return [logits]
+        return [_pass_logits(ckpt, ids[:, :-1], 1)]
 
     @staticmethod
     def _one_column_per_row(ckpt):
@@ -904,6 +917,31 @@ class TestTwoDimensionalProducts:
         assert peak < 5.5 * (8 * 31 * cfg.inner_dim * 4)
 
 
+def test_head_buffers_are_freed_before_the_backward(monkeypatch):
+    """The head's (targets, vocab) logits and log-probabilities are gone
+    when the blocks' backward starts: it begins from the rows' gradient."""
+    cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16, context=16,
+                        vocab_size=4000)
+    ckpt = M.init_model(cfg, seed=0)
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(2, 16))
+    out = M.flat_views(cfg, np.empty(M.param_count(cfg), dtype=np.float32))
+    largest = []
+    backward = M._backward_batch
+
+    def recording(*args):
+        largest.append(max(trace.size for trace in tracemalloc.take_snapshot().traces))
+        return backward(*args)
+
+    monkeypatch.setattr(M, "_backward_batch", recording)
+    tracemalloc.start()
+    try:
+        M.batch_loss(ckpt, ids, np.ones_like(ids, dtype=bool), out=out)
+    finally:
+        tracemalloc.stop()
+    assert len(largest) == 1
+    assert largest[0] < 30 * cfg.vocab_size * 4  # 30 targets of float32 logits
+
+
 class TestCheckpointIO:
     def test_round_trip_bitwise(self, tmp_path):
         ckpt = M.init_model(M.toy_config(), seed=9)
@@ -938,9 +976,7 @@ class TestCheckpointIO:
         ckpt = M.init_model(M.toy_config(), seed=9)
         path = tmp_path / "model.ckpt"
         M.save_checkpoint(path, ckpt)
-        loaded = M.load_checkpoint(path)
-        loaded.weights["tok_emb"][2, :] = 9.0
-        npt.assert_array_equal(loaded.weights["lm_head"][:, 2], 9.0)
+        assert_head_reads_tok_emb(M.load_checkpoint(path))
 
     def test_save_and_load_hold_no_second_copy(self, tmp_path):
         # The embedding is almost all of the weights, so a copy of it while

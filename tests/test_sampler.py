@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -188,6 +189,18 @@ class TestAdjustDistribution:
                 sp = S.SamplingParams(temperature=t, nucleus_p=0.9)
                 probs = S.adjust_distribution(logits, {0, 1}, sp)
                 assert int(np.argmax(probs)) == int(np.argmax(logits))
+
+    def test_overflowing_temperature_raises_without_numpy_warnings(self, two_genre):
+        sp = S.SamplingParams(temperature=1e-310, max_new_tokens=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(S.SamplingError, match="temperature too small"):
+                S.generate(two_genre.trained, two_genre.vocab, "a1", "alpha", sp)
+        # Scores that overflow only downwards get probability 0; the row samples.
+        with np.errstate(over="ignore"):
+            probs = S.nucleus_distribution(np.array([[1.0, 2.0, -3e30]]),
+                                           np.array([1e-300]), np.array([1.0]))
+        assert probs.tolist() == [[0.0, 1.0, 0.0]]
 
     def test_temperature_zero_rejected_here(self):
         with pytest.raises(S.SamplingError):

@@ -8,7 +8,7 @@ import pytest
 
 from ctrlkit import corpus, model as M, tokenizer as T, trainer
 from ctrlkit.cli import _epoch_writer
-from tests.conftest import float64_copy
+from tests.conftest import assert_head_reads_tok_emb, float64_copy
 
 
 def tiny_vocab_and_table(texts, category="alpha", vocab_size=40):
@@ -417,13 +417,23 @@ class TestFlatTraining:
         assert flat.shape == (M.param_count(cfg),)
         assert all(ckpt.weights[n].base is flat for n in M.param_shapes(cfg))
         assert flat.tobytes() == _joined(ckpt.weights[n] for n in M.param_shapes(cfg))
-        head = ckpt.weights["lm_head"]
-        assert head.base is flat
-        npt.assert_array_equal(head, ckpt.weights["tok_emb"].T)
+        assert_head_reads_tok_emb(ckpt)
         path = tmp_path / "m.ckpt"
         M.save_checkpoint(path, ckpt)
         ids = [1, 2, 3, 4, 5, 6]
         npt.assert_array_equal(M.forward(ckpt, ids), M.forward(M.load_checkpoint(path), ids))
+
+    def test_checkpoint_of_bare_weights_trains_like_init_model(self, tmp_path):
+        # The head needs no tie attached to the weights when a run rebinds them.
+        cfg, v, windows, tc = self._setup()
+        ref = M.init_model(cfg, seed=3)
+        bare = M.Checkpoint(cfg, {n: ref.weights[n].copy() for n in M.param_shapes(cfg)})
+        for name, ckpt in (("ref", ref), ("bare", bare)):
+            trainer.train(ckpt, [], v, tc, windows=windows)
+            M.save_checkpoint(tmp_path / name, ckpt)
+        ids = [1, 2, 3, 4, 5, 6]
+        got, want = (M.forward(M.load_checkpoint(tmp_path / n), ids) for n in ("bare", "ref"))
+        assert got.tobytes() == want.tobytes()
 
     def test_batch_loss_gradients_view_one_buffer(self):
         cfg = M.toy_config()
