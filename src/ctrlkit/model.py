@@ -9,21 +9,25 @@ scaled by 1/sqrt(d/H).  The backward passes the feed-forward gradient where
 
 Forward and backward passes are written out explicitly; the backward pass is
 validated against central finite differences in the test suite.
-``_forward_batch`` runs the blocks up to the residual rows a caller reads,
-and ``_head``, the one output layer, turns them into logits, or into target
-scores through the one ``log_softmax`` and, for ``batch_loss``, gradients;
-it reads the tied projection as ``tok_emb.T``.  ``batch_loss`` sends only
-its target positions through it, and takes per-position ids that pack
-several windows into one row, each attending only within itself
-(``trainer._pack`` builds them).  The whole pass, not only the head,
-therefore costs about the real tokens, not the padding.  A scorer that
-reads only the trailing columns of each row (``sequence_logprob``, cached
-decoding) runs the last block's query, attention and feed-forward on those
-columns alone.  A K/V cache records its tokens, and a pass reuses the prefix it shares with them.
-A decoding step is one column per row, so a pass's fixed numpy cost
-counts: the sinusoidal table is computed once per (model_dim, dtype) and
-sliced, the causal mask is built only when a pass has later keys (more
-than one column), and layer norm and softmax reduce through the ufuncs.
+``_forward_batch`` runs the blocks and returns the residual stream of the
+last n columns of every row; when n is less than the row's length, the
+last block runs its query, attention and feed-forward on those columns
+alone (``forward``, ``sequence_logprob``, cached decoding).  ``_head``, the
+one output layer, turns residual rows into logits, or into target scores
+through the one ``log_softmax`` and, for ``batch_loss``, gradients; it
+reads the tied projection as ``tok_emb.T``.  ``batch_loss`` is the one
+place that knows its targets: it reads every column, gathers the target
+positions for the head, and scatters the head's gradient back to full
+width for ``_backward_batch``, which reads the activations each block
+recorded.  It takes per-position ids that pack several windows into one
+row, each attending only within itself (``trainer._pack`` builds them), so
+the whole pass, not only the head, costs about the real tokens, not the
+padding.  A K/V cache records its tokens, and a pass reuses the prefix it
+shares with them.  A decoding step is one column per row, so a pass's
+fixed numpy cost counts: the sinusoidal table is computed once per
+(model_dim, dtype) and sliced, the causal mask is built only when a pass
+has later keys (more than one column), and layer norm and softmax reduce
+through the ufuncs.
 Each weight product (``wq``, ``wk``, ``wv``, ``wo``, ``w1``, ``w2`` and the
 tied head) is one 2-D product over every (row, column), because numpy runs
 a stacked (rows, t, d) product as one small product per row.  Its bias,
@@ -315,31 +319,29 @@ def kv_cache(ckpt: Checkpoint, rows: int = 1, columns: int | None = None) -> KVC
                     for _ in range(cfg.layers)], np.empty((rows, 0), np.int64))
 
 
-def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool, rows,
-                   kv=None, positions=None):
-    """Run the model's blocks on a (batch, time) id array.
+def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, rows: int, kv=None,
+                   positions=None, records=None) -> np.ndarray:
+    """The residual stream of the last ``rows`` columns of every row of a
+    (batch, time) id array, shaped (batch, rows, model_dim), for ``_head``.
 
-    Returns (x, cache): x, for ``_head``, is the residual stream at the rows
-    read; cache is None unless ``keep_cache``.  A K/V cache ``kv`` takes as
-    many id rows as it holds, each the whole sequence of its row, and an int
-    ``rows``.  The rows advance in lockstep: the pass reuses the keys and
-    values of the shortest prefix any row of ``kv.ids`` shares with its id
-    row, up to time - rows tokens so that every column read is computed,
-    runs the rest, and leaves ``kv.ids`` the id rows.
+    When ``rows`` is less than the time axis, the last block computes keys
+    and values for every column, but the query, attention, ``wo`` and the
+    feed-forward only for the last ``rows`` columns.
+
+    A K/V cache ``kv`` takes as many id rows as it holds, each the whole
+    sequence of its row.  The rows advance in lockstep: the pass reuses the
+    keys and values of the shortest prefix any row of ``kv.ids`` shares with
+    its id row, up to time - rows tokens so that every column read is
+    computed, runs the rest, and leaves ``kv.ids`` the id rows.
 
     ``positions``, a (batch, time) array like ``ids``, lays several windows
     end to end in one row: a window starts where ``positions`` is 0 and
     counts up from there.  Each column takes its positional encoding from
     ``positions``, and attends only to earlier columns of its own window.
 
-    ``rows`` is an index or an int.  An index (``batch_loss``'s target
-    positions) reads those (batch, time) positions, and x is shaped as
-    ``x[rows]``.  An int n reads the last n columns of every row, and x is
-    (batch, n, model_dim): the last block then computes keys and values for
-    every column, but the query, attention, ``wo`` and the feed-forward only
-    for those n columns.  ``forward``, ``sequence_logprob`` and cached
-    decoding read this way.  With ``keep_cache`` the last block stays whole,
-    as the backward needs every column.
+    ``records``, a list, receives one dict per block of the activations
+    that ``_backward_batch`` reads.  A recording pass reads every column
+    (``rows`` is the time axis), so each record covers the whole block.
     """
     cfg, W = ckpt.config, ckpt.weights
     t = ids.shape[1]
@@ -360,7 +362,6 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool, rows,
     # Reused columns were checked when they were computed.
     if (ids < 0).any() or (ids >= cfg.vocab_size).any():
         raise ModelError("token id outside the vocabulary range")
-    scale = math.sqrt(cfg.model_dim)
     pe = positional_encoding(t, cfg.model_dim, dtype=ckpt.dtype, start=start)
     hidden = None  # a one-column pass has no later key and no other window
     if t > 1:
@@ -370,23 +371,19 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool, rows,
             hidden = (hidden | (window[:, :, None] != window[:, None, :]))[:, None]
     if positions is not None:
         pe = pe[positions]
-    x = scale * W["tok_emb"][ids] + pe
-    cut = rows if isinstance(rows, int) and not keep_cache else None
-    if isinstance(rows, int):
-        rows = np.s_[:, -rows:]
+    x = math.sqrt(cfg.model_dim) * W["tok_emb"][ids] + pe
 
     att_scale = 1.0 / math.sqrt(cfg.head_dim)
-    layer_caches = []
     for i in range(cfg.layers):
         p = f"h{i}."
         h, ln1_cache = _layer_norm(x, W[p + "ln1.g"], W[p + "ln1.b"])
         k = _split_heads(_linear(h, W[p + "attn.wk"], W[p + "attn.bk"]), cfg.heads)
         v = _split_heads(_linear(h, W[p + "attn.wv"], W[p + "attn.bv"]), cfg.heads)
-        if cut and i == cfg.layers - 1:
+        if rows < t and i == cfg.layers - 1:
             # Keys and values cover every column; the rest only the read ones.
-            x, h = x[:, -cut:], h[:, -cut:]
+            x, h = x[:, -rows:], h[:, -rows:]
             if hidden is not None:
-                hidden = hidden[..., -cut:, :]
+                hidden = hidden[..., -rows:, :]
         q = _split_heads(_linear(h, W[p + "attn.wq"], W[p + "attn.bq"]), cfg.heads)
         if kv is not None:
             k_all, v_all = kv.layers[i]
@@ -405,22 +402,15 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, keep_cache: bool, rows,
         h2, ln2_cache = _layer_norm(x_attn, W[p + "ln2.g"], W[p + "ln2.b"])
         act = _linear(h2, W[p + "ffn.w1"], W[p + "ffn.b1"])
         np.maximum(act, 0.0, out=act)
-        x_next = _linear(act, W[p + "ffn.w2"], W[p + "ffn.b2"])
-        x_next += x_attn  # residual
+        x = _linear(act, W[p + "ffn.w2"], W[p + "ffn.b2"])
+        x += x_attn  # residual
 
-        if keep_cache:
-            layer_caches.append(
-                dict(h=h, ln1=ln1_cache, q=q, k=k, v=v, attn=attn, ctx=ctx,
-                     h2=h2, ln2=ln2_cache, act=act)
-            )
-        x = x_next
-
-    cache = None
-    if keep_cache:
-        cache = dict(ids=ids, layers=layer_caches, scale=scale, rows=rows)
+        if records is not None:
+            records.append(dict(h=h, ln1=ln1_cache, q=q, k=k, v=v, attn=attn, ctx=ctx,
+                                h2=h2, ln2=ln2_cache, act=act))
     if kv is not None:
         kv.ids = seq
-    return x[rows], cache
+    return x
 
 
 def _head(ckpt: Checkpoint, x: np.ndarray, targets=None, grads=None):
@@ -471,20 +461,19 @@ def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     out[sorted_ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
-def _backward_batch(ckpt: Checkpoint, dx_rows: np.ndarray, cache,
-                    grads: dict[str, np.ndarray]) -> None:
-    """Add the blocks' and the embedding's gradients to ``grads``, given
-    ``_head``'s gradient ``dx_rows`` of the rows that ``cache["rows"]`` read."""
+def _backward_batch(ckpt: Checkpoint, ids: np.ndarray, records: list[dict],
+                    dx: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    """Add the blocks' and the embedding's gradients to ``grads``, given the
+    ``records`` of a pass over ``ids`` and the gradient ``dx`` of its
+    residual stream at every column.  ``dx`` is overwritten with each
+    block's input gradient in turn, so a caller's array is the only one of
+    its size the backward keeps."""
     cfg, W = ckpt.config, ckpt.weights
-    ids = cache["ids"]
     att_scale = 1.0 / math.sqrt(cfg.head_dim)
-    # Positions outside the read rows get no gradient from the head.
-    dx = np.zeros(ids.shape + (cfg.model_dim,), dtype=dx_rows.dtype)
-    dx[cache["rows"]] = dx_rows
 
     for i in reversed(range(cfg.layers)):
         p = f"h{i}."
-        c = cache["layers"][i]
+        c = records[i]
 
         # Feed-forward residual branch.
         dff = dx
@@ -522,10 +511,10 @@ def _backward_batch(ckpt: Checkpoint, dx_rows: np.ndarray, cache,
         dx_ln1, dg, db = _layer_norm_backward(dh, W[p + "ln1.g"], c["ln1"])
         grads[p + "ln1.g"] += dg
         grads[p + "ln1.b"] += db
-        dx = dx_attn + dx_ln1
+        np.add(dx_attn, dx_ln1, out=dx)
 
     # Embedding lookup: x0 = sqrt(d) * E[ids] + PE.
-    _scatter_add(grads["tok_emb"], ids, cache["scale"] * dx)
+    _scatter_add(grads["tok_emb"], ids, math.sqrt(cfg.model_dim) * dx)
 
 
 def forward(ckpt: Checkpoint, ids, kv=None) -> np.ndarray:
@@ -546,12 +535,10 @@ def forward(ckpt: Checkpoint, ids, kv=None) -> np.ndarray:
     if kv is None:
         if arr.ndim != 1:
             raise ModelError("forward expects a flat id sequence")
-        x, _ = _forward_batch(ckpt, arr[None, :], keep_cache=False, rows=len(arr))
-        return _head(ckpt, x)[0]
+        return _head(ckpt, _forward_batch(ckpt, arr[None, :], len(arr)))[0]
     if arr.ndim not in (1, 2):
         raise ModelError("forward expects one sequence or a (rows, time) stack")
-    x, _ = _forward_batch(ckpt, np.atleast_2d(arr), keep_cache=False, kv=kv, rows=1)
-    return _head(ckpt, x)[:, -1]
+    return _head(ckpt, _forward_batch(ckpt, np.atleast_2d(arr), 1, kv=kv))[:, -1]
 
 
 def sequence_logprob(ckpt: Checkpoint, ids, start: int = 1, kv=None) -> float:
@@ -570,7 +557,7 @@ def sequence_logprob(ckpt: Checkpoint, ids, start: int = 1, kv=None) -> float:
     if not 1 <= start < n:
         raise ModelError(f"start must be in [1, {n - 1}], got {start}")
     arr = arr.reshape(-1, n)
-    x, _ = _forward_batch(ckpt, arr[:, :-1], keep_cache=False, kv=kv, rows=n - start)
+    x = _forward_batch(ckpt, arr[:, :-1], n - start, kv=kv)
     return float(_head(ckpt, x, arr[:, start:]).sum())
 
 
@@ -621,10 +608,11 @@ def batch_loss(
         if np.any(target_mask & (positions[:, 1:] == 0)):
             raise ModelError("a window's first column cannot be a target")
 
-    b_idx, t_idx = np.nonzero(target_mask)
-    x, cache = _forward_batch(ckpt, ids, keep_cache=compute_grads,
-                              rows=(b_idx, t_idx), positions=positions)
-    targets = ids[b_idx, t_idx + 1]
+    read = np.nonzero(target_mask)
+    records = [] if compute_grads else None
+    # The full-width residual is freed as soon as its target rows are read.
+    x = _forward_batch(ckpt, ids, ids.shape[1], positions=positions, records=records)[read]
+    targets = ids[read[0], read[1] + 1]
     if not compute_grads:
         return -float(_head(ckpt, x, targets).mean()), None
     if out is None:
@@ -632,8 +620,11 @@ def batch_loss(
     else:
         for g in out.values():
             g.fill(0)
-    logp, dx = _head(ckpt, x, targets, out)
-    _backward_batch(ckpt, dx, cache, out)
+    logp, dx_read = _head(ckpt, x, targets, out)
+    # Columns that are no target get no gradient from the head.
+    dx = np.zeros(ids.shape + (ckpt.config.model_dim,), dtype=dx_read.dtype)
+    dx[read] = dx_read
+    _backward_batch(ckpt, ids, records, dx, out)
     return -float(logp.mean()), out
 
 

@@ -60,6 +60,8 @@ class SamplingParams:
             )
         if self.max_new_tokens < 0:
             raise SamplingError("max_new_tokens must be nonnegative")
+        if self.rng_seed < 0:
+            raise SamplingError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.block_first_ecc is not None and self.temperature != 0.0:
             raise SamplingError("block_first_ecc needs temperature 0 (greedy decoding)")
 

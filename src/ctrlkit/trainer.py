@@ -87,6 +87,8 @@ class TrainingConfig:
                 raise TrainingError(f"{name} must be at least 1, got {value}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise TrainingError(f"lr must be finite and positive, got {self.lr}")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,10 @@ def train(
     """Train ``ckpt`` in place, calling ``on_epoch(epoch, ckpt)`` after epochs 1, 2, ...
 
     Deterministic given tc.seed: the only randomness is the per-epoch
-    shuffle.  Non-finite loss aborts with the offending step.  The trainable
+    shuffle.  A batch with no target, such as the one-token tail window that
+    ``pack_ids`` makes when a sequence is one longer than a multiple of the
+    context, is skipped: it makes no update and counts as no step.
+    Non-finite loss aborts with the offending step.  The trainable
     arrays of ``ckpt.weights`` are rebound to views of one flat buffer before
     the first step.
     """
@@ -291,6 +296,8 @@ def train(
         for start in range(0, len(order), tc.batch_size):
             batch = [windows[i] for i in order[start:start + tc.batch_size]]
             ids, mask, positions = _pack(batch)
+            if not mask[:, 1:].any():
+                continue
             loss, _ = M.batch_loss(ckpt, ids, mask, positions=positions, out=grads)
             if not np.isfinite(loss):
                 raise TrainingDiverged(ckpt.step, loss)
@@ -302,12 +309,18 @@ def train(
 
 
 def mean_epoch_loss(ckpt: M.Checkpoint, windows: list[Window]) -> float:
-    """Dataset mean NLL, weighting every target position equally."""
+    """Dataset mean NLL, weighting every target position equally.  Windows
+    with no target add nothing; if no window has one, it raises
+    TrainingError."""
     total, count = 0.0, 0
     for start in range(0, len(windows), EVAL_BATCH_SIZE):
         ids, mask, positions = _pack(windows[start:start + EVAL_BATCH_SIZE])
         n_targets = int(mask[:, 1:].sum())
+        if n_targets == 0:
+            continue
         loss, _ = M.batch_loss(ckpt, ids, mask, compute_grads=False, positions=positions)
         total += loss * n_targets
         count += n_targets
+    if count == 0:
+        raise TrainingError("no window has a target position")
     return total / count

@@ -72,11 +72,13 @@ BAD_OPTIONS = {
         (["--epochs", "0"], "TrainingError"),
         (["--layers", "0"], "ModelError"),
         (["--dim", "30", "--heads", "4"], "ModelError"),
+        (["--seed", "-1"], "TrainingError"),
     ]),
     "generate": (["--ckpt", "--vocab"], [
         (["--occ", "alpha", "--max-new-tokens", "-1"], "SamplingError"),
         (["--occ", "alpha", "--num", "0"], "SamplingError"),
         (["--occ", "alpha", "--temperature", "2"], "SamplingError"),
+        (["--occ", "alpha", "--seed", "-1"], "SamplingError"),
     ]),
     "grid": (["--ckpt", "--vocab"], [
         (["--categories", "alpha", "--texts-per-cell", "0"], "EvaluationError"),
@@ -107,6 +109,7 @@ BAD_OPTIONS = {
         (["--task", "nosuch"], "TaskError"),
         (["--task", "swewinograd", "--epochs", "0"], "TrainingError"),
         (["--task", "swewinograd", "--batch-size", "0"], "TrainingError"),
+        (["--task", "swewinograd", "--seed", "-1"], "TrainingError"),
     ]),
     "eval-task": (["--ckpt", "--vocab", "--data"], [
         (["--task", "nosuch"], "TaskError"),

@@ -276,18 +276,13 @@ class TestArchitecture:
 
 
 def _pass_logits(ckpt, ids, rows, **kwargs):
-    """The logits of the rows one ``_forward_batch`` pass reads."""
-    x, _ = M._forward_batch(ckpt, ids, False, rows, **kwargs)
-    return M._head(ckpt, x)
-
-
-# An index of every position: a pass that runs the last block whole.
-EVERY = np.s_[:, :]
+    """The logits of the last ``rows`` columns one ``_forward_batch`` pass reads."""
+    return M._head(ckpt, M._forward_batch(ckpt, ids, rows, **kwargs))
 
 
 class TestLastBlockCut:
-    """An int ``rows`` runs the last block on the read columns only; its
-    logits equal the full pass's trailing rows in float64."""
+    """``rows`` below the time axis runs the last block on the read columns
+    only; its logits equal the full pass's trailing rows in float64."""
 
     CFG = M.ModelConfig(layers=3, heads=2, model_dim=8, inner_dim=16,
                         context=16, vocab_size=50)
@@ -309,7 +304,7 @@ class TestLastBlockCut:
     @pytest.mark.parametrize("n", [1, 4, 11])
     def test_matches_full_forward(self, n):
         ckpt = perturbed_checkpoint(self.CFG)
-        full = _pass_logits(ckpt, self.IDS, EVERY)
+        full = _pass_logits(ckpt, self.IDS, self.IDS.shape[1])
         cut = _pass_logits(ckpt, self.IDS, n)
         assert cut.shape == (3, n, 50)
         npt.assert_allclose(cut, full[:, -n:], rtol=0, atol=1e-12)
@@ -326,12 +321,13 @@ class TestLastBlockCut:
         npt.assert_allclose(cut[0], full[-n:], rtol=0, atol=1e-12)
         npt.assert_array_equal(kv.ids, [ids])
 
-    def test_keep_cache_keeps_the_whole_last_block(self):
+    def test_recording_pass_records_every_column_of_every_block(self):
         ckpt = perturbed_checkpoint(self.CFG)
-        x, cache = M._forward_batch(ckpt, self.IDS, True, rows=2)
-        assert cache["layers"][-1]["act"].shape[1] == 11
-        full = _pass_logits(ckpt, self.IDS, EVERY)
-        npt.assert_allclose(M._head(ckpt, x), full[:, -2:], rtol=0, atol=1e-12)
+        records = []
+        x = M._forward_batch(ckpt, self.IDS, 11, records=records)
+        assert len(records) == self.CFG.layers
+        assert all(r["act"].shape == (3, 11, self.CFG.inner_dim) for r in records)
+        npt.assert_array_equal(M._head(ckpt, x), _pass_logits(ckpt, self.IDS, 11))
 
 
 class TestOneColumnPass:
@@ -341,18 +337,19 @@ class TestOneColumnPass:
 
     CFG = TestLastBlockCut.CFG
 
-    @pytest.mark.parametrize("rows", [EVERY, 1], ids=["every", "1"])
+    @pytest.mark.parametrize("rows", [lambda ids: ids.shape[1], lambda ids: 1],
+                             ids=["every", "1"])
     def test_one_column_positions_pass_equals_forward(self, rows):
         ckpt = perturbed_checkpoint(self.CFG)
         ids = np.array([[7], [3]])
-        got = _pass_logits(ckpt, ids, rows, positions=np.zeros_like(ids))
+        got = _pass_logits(ckpt, ids, rows(ids), positions=np.zeros_like(ids))
         for row, token in zip(got, ids[:, 0]):
             npt.assert_allclose(row[0], M.forward(ckpt, [token])[0], rtol=0, atol=1e-12)
 
     def test_one_column_last_window_of_a_packed_row(self):
         ckpt = perturbed_checkpoint(self.CFG)
         ids = np.array([[4, 9, 2, 7]])
-        got = _pass_logits(ckpt, ids, EVERY, positions=np.array([[0, 1, 2, 0]]))
+        got = _pass_logits(ckpt, ids, ids.shape[1], positions=np.array([[0, 1, 2, 0]]))
         npt.assert_allclose(got[0, 3], M.forward(ckpt, [7])[0], rtol=0, atol=1e-12)
         npt.assert_allclose(got[0, :3], M.forward(ckpt, [4, 9, 2]), rtol=0, atol=1e-12)
 
@@ -622,8 +619,9 @@ class TestDtypeContract:
 
     def test_forward_cache(self, dtype):
         ckpt = perturbed_checkpoint(M.toy_config(), dtype=dtype)
-        x, cache = M._forward_batch(ckpt, np.array([self.IDS]), True, EVERY)
-        arrays = _float_arrays(cache) + [x]
+        records = []
+        x = M._forward_batch(ckpt, np.array([self.IDS]), len(self.IDS), records=records)
+        arrays = _float_arrays(records) + [x]
         assert len(arrays) > 12 * ckpt.config.layers
         assert {a.dtype for a in arrays} == {np.dtype(dtype)}
 
@@ -668,7 +666,8 @@ def _full_logits_batch_loss(ckpt, ids, mask):
     W = ckpt.weights
     target_mask = mask[:, 1:]
     n_targets = int(target_mask.sum())
-    x, cache = M._forward_batch(ckpt, ids, keep_cache=True, rows=EVERY)
+    records = []
+    x = M._forward_batch(ckpt, ids, ids.shape[1], records=records)
     hf, lnf_cache = _layer_norm_oracle(x, W["lnf.g"], W["lnf.b"])
     logits = hf @ W["tok_emb"].T
     logz = M.log_softmax(logits[:, :-1, :])
@@ -685,7 +684,7 @@ def _full_logits_batch_loss(ckpt, ids, mask):
     grads["tok_emb"] += np.einsum("btv,btd->vd", dlogits, hf)
     dx, grads["lnf.g"][:], grads["lnf.b"][:] = _layer_norm_backward_oracle(
         dlogits @ W["tok_emb"], W["lnf.g"], lnf_cache)
-    M._backward_batch(ckpt, dx, cache, grads)
+    M._backward_batch(ckpt, ids, records, dx, grads)
     return loss, grads
 
 

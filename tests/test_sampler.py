@@ -242,6 +242,8 @@ class TestPresets:
             S.SamplingParams(repetition_penalty=2.5)
         with pytest.raises(S.SamplingError, match="block_first_ecc"):
             S.SamplingParams(temperature=0.5, block_first_ecc=3)
+        with pytest.raises(S.SamplingError, match="rng_seed must be non-negative"):
+            S.SamplingParams(rng_seed=-1)
 
 
 def immediate_ecc_checkpoint(setup, category="alpha"):

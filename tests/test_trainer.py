@@ -175,6 +175,27 @@ class TestTrain:
         assert trainer.train(ckpt, docs, v, tc) is None
         assert trainer.lm_loss(ckpt, windows[0]) < before
 
+    def test_batch_with_no_target_is_skipped(self):
+        # A sequence one longer than the context leaves a one-token tail
+        # window, which predicts nothing: training on it as a batch of its
+        # own is training on the first window alone, AdamW's steps included.
+        _, v, _ = tiny_vocab_and_table(["c d e f g"], vocab_size=20)
+        cfg = M.ModelConfig(layers=1, heads=2, model_dim=16, inner_dim=32,
+                            context=16, vocab_size=len(v))
+        seq = [i % len(v) for i in range(cfg.context + 1)]
+        windows = trainer.pack_ids(seq, v, cfg.context)
+        assert [w.real_length for w in windows] == [cfg.context, 1]
+        tc = trainer.TrainingConfig(batch_size=1, lr=1e-2, epochs=3, seed=0)
+        runs = {}
+        for name, train_on in (("both", windows), ("first", windows[:1])):
+            runs[name] = ckpt = M.init_model(cfg, seed=0)
+            steps = []
+            trainer.train(ckpt, [], v, tc, windows=train_on,
+                          on_epoch=lambda epoch, ck: steps.append(ck.step))
+            assert steps == [1, 2, 3]
+        for name in M.param_shapes(cfg):
+            npt.assert_array_equal(runs["both"].weights[name], runs["first"].weights[name])
+
     def test_nothing_to_train_on_rejected(self):
         _, v, _ = tiny_vocab_and_table(["c d"], vocab_size=20)
         cfg = M.ModelConfig(layers=1, heads=2, model_dim=16, inner_dim=32,
@@ -471,6 +492,11 @@ class TestTrainingConfigValidation:
         with pytest.raises(trainer.TrainingError, match="lr must be finite and positive"):
             trainer.TrainingConfig(lr=lr)
 
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng would reject it only when the first shuffle is drawn.
+        with pytest.raises(trainer.TrainingError, match="seed must be non-negative"):
+            trainer.TrainingConfig(seed=-1)
+
 
 def _window(ids, real):
     """A window whose mask is set exactly at the positions in ``real``."""
@@ -602,6 +628,17 @@ class TestPack:
         other[1, 5:] = (other[1, 5:] + 1) % cfg.vocab_size
         loss, _ = M.batch_loss(ckpt, ids, mask, positions=positions)
         assert M.batch_loss(ckpt, other, mask, positions=positions)[0] == loss
+
+    def test_mean_epoch_loss_skips_chunks_with_no_target(self):
+        ckpt = _perturbed_float64(M.toy_config(), seed=9)
+        rng = np.random.default_rng(9)
+        first = _window(rng.integers(0, 50, N), range(N))
+        tail = _window(rng.integers(0, 50, N), [0])  # one token: no target
+        windows = [first] + [tail] * trainer.EVAL_BATCH_SIZE  # the last chunk is tails only
+        got = trainer.mean_epoch_loss(ckpt, windows)
+        assert abs(got - trainer.lm_loss(ckpt, first)) <= 1e-12
+        with pytest.raises(trainer.TrainingError, match="no window has a target"):
+            trainer.mean_epoch_loss(ckpt, [tail])
 
     def test_mean_epoch_loss_weights_each_target(self):
         ckpt = _perturbed_float64(M.toy_config(), seed=9)
