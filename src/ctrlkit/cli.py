@@ -49,8 +49,13 @@ def _load_docs(
 
 
 def _load_model(args) -> tuple[model.Checkpoint, tokenizer.Vocab]:
-    """The ``--ckpt`` checkpoint and the ``--vocab`` vocabulary."""
-    return model.load_checkpoint(args.ckpt), tokenizer.load_vocab(args.vocab)
+    """The ``--ckpt`` checkpoint and the ``--vocab`` vocabulary, which must
+    hold as many tokens as the checkpoint's embedding has rows."""
+    ckpt, vocab = model.load_checkpoint(args.ckpt), tokenizer.load_vocab(args.vocab)
+    if len(vocab) != ckpt.config.vocab_size:
+        raise model.ModelError(f"the vocabulary holds {len(vocab)} tokens and the "
+                               f"checkpoint's embedding {ckpt.config.vocab_size}")
+    return ckpt, vocab
 
 
 def _write(path: str | None, content: str) -> None:

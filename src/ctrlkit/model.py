@@ -35,9 +35,10 @@ and then the residual, are added in place on the fresh product, and the
 attention softmax normalises its fresh scores in place.
 
 ``batch_loss`` returns its gradients as the ``flat_views`` of one zeroed
-buffer, or writes them into ``out``, such as the views of a buffer that a
-training run keeps for all its steps, which it zeroes first: a step then
-allocates no whole-model gradient buffer.
+buffer: a new one, or ``out``, a buffer that a training run keeps for all
+its steps and that it zeroes first, so that a step allocates no whole-model
+gradient buffer.  ``load_checkpoint`` reads the file's tensors into one
+buffer as well, and returns its ``flat_views``.
 
 Weights are float32 for training and evaluation and float64 for gradient
 checks, and a pass computes in its checkpoint's dtype: float32 weights give
@@ -567,7 +568,7 @@ def batch_loss(
     mask: np.ndarray,
     compute_grads: bool = True,
     positions: np.ndarray | None = None,
-    out: dict[str, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ):
     """Mean next-token NLL over unmasked target positions, which ``_head``
     scores and, with ``compute_grads``, differentiates.
@@ -579,22 +580,20 @@ def batch_loss(
     window boundary.  Returns (loss, grads) with grads=None when
     ``compute_grads`` is false.
 
-    The gradients are the ``flat_views`` of a new zeroed buffer, or, given
-    ``out`` (one array per ``param_shapes`` tensor, in the checkpoint's
-    dtype, such as the ``flat_views`` of a buffer kept across steps), are
-    written into those arrays after they are zeroed, and ``out`` is the
-    returned dict: nothing of an earlier call carries over.
+    The gradients are the ``flat_views`` of a new zeroed buffer, or of
+    ``out``, a 1-D array of ``param_count`` elements in the checkpoint's
+    dtype, such as a buffer kept across steps, which is zeroed first:
+    nothing of an earlier call carries over.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
     if ids.ndim == 1:
         ids, mask = ids[None, :], mask[None, :]
-    if out is not None:
-        shapes = param_shapes(ckpt.config)
-        if out.keys() != shapes.keys() or any(
-                out[n].shape != s or out[n].dtype != ckpt.dtype for n, s in shapes.items()):
-            raise ModelError("out must hold one array per trainable tensor, "
-                             "of its shape and the checkpoint's dtype")
+    size = param_count(ckpt.config)
+    if out is not None and (getattr(out, "shape", None), getattr(out, "dtype", None)) != (
+            (size,), ckpt.dtype):
+        raise ModelError(f"out must be a 1-D array of {size} elements in the "
+                         "checkpoint's dtype")
     target_mask = mask[:, 1:]
     n_targets = int(target_mask.sum())
     if n_targets == 0:
@@ -616,16 +615,16 @@ def batch_loss(
     if not compute_grads:
         return -float(_head(ckpt, x, targets).mean()), None
     if out is None:
-        out = flat_views(ckpt.config, np.zeros(param_count(ckpt.config), dtype=ckpt.dtype))
+        out = np.zeros(size, dtype=ckpt.dtype)
     else:
-        for g in out.values():
-            g.fill(0)
-    logp, dx_read = _head(ckpt, x, targets, out)
+        out.fill(0)
+    grads = flat_views(ckpt.config, out)
+    logp, dx_read = _head(ckpt, x, targets, grads)
     # Columns that are no target get no gradient from the head.
     dx = np.zeros(ids.shape + (ckpt.config.model_dim,), dtype=dx_read.dtype)
     dx[read] = dx_read
-    _backward_batch(ckpt, ids, records, dx, out)
-    return -float(logp.mean()), out
+    _backward_batch(ckpt, ids, records, dx, grads)
+    return -float(logp.mean()), grads
 
 
 CKPT_MAGIC = "ctrlkit-ckpt-2"
@@ -633,31 +632,35 @@ CKPT_MAGIC = "ctrlkit-ckpt-2"
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Versioned binary format: JSON header, then little-endian float32
-    tensors in manifest order.  Aliased tensors are stored once.  The write
+    tensors in manifest order, written one by one.  Aliased tensors are
+    stored once.  A tensor of another dtype or shape than the format and
+    the config give raises ModelError before the file is opened.  The write
     is atomic (``fileio.atomic_open``)."""
-    names = list(param_shapes(ckpt.config))
-    for n in names:
-        if ckpt.weights[n].dtype != np.float32:
-            raise ModelError(
-                f"checkpoint format stores float32 tensors; {n} has dtype "
-                f"{ckpt.weights[n].dtype}"
-            )
+    shapes = param_shapes(ckpt.config)
+    for n, shape in shapes.items():
+        w = ckpt.weights[n]
+        if w.dtype != np.float32:
+            raise ModelError(f"checkpoint format stores float32 tensors; {n} has dtype {w.dtype}")
+        if w.shape != shape:
+            raise ModelError(f"{n} has shape {w.shape}, and its config gives {shape}")
     header = {
         "config": asdict(ckpt.config),
         "step": ckpt.step,
         "seed": ckpt.seed,
-        "tensors": [[n, list(ckpt.weights[n].shape)] for n in names],
+        "tensors": [[n, list(s)] for n, s in shapes.items()],
         "aliases": ALIASES,
     }
     with atomic_open(path, "wb") as fh:
         fh.write((CKPT_MAGIC + "\n").encode("ascii"))
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for n in names:
+        for n in shapes:
             fh.write(np.ascontiguousarray(ckpt.weights[n], dtype="<f4"))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a ``save_checkpoint`` file; malformed input raises ModelError."""
+    """Read a ``save_checkpoint`` file; malformed input raises ModelError.
+    Its tensors are read with one ``readinto`` into one buffer, and the
+    weights are that buffer's ``flat_views``."""
     with open(path, "rb") as fh, parsing(path, ModelError, "checkpoint"):
         return _parse_checkpoint(fh)
 
@@ -674,14 +677,11 @@ def _parse_checkpoint(fh) -> Checkpoint:
     step, seed = header["step"], header["seed"]
     if any(type(n) is not int for n in (step, seed, *asdict(config).values())):
         raise ModelError("checkpoint header numbers must be integers")
-    shapes = param_shapes(config)
-    if header["tensors"] != [[n, list(s)] for n, s in shapes.items()]:
+    if header["tensors"] != [[n, list(s)] for n, s in param_shapes(config).items()]:
         raise ModelError("checkpoint tensor list does not match its config")
-    weights: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
-        weights[name] = np.empty(shape, dtype="<f4")
-        if fh.readinto(weights[name]) != weights[name].nbytes:
-            raise ModelError(f"checkpoint truncated while reading {name}")
+    flat = np.empty(param_count(config), dtype="<f4")
+    if fh.readinto(flat) != flat.nbytes:
+        raise ModelError(f"checkpoint truncated: its tensors take {flat.nbytes} bytes")
     if fh.read(1):
         raise ModelError("checkpoint has trailing bytes after its tensors")
-    return Checkpoint(config=config, weights=weights, step=step, seed=seed)
+    return Checkpoint(config=config, weights=flat_views(config, flat), step=step, seed=seed)

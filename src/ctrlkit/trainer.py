@@ -13,8 +13,8 @@ epochs and a caller can save every epoch as it ends.  At its start it
 rebinds the checkpoint's trainable arrays to views of one flat buffer
 (``model.flat_views``), so a caller reads ``ckpt.weights`` after ``train``,
 not before: an array taken from it earlier is not the one trained.  Next
-to it, the run allocates one flat gradient buffer, whose views every step's
-backward pass zeroes and fills (``batch_loss(..., out=)``), and ``AdamW``
+to it, the run allocates one flat gradient buffer, which every step's
+``batch_loss(..., out=)`` zeroes, fills and returns as views, and ``AdamW``
 holds ``m`` and ``v`` flat and updates the whole model in a few array
 operations per block of ``ADAM_BLOCK`` elements.  A run therefore holds
 four float32 copies of the model (the weights, the gradients, ``m`` and
@@ -288,7 +288,6 @@ def train(
         view[...] = ckpt.weights[name]
         ckpt.weights[name] = view
     grad_flat = np.empty_like(flat)
-    grads = M.flat_views(ckpt.config, grad_flat)
     opt = AdamW(flat, tc)
     rng = np.random.default_rng(tc.seed)
     for epoch in range(1, tc.epochs + 1):
@@ -298,7 +297,7 @@ def train(
             ids, mask, positions = _pack(batch)
             if not mask[:, 1:].any():
                 continue
-            loss, _ = M.batch_loss(ckpt, ids, mask, positions=positions, out=grads)
+            loss, grads = M.batch_loss(ckpt, ids, mask, positions=positions, out=grad_flat)
             if not np.isfinite(loss):
                 raise TrainingDiverged(ckpt.step, loss)
             clip_global_norm(grads, GRAD_CLIP_NORM)

@@ -738,6 +738,47 @@ class TestTaskVerbs:
         assert capsys.readouterr().out.startswith("task,epoch,metric,value,N_missing%\n")
 
 
+@pytest.fixture(scope="module")
+def other_vocab(workspace):
+    """A vocabulary of the workspace's corpus with fewer tokens than its
+    checkpoint's embedding has rows."""
+    path = workspace["root"] / "vocab-30.txt"
+    assert main(["train-tokenizer", "--corpus", str(workspace["corpus"]),
+                 "--vocab-size", "30", "--fraction", "1.0", "--out", str(path)]) == 0
+    size = model.load_checkpoint(workspace["ckpt"]).config.vocab_size
+    assert len(tokenizer.load_vocab(path)) < size
+    return path
+
+
+# Per model verb: its arguments after --ckpt and --vocab, given an input directory.
+MODEL_VERB_ARGS = {
+    "generate": lambda d: ["--occ", "alpha", "--num", "3"],
+    "grid": lambda d: ["--categories", "alpha"],
+    "perplexity": lambda d: ["--text-file", str(d / "texts.txt")],
+    "finetune": lambda d: ["--task", "swewinograd", "--data", str(d / "task.jsonl"),
+                           "--epochs", "1"],
+    "eval-task": lambda d: ["--task", "swewinograd", "--data", str(d / "task.jsonl")],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(MODEL_VERB_ARGS))
+def test_vocabulary_of_another_size_rejected_before_output(workspace, other_vocab, tmp_path,
+                                                          capsys, verb):
+    inputs, work = tmp_path / "inputs", tmp_path / "work"
+    inputs.mkdir()
+    work.mkdir()
+    (inputs / "texts.txt").write_text("a1 a2 a3 a4 a5 a6 a7 a8 a9 a10\n")
+    _winograd_data(inputs / "task.jsonl")
+    capsys.readouterr()
+    rc = main([verb, "--ckpt", str(workspace["ckpt"]), "--vocab", str(other_vocab),
+               *MODEL_VERB_ARGS[verb](inputs), "--out", str(work / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ModelError: the vocabulary holds "), err
+    assert out == ""
+    assert list(work.iterdir()) == []
+
+
 def test_import_loads_only_numpy_and_the_stdlib():
     # The package needs numpy alone; only the tests use scipy and hypothesis.
     # The modules loaded before the import (site hooks among them) are not its.

@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 
@@ -923,7 +924,7 @@ def test_head_buffers_are_freed_before_the_backward(monkeypatch):
                         vocab_size=4000)
     ckpt = M.init_model(cfg, seed=0)
     ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(2, 16))
-    out = M.flat_views(cfg, np.empty(M.param_count(cfg), dtype=np.float32))
+    out = np.empty(M.param_count(cfg), dtype=np.float32)
     largest = []
     backward = M._backward_batch
 
@@ -997,6 +998,48 @@ class TestCheckpointIO:
         assert weights > 5_000_000
         assert save_peak <= 2**16
         assert weights <= load_peak <= weights + 2**16
+
+
+    def test_loaded_tensors_are_views_of_one_buffer(self, tmp_path):
+        """One ``readinto`` fills one float32 buffer, which holds the file's
+        tensor region, and each tensor is its ``flat_views`` view."""
+        cfg = M.toy_config()
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, M.init_model(cfg, seed=9))
+        data = path.read_bytes()
+        fh = _CountingReader(data)
+        loaded = M._parse_checkpoint(fh)
+        assert fh.readintos == 1
+        flat = loaded.weights["tok_emb"].base
+        assert flat.dtype == np.dtype("<f4") and flat.shape == (M.param_count(cfg),)
+        assert flat.tobytes() == data.split(b"\n", 2)[2]
+        views = M.flat_views(cfg, flat)
+        assert list(loaded.weights) == list(views)
+        for name, view in views.items():
+            got = loaded.weights[name]
+            assert got.base is flat
+            assert got.__array_interface__ == view.__array_interface__, name
+
+    def test_wrong_shape_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ckpt = M.init_model(M.toy_config(), seed=9)
+        M.save_checkpoint(path, ckpt)
+        before = path.read_bytes()
+        weights = {**ckpt.weights, "tok_emb": np.zeros((49, 8), dtype=np.float32)}
+        with pytest.raises(M.ModelError, match=r"tok_emb has shape \(49, 8\)"):
+            M.save_checkpoint(path, M.Checkpoint(ckpt.config, weights, step=1))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+class _CountingReader(io.BytesIO):
+    """An in-memory file that counts its ``readinto`` calls."""
+
+    readintos = 0
+
+    def readinto(self, buffer):
+        self.readintos += 1
+        return super().readinto(buffer)
 
 
 class _FailsToConvert:

@@ -2,9 +2,11 @@
 
 perfbench wraps the functions that ``spans.WRAPS`` lists and calls
 ``ctrlkit`` module attributes from its workloads, so renaming or deleting
-one of them otherwise shows only in a benchmark run.  These tests read
-``perfbench/`` and change nothing in it: ``spans.py`` is imported, and
-every file is parsed for the ``ctrlkit`` attributes it reads.
+one of them otherwise shows only in a benchmark run.  Its span counters
+also read the wrapped functions' arguments by name and their results'
+attributes.  These tests read ``perfbench/`` and change nothing in it:
+``spans.py`` is imported, and every file is parsed for the ``ctrlkit``
+attributes it reads.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
+import textwrap
+import typing
 from pathlib import Path
 
 import pytest
@@ -78,3 +83,41 @@ def test_every_ctrlkit_attribute_read_exists(path):
     missing = {f"{module}.{attr}" for module, attr in reads
                if not hasattr(importlib.import_module(f"ctrlkit.{module}"), attr)}
     assert missing <= KNOWN_MISSING
+
+
+def _counter_reads(counter) -> tuple[set[str], set[str]]:
+    """The string subscripts of a span counter (the arguments it reads by
+    name) and the attributes it reads of ``result``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(counter)))
+    subscripts, attributes = set(), set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)):
+            subscripts.add(node.slice.value)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "result"):
+            attributes.add(node.attr)
+    return subscripts, attributes
+
+
+def test_every_counter_reads_existing_names(spans):
+    """Each argument a counter reads is a parameter of the function its
+    ``WRAPS`` entry wraps, and each result attribute one of the class that
+    function's return annotation names."""
+    checked, missing = set(), set()
+    for owner, attr, _, counter in spans.WRAPS:
+        if counter is None or not hasattr(owner, attr):  # KNOWN_MISSING
+            continue
+        fn = getattr(owner, attr)
+        subscripts, attributes = _counter_reads(counter)
+        parameters = inspect.signature(fn).parameters
+        missing.update(f"{attr}({name})" for name in subscripts - parameters.keys())
+        if attributes:
+            result = typing.get_type_hints(fn)["return"]
+            names = set(dir(result)) | set(typing.get_type_hints(result))
+            missing.update(f"{attr}().{name}" for name in attributes - names)
+        checked.update(f"{attr}({name})" for name in subscripts)
+        checked.update(f"{attr}().{name}" for name in attributes)
+    assert {"batch_loss(mask)", "save_index(path)", "answer_selection_accuracy(datapoints)",
+            "build_index().entries", "generate_ids().stop_reason"} <= checked
+    assert missing == set()

@@ -702,24 +702,26 @@ class TestGradientBuffer:
         rng = np.random.default_rng(6)
         batches = [trainer._pack(_windows(rng, N, PACK_CASES[case]))
                    for case in ("ragged", "holes")]
-        out = M.flat_views(cfg, np.full(M.param_count(cfg), np.nan))
+        out = np.full(M.param_count(cfg), np.nan)
         for ids, mask, positions in batches:
             _, fresh = M.batch_loss(ckpt, ids, mask, positions=positions)
             _, grads = M.batch_loss(ckpt, ids, mask, positions=positions, out=out)
-            assert grads is out
-            assert _joined(out.values()) == _joined(fresh.values())
+            assert all(g.base is out for g in grads.values())
+            assert out.tobytes() == _joined(fresh.values())
 
-    @pytest.mark.parametrize("change", ["missing", "shape", "dtype"])
+    # Each a change of a valid buffer of the toy model's float32 gradients.
+    BAD_BUFFERS = {
+        "dict": lambda cfg, out: M.flat_views(cfg, out),
+        "missing": lambda cfg, out: out[:-1],
+        "shape": lambda cfg, out: out.reshape(1, -1),
+        "dtype": lambda cfg, out: out.astype(np.float64),
+    }
+
+    @pytest.mark.parametrize("change", BAD_BUFFERS.values(), ids=BAD_BUFFERS.keys())
     def test_bad_buffer_rejected(self, change):
         cfg = M.toy_config()
         ckpt = M.init_model(cfg, seed=0)
-        out = M.flat_views(cfg, np.zeros(M.param_count(cfg), dtype=np.float32))
-        if change == "missing":
-            del out["lnf.b"]
-        elif change == "shape":
-            out["lnf.b"] = np.zeros(cfg.model_dim + 1, dtype=np.float32)
-        else:
-            out["lnf.b"] = out["lnf.b"].astype(np.float64)
+        out = change(cfg, np.zeros(M.param_count(cfg), dtype=np.float32))
         ids = np.array([[1, 2, 3, 4, 5]])
-        with pytest.raises(M.ModelError, match="out must hold"):
+        with pytest.raises(M.ModelError, match="out must be a 1-D array"):
             M.batch_loss(ckpt, ids, np.ones_like(ids, dtype=bool), out=out)
