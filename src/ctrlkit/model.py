@@ -15,19 +15,21 @@ last block runs its query, attention and feed-forward on those columns
 alone (``forward``, ``sequence_logprob``, cached decoding).  ``_head``, the
 one output layer, turns residual rows into logits, or into target scores
 through the one ``log_softmax`` and, for ``batch_loss``, gradients; it
-reads the tied projection as ``tok_emb.T``.  ``batch_loss`` is the one
-place that knows its targets: it reads every column, gathers the target
-positions for the head, and scatters the head's gradient back to full
-width for ``_backward_batch``, which reads the activations each block
-recorded.  It takes per-position ids that pack several windows into one
-row, each attending only within itself (``trainer._pack`` builds them), so
-the whole pass, not only the head, costs about the real tokens, not the
-padding.  A K/V cache records its tokens, and a pass reuses the prefix it
-shares with them.  A decoding step is one column per row, so a pass's
-fixed numpy cost counts: the sinusoidal table is computed once per
-(model_dim, dtype) and sliced, the causal mask is built only when a pass
-has later keys (more than one column), and layer norm and softmax reduce
-through the ufuncs.
+reads the tied projection as ``tok_emb.T``.  Past the logits, which are
+one array, it works on ``HEAD_BLOCK`` float64 elements of rows at a time,
+so that a pass at a large vocabulary holds one float64 block, not float64
+copies of every row's logits.  ``batch_loss`` is the one place that knows
+its targets: it reads every column, gathers the target positions for the
+head, and scatters the head's gradient back to full width for
+``_backward_batch``, which reads the activations each block recorded.  It
+takes per-position ids that pack several windows into one row, each
+attending only within itself (``trainer._pack`` builds them), so the whole
+pass, not only the head, costs about the real tokens, not the padding.  A
+K/V cache records its tokens, and a pass reuses the prefix it shares with
+them.  A decoding step is one column per row, so a pass's fixed numpy cost
+counts: the sinusoidal table is computed once per (model_dim, dtype) and
+sliced, the causal mask is built only when a pass has later keys (more
+than one column), and layer norm and softmax reduce through the ufuncs.
 Each weight product (``wq``, ``wk``, ``wv``, ``wo``, ``w1``, ``w2`` and the
 tied head) is one 2-D product over every (row, column), because numpy runs
 a stacked (rows, t, d) product as one small product per row.  Its bias,
@@ -37,16 +39,21 @@ attention softmax normalises its fresh scores in place.
 ``batch_loss`` returns its gradients as the ``flat_views`` of one zeroed
 buffer: a new one, or ``out``, a buffer that a training run keeps for all
 its steps and that it zeroes first, so that a step allocates no whole-model
-gradient buffer.  ``load_checkpoint`` reads the file's tensors into one
-buffer as well, and returns its ``flat_views``.
+gradient buffer.  Each weight-gradient product is written straight into
+its view (``_wgrad``), the head's ``tok_emb`` product first, so no
+weight-sized product is made and then added.  ``load_checkpoint`` reads
+the file's tensors into one buffer as well, and returns its
+``flat_views``.
 
 Weights are float32 for training and evaluation and float64 for gradient
 checks, and a pass computes in its checkpoint's dtype: float32 weights give
 float32 activations, logits, K/V and gradients from the embedding to the
 logits and back.  Scalar constants are Python floats, which numpy 2
-promotion casts to the array's dtype.  Only ``log_softmax``, the scores
-and the loss value are float64; ``_head`` casts the loss gradient back to
-the checkpoint's dtype before the backward pass.
+promotion casts to the array's dtype.  Only ``log_softmax`` (in
+``_head``'s one block buffer), the scores and the loss value are float64;
+``_head`` divides each block's loss gradient by the target count straight
+into that block's logits rows, in the checkpoint's dtype, before the
+backward pass.
 """
 
 from __future__ import annotations
@@ -61,6 +68,13 @@ from .fileio import atomic_open, parsing
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
+# Float64 elements per block of the LM head's log-softmax and loss gradient,
+# one row at least.  Swept over 2^12..2^18 on a 2-vCPU Xeon (batch_loss and
+# sequence_logprob, medians of 3 to 9 calls): 2^15, a 256 KiB block, was the
+# fastest at vocab 312 (batch_loss 5.5 ms against 6.6 ms unblocked, 560
+# rows) and took no page faults there or at vocab 20 000, where 2^12 and
+# 2^16 and up took them.  Above 2^15 ids a block is one row.
+HEAD_BLOCK = 2 ** 15
 
 # The output projection is ``tok_emb.T``, as checkpoint headers record.
 ALIASES = {"lm_head": "tok_emb"}
@@ -220,11 +234,13 @@ def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def log_softmax(x) -> np.ndarray:
+def log_softmax(x, out: np.ndarray | None = None) -> np.ndarray:
     """Float64 log-probabilities over the last axis: ``x - max`` minus the
-    log of its summed exponentials, finite for any finite logits."""
+    log of its summed exponentials, finite for any finite logits.  They are
+    written into a new array, or into ``out``, a float64 array of x's
+    shape, with an ``exp`` temporary of that size."""
     x = np.asarray(x)
-    shifted = np.subtract(x, x.max(axis=-1, keepdims=True), dtype=np.float64)
+    shifted = np.subtract(x, x.max(axis=-1, keepdims=True), dtype=np.float64, out=out)
     shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted
 
@@ -417,35 +433,53 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, rows: int, kv=None,
 def _head(ckpt: Checkpoint, x: np.ndarray, targets=None, grads=None):
     """The final layer norm and the product with ``tok_emb.T`` on residual
     rows ``x``: the logits, or with ``targets`` (one id per row) each row's
-    float64 log-probability of its target.  Given ``grads`` as well, it adds
-    the head's gradients of the rows' mean negative log-probability to
-    ``grads`` and returns (log-probabilities, the gradient of ``x``)."""
+    float64 log-probability of its target.  Given ``grads`` as well, it
+    writes the head's gradients of the rows' mean negative log-probability
+    into ``grads`` and returns (log-probabilities, the gradient of ``x``).
+
+    Only the float32 (or float64) logits are one array.  ``log_softmax``,
+    the target gather and the loss gradient run on ``HEAD_BLOCK`` float64
+    elements of rows at a time (one row at least), in one block buffer, and
+    each block's gradient replaces its logits rows.  ``grads`` must be
+    zeroed: the ``tok_emb`` gradient is written, not added, so the head
+    writes it before the embedding's scatter in ``_backward_batch`` adds to
+    it, and ``lnf.g`` and ``lnf.b`` are added."""
     W = ckpt.weights
     hf, lnf_cache = _layer_norm(x, W["lnf.g"], W["lnf.b"])
     logits = _linear(hf, W["tok_emb"].T)
     if targets is None:
         return logits
-    logz = log_softmax(logits)
-    at = (*np.indices(targets.shape, sparse=True), targets)
-    logp = logz[at]
+    rows = logits.reshape(-1, logits.shape[-1])  # a view: a block writes its rows
+    ids = targets.reshape(-1)
+    step = max(1, HEAD_BLOCK // rows.shape[1])
+    block = np.empty((min(step, len(ids)), rows.shape[1]), dtype=np.float64)
+    logp = np.empty(len(ids), dtype=np.float64)
+    for start in range(0, len(ids), step):
+        part = slice(start, start + step)
+        logz = log_softmax(rows[part], out=block[:len(ids[part])])
+        at = (np.arange(len(logz)), ids[part])
+        logp[part] = logz[at]
+        if grads is not None:  # the loss gradient, in place of the block's logits
+            np.exp(logz, out=logz)
+            logz[at] -= 1.0
+            np.divide(logz, ids.size, out=rows[part], casting="same_kind")
+    logp = logp.reshape(targets.shape)
     if grads is None:
         return logp
-    # The loss gradient reuses the buffers of logz and the logits.
-    dlogits = np.exp(logz, out=logz)
-    dlogits[at] -= 1.0
-    dlogits /= targets.size
-    np.copyto(logits, dlogits, casting="same_kind")
-    grads["tok_emb"] += _wgrad(logits, hf)
+    _wgrad(logits, hf, out=grads["tok_emb"])
     dx, dg, db = _layer_norm_backward(_linear(logits, W["tok_emb"]), W["lnf.g"], lnf_cache)
     grads["lnf.g"] += dg
     grads["lnf.b"] += db
     return logp, dx
 
 
-def _wgrad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Weight gradient sum_rows a[row]^T b[row] over every leading axis,
-    as one BLAS matmul."""
-    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+def _wgrad(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Write the weight gradient sum_rows a[row]^T b[row] over every leading
+    axis into ``out``, a view of a zeroed gradient buffer, as one BLAS
+    matmul, and add 0.0 in place: a product of exactly -0.0 then stores
+    +0.0, the bits that adding the product to the zeroed buffer gives."""
+    np.matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]), out=out)
+    out += 0.0
 
 
 def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -464,11 +498,14 @@ def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
 
 def _backward_batch(ckpt: Checkpoint, ids: np.ndarray, records: list[dict],
                     dx: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    """Add the blocks' and the embedding's gradients to ``grads``, given the
-    ``records`` of a pass over ``ids`` and the gradient ``dx`` of its
-    residual stream at every column.  ``dx`` is overwritten with each
-    block's input gradient in turn, so a caller's array is the only one of
-    its size the backward keeps."""
+    """Fill ``grads`` with the blocks' and the embedding's gradients, given
+    the ``records`` of a pass over ``ids`` and the gradient ``dx`` of its
+    residual stream at every column.  Each block's weight gradients are
+    written into their zeroed views (``_wgrad``), its biases' and layer
+    norms' added; the embedding's scatter comes last and adds to the
+    ``tok_emb`` gradient that ``_head`` wrote before.  ``dx`` is overwritten
+    with each block's input gradient in turn, so a caller's array is the
+    only one of its size the backward keeps."""
     cfg, W = ckpt.config, ckpt.weights
     att_scale = 1.0 / math.sqrt(cfg.head_dim)
 
@@ -478,11 +515,11 @@ def _backward_batch(ckpt: Checkpoint, ids: np.ndarray, records: list[dict],
 
         # Feed-forward residual branch.
         dff = dx
-        grads[p + "ffn.w2"] += _wgrad(c["act"], dff)
+        _wgrad(c["act"], dff, out=grads[p + "ffn.w2"])
         grads[p + "ffn.b2"] += dff.sum(axis=(0, 1))
         dact = dff @ W[p + "ffn.w2"].T
         dz1 = dact * (c["act"] > 0)
-        grads[p + "ffn.w1"] += _wgrad(c["h2"], dz1)
+        _wgrad(c["h2"], dz1, out=grads[p + "ffn.w1"])
         grads[p + "ffn.b1"] += dz1.sum(axis=(0, 1))
         dh2 = dz1 @ W[p + "ffn.w1"].T
         dx_attn, dg, db = _layer_norm_backward(dh2, W[p + "ln2.g"], c["ln2"])
@@ -492,7 +529,7 @@ def _backward_batch(ckpt: Checkpoint, ids: np.ndarray, records: list[dict],
 
         # Attention residual branch.
         da_out = dx_attn
-        grads[p + "attn.wo"] += _wgrad(c["ctx"], da_out)
+        _wgrad(c["ctx"], da_out, out=grads[p + "attn.wo"])
         grads[p + "attn.bo"] += da_out.sum(axis=(0, 1))
         dctx = _split_heads(da_out @ W[p + "attn.wo"].T, cfg.heads)
         dattn = dctx @ c["v"].swapaxes(-1, -2)
@@ -506,7 +543,7 @@ def _backward_batch(ckpt: Checkpoint, ids: np.ndarray, records: list[dict],
         dh = np.zeros_like(c["h"])
         for name, dproj in (("wq", dq), ("wk", dk), ("wv", dv)):
             dproj = _merge_heads(dproj)
-            grads[p + "attn." + name] += _wgrad(c["h"], dproj)
+            _wgrad(c["h"], dproj, out=grads[p + "attn." + name])
             grads[p + "attn.b" + name[1]] += dproj.sum(axis=(0, 1))
             dh += dproj @ W[p + "attn." + name].T
         dx_ln1, dg, db = _layer_norm_backward(dh, W[p + "ln1.g"], c["ln1"])
@@ -558,6 +595,9 @@ def sequence_logprob(ckpt: Checkpoint, ids, start: int = 1, kv=None) -> float:
     if not 1 <= start < n:
         raise ModelError(f"start must be in [1, {n - 1}], got {start}")
     arr = arr.reshape(-1, n)
+    # The pass reads ids[..., :-1] and checks them; the last ids are only targets.
+    if (arr[:, -1] < 0).any() or (arr[:, -1] >= ckpt.config.vocab_size).any():
+        raise ModelError("token id outside the vocabulary range")
     x = _forward_batch(ckpt, arr[:, :-1], n - start, kv=kv)
     return float(_head(ckpt, x, arr[:, start:]).sum())
 
@@ -573,8 +613,9 @@ def batch_loss(
     """Mean next-token NLL over unmasked target positions, which ``_head``
     scores and, with ``compute_grads``, differentiates.
 
-    ``ids`` and ``mask`` are (batch, time); position i+1 is a prediction
-    target iff mask[i+1] is set.  ``positions``, shaped like ``ids``, packs
+    ``ids`` and ``mask`` are (batch, time), or both one row, and any other
+    mask shape raises ModelError; position i+1 is a prediction target iff
+    mask[i+1] is set.  ``positions``, shaped like ``ids``, packs
     several windows into a row (see ``_forward_batch``); a window's first
     column must then be unmasked, so that no target is predicted across a
     window boundary.  Returns (loss, grads) with grads=None when
@@ -589,6 +630,8 @@ def batch_loss(
     mask = np.asarray(mask, dtype=bool)
     if ids.ndim == 1:
         ids, mask = ids[None, :], mask[None, :]
+    if mask.shape != ids.shape:
+        raise ModelError(f"mask of shape {mask.shape} for ids of shape {ids.shape}")
     size = param_count(ckpt.config)
     if out is not None and (getattr(out, "shape", None), getattr(out, "dtype", None)) != (
             (size,), ckpt.dtype):

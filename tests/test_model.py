@@ -114,6 +114,21 @@ class TestForward:
         with pytest.raises(M.ModelError, match="vocabulary range"):
             M.batch_loss(ckpt, ids, np.ones_like(ids, dtype=bool))
 
+    @pytest.mark.parametrize("mask_shape", [(2, 3), (2, 7), (3, 5), (1, 5), (5,), (10,)])
+    def test_mask_of_another_shape_rejected_by_batch_loss(self, mask_shape):
+        ckpt = M.init_model(M.toy_config(), seed=0)
+        ids = np.arange(10).reshape(2, 5)
+        with pytest.raises(M.ModelError, match="mask of shape"):
+            M.batch_loss(ckpt, ids, np.ones(mask_shape, dtype=bool))
+
+    def test_one_row_of_ids_and_mask_promoted_together(self):
+        ckpt = M.init_model(M.toy_config(), seed=0)
+        ids = np.array([3, 1, 4, 1, 5])
+        got = M.batch_loss(ckpt, ids, ids > 1, compute_grads=False)[0]
+        assert got == M.batch_loss(ckpt, ids[None], ids[None] > 1, compute_grads=False)[0]
+        with pytest.raises(M.ModelError, match="mask of shape"):
+            M.batch_loss(ckpt, ids, (ids > 1)[None])
+
 
 class TestLogSoftmax:
     def test_matches_scipy(self):
@@ -157,6 +172,23 @@ class TestSequenceLogprob:
     def test_start_outside_sequence_rejected(self, start):
         with pytest.raises(M.ModelError):
             M.sequence_logprob(perturbed_checkpoint(M.toy_config()), self.IDS, start)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("bad", [-1, 50])
+    def test_out_of_range_last_id_rejected(self, bad, cached):
+        # The pass reads ids[..., :-1]; the last id is only a target.
+        ckpt = perturbed_checkpoint(M.toy_config())
+        kv = M.kv_cache(ckpt, 2) if cached else None
+        ids = np.array([[1, 2, 3], [4, 5, bad]])
+        if cached:
+            M.sequence_logprob(ckpt, ids % 50, kv=kv)
+            held = kv.ids.copy()
+        with pytest.raises(M.ModelError, match="vocabulary range"):
+            M.sequence_logprob(ckpt, ids, kv=kv)
+        with pytest.raises(M.ModelError, match="vocabulary range"):
+            M.sequence_logprob(ckpt, [1, 2, bad], start=2, kv=M.kv_cache(ckpt) if cached else None)
+        if cached:
+            npt.assert_array_equal(kv.ids, held)
 
     def test_stacked_rows_add_up(self):
         ckpt = perturbed_checkpoint(M.toy_config())
@@ -627,14 +659,14 @@ class TestDtypeContract:
         assert {a.dtype for a in arrays} == {np.dtype(dtype)}
 
     def test_batch_loss_gradients(self, dtype, monkeypatch):
-        # Gradients accumulate into arrays of the weights' dtype, which would
+        # Gradients are written into arrays of the weights' dtype, which would
         # hide a widened backward; every weight-gradient product shows it.
         operand_dtypes = set()
         wgrad = M._wgrad
 
-        def recording_wgrad(a, b):
-            operand_dtypes.update((a.dtype, b.dtype))
-            return wgrad(a, b)
+        def recording_wgrad(a, b, out):
+            operand_dtypes.update((a.dtype, b.dtype, out.dtype))
+            return wgrad(a, b, out=out)
 
         monkeypatch.setattr(M, "_wgrad", recording_wgrad)
         cfg = M.toy_config()
@@ -810,8 +842,9 @@ class TestFastPaths:
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 7, 5))
         b = rng.normal(size=(3, 7, 4))
-        npt.assert_allclose(M._wgrad(a, b), np.einsum("btd,bte->de", a, b),
-                            rtol=0, atol=1e-12)
+        out = np.full((5, 4), np.nan)
+        M._wgrad(a, b, out=out)
+        npt.assert_allclose(out, np.einsum("btd,bte->de", a, b), rtol=0, atol=1e-12)
 
     def test_scatter_add_matches_add_at(self):
         rng = np.random.default_rng(1)
@@ -940,6 +973,179 @@ def test_head_buffers_are_freed_before_the_backward(monkeypatch):
         tracemalloc.stop()
     assert len(largest) == 1
     assert largest[0] < 30 * cfg.vocab_size * 4  # 30 targets of float32 logits
+
+
+def _full_array_head(ckpt, x, targets=None, grads=None):
+    """The head whose float64 work ran on every row at once and whose
+    ``tok_emb`` gradient was a fresh product added to ``grads``: the
+    oracle of the blocked one."""
+    W = ckpt.weights
+    hf, lnf_cache = M._layer_norm(x, W["lnf.g"], W["lnf.b"])
+    logits = M._linear(hf, W["tok_emb"].T)
+    if targets is None:
+        return logits
+    logz = M.log_softmax(logits)
+    at = (*np.indices(targets.shape, sparse=True), targets)
+    logp = logz[at]
+    if grads is None:
+        return logp
+    dlogits = np.exp(logz, out=logz)
+    dlogits[at] -= 1.0
+    dlogits /= targets.size
+    np.copyto(logits, dlogits, casting="same_kind")
+    _adding_wgrad(logits, hf, out=grads["tok_emb"])
+    dx, dg, db = M._layer_norm_backward(M._linear(logits, W["tok_emb"]), W["lnf.g"], lnf_cache)
+    grads["lnf.g"] += dg
+    grads["lnf.b"] += db
+    return logp, dx
+
+
+def _adding_wgrad(a, b, out):
+    """The weight-gradient product made as a new array and added to ``out``."""
+    out += a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _negative_zero_count(a):
+    return int(np.count_nonzero((a == 0) & np.signbit(a)))
+
+
+class TestBlockedHead:
+    """The head's float64 work in row blocks, and weight gradients written
+    into the zeroed buffer, against the full-array head and added products:
+    the loss, every gradient and the scores keep their bits."""
+
+    CFG = M.ModelConfig(layers=2, heads=2, model_dim=8, inner_dim=16, context=24,
+                        vocab_size=40)
+
+    @staticmethod
+    def _results(ckpt, ids, mask, scored, start):
+        loss, grads = M.batch_loss(ckpt, ids, mask)
+        return loss, grads, M.sequence_logprob(ckpt, scored, start=start)
+
+    def _assert_oracle_bits(self, ckpt, ids, mask, scored, start, monkeypatch):
+        loss, grads, score = self._results(ckpt, ids, mask, scored, start)
+        with monkeypatch.context() as patch:
+            patch.setattr(M, "_head", _full_array_head)
+            patch.setattr(M, "_wgrad", _adding_wgrad)
+            want_loss, want_grads, want_score = self._results(ckpt, ids, mask, scored, start)
+        assert loss.hex() == want_loss.hex()
+        assert score.hex() == want_score.hex()
+        for name in M.param_shapes(ckpt.config):
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4], ids=["one", "block-1", "block", "block+1"])
+    def test_rows_around_one_block(self, rows, dtype, monkeypatch):
+        monkeypatch.setattr(M, "HEAD_BLOCK", 3 * self.CFG.vocab_size + 5)  # 3 rows a block
+        ckpt = perturbed_checkpoint(self.CFG, dtype=dtype)
+        ids = np.random.default_rng(rows).integers(0, 40, size=(1, rows + 1))
+        self._assert_oracle_bits(ckpt, ids, np.ones_like(ids, dtype=bool), ids, 1,
+                                 monkeypatch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [1, 39], ids=["one-element", "vocab-1"])
+    def test_vocabulary_larger_than_a_block_gives_a_row_a_block(self, block, dtype,
+                                                                monkeypatch):
+        monkeypatch.setattr(M, "HEAD_BLOCK", block)
+        ckpt = perturbed_checkpoint(self.CFG, dtype=dtype)
+        ids = np.random.default_rng(5).integers(0, 40, size=(3, 9))
+        mask = np.ones_like(ids, dtype=bool)
+        mask[1, 6:] = False
+        self._assert_oracle_bits(ckpt, ids, mask, ids, 3, monkeypatch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_targets_over_blocks_and_a_rest(self, dtype, monkeypatch):
+        # A (4, 17) stack scored from column 5: (4, 12) targets, blocks of 5.
+        monkeypatch.setattr(M, "HEAD_BLOCK", 5 * self.CFG.vocab_size)
+        ckpt = perturbed_checkpoint(self.CFG, dtype=dtype)
+        ids = np.random.default_rng(6).integers(0, 40, size=(4, 17))
+        mask = np.ones_like(ids, dtype=bool)
+        mask[:, 9] = False
+        self._assert_oracle_bits(ckpt, ids, mask, ids, 5, monkeypatch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_default_block(self, dtype, monkeypatch):
+        step = M.HEAD_BLOCK // self.CFG.vocab_size  # rows of one block
+        ckpt = perturbed_checkpoint(self.CFG, dtype=dtype)
+        ids = np.random.default_rng(7).integers(0, 40, size=(step // 23 + 1, 24))
+        assert ids.size - len(ids) > step  # more target rows than one block
+        self._assert_oracle_bits(ckpt, ids, np.ones_like(ids, dtype=bool), ids, 1,
+                                 monkeypatch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_products(self, dtype, monkeypatch):
+        """A dead ReLU unit (its activation 0 in every row), and a final
+        layer-norm column pinned to minus the smallest subnormal, so that
+        each of its products with the head's positive loss gradient rounds
+        to -0.0 and the ``tok_emb`` product holds -0.0 entries.  Added to
+        the zeroed buffer, a -0.0 product gave +0.0, and a written one must
+        as well."""
+        monkeypatch.setattr(M, "HEAD_BLOCK", 4 * self.CFG.vocab_size)
+        ckpt = perturbed_checkpoint(self.CFG, dtype=dtype)
+        W = ckpt.weights
+        W["h1.ffn.w1"][:, 2] = 0.0
+        W["h1.ffn.b1"][2] = -1.0
+        W["lnf.g"][3] = 0.0
+        W["lnf.b"][3] = -np.finfo(dtype).smallest_subnormal
+        ids = np.random.default_rng(8).integers(0, 40, size=(2, 10))
+        products, wgrad = [], M._wgrad
+
+        def recording_wgrad(a, b, out):
+            products.append(a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1]))
+            wgrad(a, b, out=out)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(M, "_wgrad", recording_wgrad)
+            records = []
+            M._forward_batch(ckpt, ids, ids.shape[1], records=records)
+            assert np.all(records[1]["act"][..., 2] == 0.0)
+            _, grads = M.batch_loss(ckpt, ids, np.ones_like(ids, dtype=bool))
+        assert _negative_zero_count(products[0]) > 0  # the tok_emb product
+        assert _negative_zero_count(grads["tok_emb"]) == 0
+        self._assert_oracle_bits(ckpt, ids, np.ones_like(ids, dtype=bool), ids, 1,
+                                 monkeypatch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_wgrad_stores_positive_zero_for_a_negative_zero_product(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        a = np.full((4, 3), tiny, dtype=dtype)
+        b = np.full((4, 2), -0.25, dtype=dtype)
+        product = a.T @ b
+        assert _negative_zero_count(product) == product.size
+        out = np.full((3, 2), np.nan, dtype=dtype)
+        M._wgrad(a, b, out=out)
+        want = np.zeros((3, 2), dtype=dtype)
+        want += product
+        assert out.tobytes() == want.tobytes()
+
+
+def test_head_peak_is_the_logits_and_two_float64_blocks():
+    """At the paper's 256 076 ids the head holds its float32 logits, two
+    float64 blocks (the log-probabilities and ``log_softmax``'s ``exp``),
+    one row each, and, for the loss, one gradient buffer; the activations
+    of 14 columns at model_dim 8 fit in 1 MiB.  Full-array float64 work
+    held two float64 copies of the logits and a new (vocab, d) product."""
+    cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16, context=16,
+                        vocab_size=256_076)
+    ckpt = M.init_model(cfg, seed=0)
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(2, 8))
+    logits = 14 * cfg.vocab_size * 4  # 14 read rows, either call
+    blocks = 2 * max(M.HEAD_BLOCK, cfg.vocab_size) * 8
+    allowance = 2 ** 20
+    rises = []
+    for call in (lambda: M.batch_loss(ckpt, ids, np.ones_like(ids, dtype=bool)),
+                 lambda: M.sequence_logprob(ckpt, ids, start=1)):
+        call()  # builds the positional table
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            rises.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    gradients = M.param_count(cfg) * 4
+    assert rises[0] < logits + blocks + gradients + allowance
+    assert rises[1] < logits + blocks + allowance
 
 
 class TestCheckpointIO:
