@@ -13,11 +13,18 @@ rng stream, through one K/V cache allocated for all of them.  The first pass
 prefills the prompt in every row; each later step is one model pass over the
 last ``context`` ids of every live row, one penalty and one argmax over all
 their logits, and one ``nucleus_distribution`` over the sampled rows, which
-cuts each row's sorted probabilities at one floor; each row then draws from
-its own rng.  A row that reaches a stop id or its budget leaves the batch
-and the cache (``KVCache.keep``).  Positions are absolute sinusoids, so once
-the window fills every row slides on the same step and the pass re-prefills
-the windows; that is exact, and no slower than a full forward.  A single
+cuts each row's sorted probabilities at one floor and runs the tie mask only
+on rows where more probabilities reach the floor than the nucleus keeps.
+Each sampled row then draws from its own rng through ``choose``:
+``Generator.choice``'s own arithmetic (the row's cumulative sum over its
+last value, searched for one ``rng.random()``) without its validation
+passes, one row's cdf at a time.  The sampled rows' indices, temperatures,
+p and rngs are built when the batch starts and again only when rows leave,
+and stop ids are read from a boolean table over the vocabulary.  A row that
+reaches a stop id or its budget leaves the batch and the cache
+(``KVCache.keep``).  Positions are absolute sinusoids, so once the window
+fills every row slides on the same step and the pass re-prefills the
+windows; that is exact, and no slower than a full forward.  A single
 continuation is a batch of one, and rows past ``BATCH_BYTES`` of K/V cache
 and logits go to the next batch.
 """
@@ -91,8 +98,9 @@ STOP_ECC = "ecc_reached"
 STOP_MAX = "max_length"
 
 # Bytes of per-row arrays one decoding batch may hold: each row's K/V cache
-# and 80 bytes per vocab id for its share of a step's (rows, vocab) arrays,
-# which peak near 70.  ``generate_batch`` splits larger batches.
+# and 40 bytes per vocab id for its share of a step's (rows, vocab) arrays,
+# which peak near 37 (traced at 20 000 ids: 38.7 at one row, 37.1 a row
+# from 2 to 32).  ``generate_batch`` splits larger batches.
 BATCH_BYTES = 2**25
 
 
@@ -123,13 +131,16 @@ def apply_repetition_penalty(logits: np.ndarray, context_ids, r) -> np.ndarray:
     id buffer, or for a vector any collection of ids; repeats count once.
     Multiplying (not dividing) negatives keeps the penalty a penalty for
     tokens the model already disfavors; at r = 1 both are exact.  Decoding
-    starts here, so this is where non-finite logits are rejected.
+    starts here, so this is where non-finite logits and context ids outside
+    the vocabulary are rejected.
     """
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise SamplingError("logits must be finite")
     out = np.atleast_2d(logits).astype(np.float64)
     idx = np.atleast_2d(context_ids if isinstance(context_ids, np.ndarray)
                         else np.fromiter(context_ids, dtype=np.int64))
+    if idx.size and not 0 <= idx.min() <= idx.max() < out.shape[-1]:
+        raise SamplingError(f"context ids must be in 0..{out.shape[-1] - 1}")
     at = np.arange(len(out))[:, None], idx
     vals, r = out[at], np.asarray(r, dtype=np.float64)[..., None]
     out[at] = np.where(vals > 0, vals / r, vals * r)
@@ -144,28 +155,59 @@ def nucleus_distribution(
 
     A nucleus row keeps the smallest prefix of its probabilities, sorted
     down with ties by id, whose sum reaches p, top token always included,
-    and is renormalized; a row at p = 1 is the plain softmax.  A row whose
-    top score overflows at its temperature raises SamplingError.
+    and is renormalized; a row at p = 1 is the plain softmax.  A temperature
+    not above 0, a p outside (0, 1], or a row whose top score overflows at
+    its temperature raises SamplingError.
     """
     # Python floats divide as numpy does, without its warnings.
-    tops = zip(scores.max(-1).tolist(), temperature.tolist())
-    if any(math.isinf(top / t) for top, t in tops):
-        raise SamplingError("temperature too small: a row's top scaled logit overflows")
+    for top, t, p in zip(scores.max(-1).tolist(), temperature.tolist(), nucleus_p.tolist()):
+        if not t > 0.0:
+            raise SamplingError(f"temperature must be positive, got {t}")
+        if not 0.0 < p <= 1.0:
+            raise SamplingError(f"nucleus_p must be in (0, 1], got {p}")
+        if math.isinf(top / t):
+            raise SamplingError("temperature too small: a row's top scaled logit overflows")
     probs = M.softmax(scores / temperature[:, None])
     cut = np.flatnonzero(nucleus_p < 1.0)
-    head = probs[cut]
+    head = probs if cut.size == len(probs) else probs[cut]
     desc = np.sort(head, -1)[:, ::-1]
     # Rank k stays iff k = 0 or the running sum before it is below p; that
     # sum never decreases, so a row keeps its ranks up to `last`: every
     # probability above the floor there, then the ties at it in id order.
+    rows = np.arange(cut.size)[:, None]
     last = (desc[:, :-1].cumsum(-1) < nucleus_p[cut, None]).sum(-1, keepdims=True)
-    floor = desc[np.arange(cut.size)[:, None], last]
-    tie = head == floor
-    above = (desc > floor).sum(-1, keepdims=True)
-    head[(head < floor) | (tie & (tie.cumsum(-1) > last + 1 - above))] = 0.0
+    floor = desc[rows, last]
+    keep = head >= floor
+    # A row whose rank last + 1 also ties at the floor keeps only its first
+    # ties in id order.  Index last + 1 - V reads that rank, or rank 0 on a
+    # row that keeps every rank, where a false alarm costs only time.
+    ties = np.flatnonzero(desc[rows, last + 1 - desc.shape[1]] == floor)
+    if ties.size:
+        tie = head[ties] == floor[ties]
+        above = (desc[ties] > floor[ties]).sum(-1, keepdims=True)
+        keep[ties] &= ~tie | (tie.cumsum(-1) <= last[ties] + 1 - above)
+    head *= keep  # probabilities are finite and >= 0, so this zeroes exactly
     head /= head.sum(-1, keepdims=True)
-    probs[cut] = head
+    if head is not probs:
+        probs[cut] = head
     return probs
+
+
+def choose(probs: np.ndarray, rngs) -> list[int]:
+    """One id per row of (rows, vocab) ``probs``, each drawn by its own rng
+    with ``Generator.choice(vocab, p=row)``'s arithmetic: the same ids, and
+    each rng left in the same state, through one row's cdf at a time.  A row
+    whose sum is not 1 within choice's tolerance raises SamplingError."""
+    atol = math.sqrt(np.finfo(np.float64).eps)
+    cdf = np.empty(probs.shape[-1])
+    ids = []
+    for row, rng in zip(probs, rngs):
+        row.cumsum(out=cdf)
+        if not abs(cdf[-1] - 1.0) <= atol:
+            raise SamplingError("a row's probabilities do not sum to 1")
+        cdf /= cdf[-1]
+        ids.append(int(cdf.searchsorted(rng.random(), side="right")))
+    return ids
 
 
 def adjust_distribution(
@@ -229,7 +271,7 @@ def generate_batch(
     if not 0 < p <= cfg.context:
         raise SamplingError(f"a prompt takes 1 to {cfg.context} tokens (the context), got {p}")
     columns = min(cfg.context, p + max((sp.max_new_tokens for sp in sps), default=0))
-    rows = max(1, BATCH_BYTES // (80 * cfg.vocab_size + ckpt.dtype.itemsize * columns
+    rows = max(1, BATCH_BYTES // (40 * cfg.vocab_size + ckpt.dtype.itemsize * columns
                                   * 2 * cfg.layers * cfg.model_dim))
     if len(sps) > rows:
         return [gr for part in np.array_split(np.arange(len(sps)), -(-len(sps) // rows))
@@ -242,28 +284,33 @@ def generate_batch(
     rngs = [np.random.default_rng(sp.rng_seed) for sp in sps]
     blocked = tuple(zip(*[(row, sps[i].block_first_ecc) for row, i in enumerate(live)
                           if sps[i].block_first_ecc is not None]))  # (rows, ids)
+    is_stop = np.zeros(cfg.vocab_size, bool)
+    is_stop[[i for i in stop_ids if 0 <= i < cfg.vocab_size]] = True
     buf = np.empty((len(live), p + int(budget.max(initial=0))), np.int64)
     buf[:, :p] = prompt_ids
     kv = M.kv_cache(ckpt, len(live), columns)
-    t = p
+    t, left = p, True
     while live.size:  # the first pass prefills the prompt in every row
+        if left:  # the batch starts, or rows left it: index its sampled rows anew
+            draw = np.flatnonzero(temperature > 0.0)
+            pick = slice(None) if draw.size == live.size else draw
+            draw_t, draw_p = temperature[draw], nucleus_p[draw]
+            draw_rngs = [rngs[i] for i in live[draw].tolist()]
         logits = M.forward(ckpt, buf[:, max(0, t - cfg.context):t], kv)
         scores = apply_repetition_penalty(logits, buf[:, :t], penalty)
         if t == p and blocked:
             scores[blocked] = -np.inf
         buf[:, t] = scores.argmax(-1)
-        draw = np.flatnonzero(temperature > 0.0)
         if draw.size:
-            probs = nucleus_distribution(scores[draw], temperature[draw], nucleus_p[draw])
-            for row, row_probs in zip(draw.tolist(), probs):
-                buf[row, t] = rngs[live[row]].choice(len(row_probs), p=row_probs)
+            buf[pick, t] = choose(nucleus_distribution(scores[pick], draw_t, draw_p), draw_rngs)
         t += 1
-        ecc = np.array([i in stop_ids for i in buf[:, t - 1].tolist()])
+        ecc = is_stop[buf[:, t - 1]]
         done = ecc | (t - p == budget)
-        for row in np.flatnonzero(done).tolist():
-            results[live[row]] = GenerationResult(tuple(buf[row, p:t].tolist()),
-                                                  STOP_ECC if ecc[row] else STOP_MAX)
-        if done.any():
+        left = done.any()
+        if left:
+            for row in np.flatnonzero(done).tolist():
+                results[live[row]] = GenerationResult(tuple(buf[row, p:t].tolist()),
+                                                      STOP_ECC if ecc[row] else STOP_MAX)
             keep = np.flatnonzero(~done)
             live, buf, temperature, nucleus_p, penalty, budget = (
                 a[keep] for a in (live, buf, temperature, nucleus_p, penalty, budget))

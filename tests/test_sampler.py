@@ -41,6 +41,27 @@ def adjust_distribution_oracle(logits, context_ids, sp):
     return nucleus
 
 
+def nucleus_distribution_oracle(scores, temperature, nucleus_p):
+    """``S.nucleus_distribution`` as it ran the tie mask on every cut row,
+    kept to hold the tie rule bitwise."""
+    probs = M.softmax(scores / temperature[:, None])
+    cut = np.flatnonzero(nucleus_p < 1.0)
+    head = probs[cut]
+    desc = np.sort(head, -1)[:, ::-1]
+    last = (desc[:, :-1].cumsum(-1) < nucleus_p[cut, None]).sum(-1, keepdims=True)
+    floor = desc[np.arange(cut.size)[:, None], last]
+    tie = head == floor
+    above = (desc > floor).sum(-1, keepdims=True)
+    head[(head < floor) | (tie & (tie.cumsum(-1) > last + 1 - above))] = 0.0
+    head /= head.sum(-1, keepdims=True)
+    probs[cut] = head
+    return probs
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestBatchedTransform:
     """Every row of the batched penalty and nucleus is bitwise equal to the
     per-row oracle."""
@@ -102,6 +123,134 @@ class TestBatchedTransform:
         tied = probs[0, 5::97]
         assert np.all(probs[0, :3] > 0) and 0 < np.count_nonzero(tied) < tied.size
         assert [np.count_nonzero(row) for row in probs[1:]] == [exact // 4, 1]
+
+
+class TestTieMaskOracle:
+    """``nucleus_distribution`` runs the tie mask only on rows whose ties
+    run past the floor, and its rows stay bitwise the oracle's."""
+
+    VOCAB = 300
+
+    @staticmethod
+    def logits(rows, seed):
+        return np.random.default_rng(seed).normal(size=(rows, TestTieMaskOracle.VOCAB)) * 3
+
+    def check(self, scores, temperature, nucleus_p):
+        got = S.nucleus_distribution(scores, temperature, nucleus_p)
+        want = nucleus_distribution_oracle(scores, temperature, nucleus_p)
+        assert np.array_equal(bits(got), bits(want))
+        return got
+
+    def test_ties_that_straddle_the_floor(self):
+        scores = self.logits(3, 20) / 3
+        scores[:, 5::7] = 4.0  # 43 ties holding most of the mass
+        probs = self.check(scores, np.array([1.0, 0.7, 0.9]), np.array([0.5, 0.3, 0.8]))
+        for row in probs[:, 5::7]:
+            assert 0 < np.count_nonzero(row) < row.size
+
+    def test_a_uniform_row_that_keeps_every_rank(self):
+        # The rank after the last is rank 0, equal to the floor: the tie mask
+        # runs and keeps every id.
+        probs = self.check(np.zeros((1, self.VOCAB)), np.array([1.0]), np.array([0.999999]))
+        assert np.count_nonzero(probs) == self.VOCAB
+
+    def test_ties_inside_the_nucleus(self):
+        scores = self.logits(2, 21)
+        scores[:, 3:13] = 9.0  # ten ties above every other score
+        probs = self.check(scores, np.array([1.0, 0.8]), np.array([0.999, 0.99]))
+        assert np.all(probs[:, 3:13] > 0)
+        assert np.all(np.count_nonzero(probs, -1) > 10)
+
+    def test_a_batch_where_every_row_is_cut(self):
+        scores = self.logits(6, 22)
+        scores[0, ::3] = 2.5
+        self.check(scores, np.full(6, 0.8), np.array([0.3, 0.5, 0.8, 0.9, 0.95, 0.99]))
+
+    def test_a_batch_mixing_cut_and_whole_rows(self):
+        scores = self.logits(6, 23)
+        scores[1, ::5] = 3.0
+        nucleus_p = np.array([1.0, 0.4, 1.0, 0.9, 1.0, 0.7])
+        probs = self.check(scores, np.array([0.5, 1.0, 0.9, 0.6, 1.0, 0.8]), nucleus_p)
+        assert np.all(probs[nucleus_p == 1.0] > 0)
+
+    def test_one_token_nuclei(self):
+        scores = self.logits(3, 24)
+        scores[2, 4::4] = scores[2].max()  # the top token ties: the lowest id stays
+        probs = self.check(scores, np.array([1.0, 0.5, 1.0]), np.full(3, 1e-6))
+        assert np.count_nonzero(probs, -1).tolist() == [1, 1, 1]
+        assert probs[2].argmax() == np.flatnonzero(scores[2] == scores[2].max())[0]
+
+
+class TestChoose:
+    """``choose`` draws the ids ``Generator.choice(p=)`` draws and leaves
+    each rng in the same state, so a numpy change to ``choice`` fails here."""
+
+    @staticmethod
+    def rows(vocab):
+        scores = np.random.default_rng(30).normal(size=(4, vocab)) * 3
+        scores[0] /= 3
+        scores[0, 5::7] = 4.0  # ties holding most of the mass, at the floor of p = 0.5
+        scores[2, 1::2] = -45.0  # e^-45 < eps: the running sum absorbs these
+        return S.nucleus_distribution(scores, np.array([1.0, 0.7, 1.0, 0.9]),
+                                      np.array([0.5, 1.0, 1.0, 1e-6]))
+
+    @pytest.mark.parametrize("vocab, rows", [(300, 4), (256_076, 1)])
+    def test_ids_and_rng_states_equal_generator_choice(self, vocab, rows):
+        probs = self.rows(vocab)[:rows]
+        tied = probs[0, 5::7]
+        assert 0 < np.count_nonzero(tied) < tied.size
+        if rows == 4:
+            cdf = probs[2].cumsum()
+            assert np.any((cdf[1:] == cdf[:-1]) & (probs[2, 1:] > 0))
+            assert np.count_nonzero(probs[3]) == 1
+        drawn = [set() for _ in range(rows)]
+        for seed in range(6):
+            rngs = [np.random.default_rng([seed, i]) for i in range(rows)]
+            theirs = [np.random.default_rng([seed, i]) for i in range(rows)]
+            for _ in range(20 if rows == 4 else 5):
+                got = S.choose(probs, rngs)
+                assert got == [int(rng.choice(vocab, p=row)) for row, rng in zip(probs, theirs)]
+                for ids, i in zip(drawn, got):
+                    ids.add(i)
+            assert [rng.bit_generator.state for rng in rngs] == \
+                [rng.bit_generator.state for rng in theirs]
+        assert len(drawn[0]) > 1 and all(probs[0, i] > 0 for i in drawn[0])
+        if rows == 4:
+            assert len(drawn[1]) > 5 and drawn[3] == {int(probs[3].argmax())}
+
+    class Fixed:
+        """An rng whose every draw is ``u``."""
+
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    @pytest.mark.parametrize("row, u, want", [
+        ([0.0, 0.5, 0.5], 0.0, 1),  # u = 0 skips ids of probability 0
+        ([0.5, 0.0, 0.5], 0.5, 2),  # so does a u on a step of the cdf
+        ([0.1] * 10, np.nextafter(1.0, 0.0), 9),  # the cdf ends at 1, not at its float sum
+    ])
+    def test_draws_at_the_edges_of_the_cdf(self, row, u, want):
+        assert S.choose(np.array([row]), [self.Fixed(u)]) == [want]
+
+    @pytest.mark.parametrize("row", [[0.2, 0.2, 0.2, 0.2], [0.5, np.nan, 0.5, 0.0]])
+    def test_a_row_that_does_not_sum_to_one_raises(self, row):
+        with pytest.raises(S.SamplingError, match="do not sum to 1"):
+            S.choose(np.array([[0.0, 0.0, 1.0, 0.0], row]), [np.random.default_rng(0)] * 2)
+
+    def test_a_batch_holds_one_row_cdf_at_a_time(self):
+        rows, vocab = 32, 20_000
+        probs = M.softmax(np.random.default_rng(31).normal(size=(rows, vocab)))
+        rngs = [np.random.default_rng(i) for i in range(rows)]
+        tracemalloc.start()
+        try:
+            S.choose(probs, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * vocab <= peak < 2 * 8 * vocab  # never a (rows, vocab) array
 
 
 class TestAdjustDistribution:
@@ -201,6 +350,30 @@ class TestAdjustDistribution:
             probs = S.nucleus_distribution(np.array([[1.0, 2.0, -3e30]]),
                                            np.array([1e-300]), np.array([1.0]))
         assert probs.tolist() == [[0.0, 1.0, 0.0]]
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_context_ids_outside_the_vocabulary_rejected(self, bad):
+        with pytest.raises(S.SamplingError, match=r"context ids must be in 0\.\.9"):
+            S.adjust_distribution(np.zeros(10), [3, bad], S.SamplingParams())
+        ids = np.array([[1, 2, 3], [4, bad, 5]])
+        with pytest.raises(S.SamplingError, match=r"context ids must be in 0\.\.9"):
+            S.apply_repetition_penalty(np.zeros((2, 10)), ids, np.array([1.2, 1.5]))
+
+    @pytest.mark.parametrize("temperature, nucleus_p, message", [
+        (0.0, 0.9, "temperature must be positive"),
+        (-0.5, 0.9, "temperature must be positive"),
+        (np.nan, 0.9, "temperature must be positive"),
+        (0.7, 0.0, r"nucleus_p must be in \(0, 1\]"),
+        (0.7, 1.5, r"nucleus_p must be in \(0, 1\]"),
+        (0.7, np.nan, r"nucleus_p must be in \(0, 1\]"),
+    ])
+    def test_nucleus_parameters_outside_their_range_rejected(self, temperature, nucleus_p,
+                                                              message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(S.SamplingError, match=message):
+                S.nucleus_distribution(np.zeros((2, 3)), np.array([1.0, temperature]),
+                                       np.array([0.5, nucleus_p]))
 
     def test_temperature_zero_rejected_here(self):
         with pytest.raises(S.SamplingError):
@@ -530,7 +703,7 @@ class TestGenerateBatch:
         prompt, sps, stop_ids = batch_case(name, two_genre.vocab)
         want = S.generate_batch(ckpt, prompt, sps, stop_ids)
         columns = min(cfg.context, len(prompt) + max(sp.max_new_tokens for sp in sps))
-        row_bytes = 80 * cfg.vocab_size + 4 * columns * 2 * cfg.layers * cfg.model_dim
+        row_bytes = 40 * cfg.vocab_size + 4 * columns * 2 * cfg.layers * cfg.model_dim
         monkeypatch.setattr(S, "BATCH_BYTES", 2 * row_bytes + row_bytes // 2)
         shapes = []
         kv_cache = M.kv_cache
