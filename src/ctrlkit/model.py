@@ -17,16 +17,20 @@ one output layer, turns residual rows into logits, or into target scores
 through the one ``log_softmax`` and, for ``batch_loss``, gradients; it
 reads the tied projection as ``tok_emb.T``.  Past the logits, which are
 one array, it works on ``HEAD_BLOCK`` float64 elements of rows at a time,
-so that a pass at a large vocabulary holds one float64 block, not float64
-copies of every row's logits.  ``batch_loss`` is the one place that knows
-its targets: it reads every column, gathers the target positions for the
-head, and scatters the head's gradient back to full width for
-``_backward_batch``, which reads the activations each block recorded.  It
-takes per-position ids that pack several windows into one row, each
-attending only within itself (``trainer._pack`` builds them), so the whole
-pass, not only the head, costs about the real tokens, not the padding.  A
-K/V cache records its tokens, and a pass reuses the prefix it shares with
-them.  A decoding step is one column per row, so a pass's fixed numpy cost
+so that a pass at a large vocabulary holds two float64 blocks (the
+log-probabilities and the ``exp`` temporary), not float64 copies of every
+row's logits.  When it scores targets, the logits and both blocks come
+from a ``HeadWork``, which ``batch_loss`` takes from its caller (a
+training run keeps one for all its steps, so a step allocates none of
+them) or makes for the one call; logits returned to a caller are always
+a new array.  ``batch_loss`` is the one place that knows its targets: it
+reads every column, gathers the target positions for the head, and
+scatters the head's gradient back to full width for ``_backward_batch``,
+which reads the activations each block recorded.  It takes per-position
+ids that pack several windows into one row, each attending only within
+itself (``trainer._pack`` builds them), so the whole pass, not only the
+head, costs about the real tokens, not the padding.  A K/V cache records
+its tokens, and a pass reuses the prefix it shares with them.  A decoding step is one column per row, so a pass's fixed numpy cost
 counts: the sinusoidal table is computed once per (model_dim, dtype) and
 sliced, the causal mask is built only when a pass has later keys (more
 than one column), and layer norm and softmax reduce through the ufuncs.
@@ -50,17 +54,21 @@ checks, and a pass computes in its checkpoint's dtype: float32 weights give
 float32 activations, logits, K/V and gradients from the embedding to the
 logits and back.  Scalar constants are Python floats, which numpy 2
 promotion casts to the array's dtype.  Only ``log_softmax`` (in
-``_head``'s one block buffer), the scores and the loss value are float64;
-``_head`` divides each block's loss gradient by the target count straight
+``_head``'s block buffers), the scores and the loss value are float64.
+``log_softmax`` copies its logits into its float64 output first, so each
+of its operations takes operands of one dtype, and ``_head`` divides each
+block's loss gradient by the target count in float64 and then copies it
 into that block's logits rows, in the checkpoint's dtype, before the
 backward pass.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -129,8 +137,10 @@ def toy_config(vocab_size: int = 50) -> ModelConfig:
     )
 
 
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Named trainable tensors, tied embedding listed once."""
+@functools.cache
+def param_shapes(config: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
+    """Named trainable tensors, tied embedding listed once.  Built once per
+    config and shared, so the mapping is read-only."""
     d, f = config.model_dim, config.inner_dim
     shapes: dict[str, tuple[int, ...]] = {"tok_emb": (config.vocab_size, d)}
     for i in range(config.layers):
@@ -149,7 +159,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[p + "ffn.b2"] = (d,)
     shapes["lnf.g"] = (d,)
     shapes["lnf.b"] = (d,)
-    return shapes
+    return MappingProxyType(shapes)
 
 
 def param_count(config: ModelConfig) -> int:
@@ -234,15 +244,23 @@ def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def log_softmax(x, out: np.ndarray | None = None) -> np.ndarray:
+def log_softmax(x, out: np.ndarray | None = None,
+                tmp: np.ndarray | None = None) -> np.ndarray:
     """Float64 log-probabilities over the last axis: ``x - max`` minus the
     log of its summed exponentials, finite for any finite logits.  They are
     written into a new array, or into ``out``, a float64 array of x's
-    shape, with an ``exp`` temporary of that size."""
+    shape; the exponentials go into ``tmp``, a float64 array of that shape,
+    or into a new one.  ``x`` is copied into ``out`` first, so every step
+    after the copy runs in float64 alone."""
     x = np.asarray(x)
-    shifted = np.subtract(x, x.max(axis=-1, keepdims=True), dtype=np.float64, out=out)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted
+    if out is None:
+        out = np.empty(x.shape, dtype=np.float64)
+    np.copyto(out, x)
+    out -= np.maximum.reduce(out, axis=-1, keepdims=True)
+    tmp = np.exp(out, out=tmp)
+    lse = np.add.reduce(tmp, axis=-1, keepdims=True)
+    out -= np.log(lse, out=lse)
+    return out
 
 
 def _layer_norm(x, g, b):
@@ -430,39 +448,78 @@ def _forward_batch(ckpt: Checkpoint, ids: np.ndarray, rows: int, kv=None,
     return x
 
 
-def _head(ckpt: Checkpoint, x: np.ndarray, targets=None, grads=None):
+class HeadWork:
+    """The working buffers of ``_head`` when it scores targets: the logits
+    rows, in the checkpoint's dtype, and two float64 blocks, the
+    log-probabilities and ``log_softmax``'s ``exp`` temporary.  Each buffer
+    grows to the largest request it has served and is reused after, so a
+    caller that keeps one across calls, as a training run does, allocates
+    them once rather than at every step.  ``_head`` returns nothing that
+    lives in it."""
+
+    def __init__(self):
+        self._logits = np.empty(0, dtype=np.float32)
+        self._blocks = np.empty(0, dtype=np.float64)
+
+    def logits(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised array of ``shape`` and ``dtype``, contiguous."""
+        size = math.prod(shape)
+        if self._logits.size < size or self._logits.dtype != dtype:
+            self._logits = None  # the old buffer goes before the new one comes
+            self._logits = np.empty(size, dtype=dtype)
+        return self._logits[:size].reshape(shape)
+
+    def blocks(self, rows: int, columns: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two uninitialised, contiguous float64 arrays of (rows, columns)."""
+        size = rows * columns
+        if self._blocks.size < 2 * size:
+            self._blocks = None
+            self._blocks = np.empty(2 * size, dtype=np.float64)
+        return (self._blocks[:size].reshape(rows, columns),
+                self._blocks[size:2 * size].reshape(rows, columns))
+
+
+def _head(ckpt: Checkpoint, x: np.ndarray, targets=None, grads=None,
+          work: HeadWork | None = None):
     """The final layer norm and the product with ``tok_emb.T`` on residual
     rows ``x``: the logits, or with ``targets`` (one id per row) each row's
     float64 log-probability of its target.  Given ``grads`` as well, it
     writes the head's gradients of the rows' mean negative log-probability
     into ``grads`` and returns (log-probabilities, the gradient of ``x``).
 
-    Only the float32 (or float64) logits are one array.  ``log_softmax``,
-    the target gather and the loss gradient run on ``HEAD_BLOCK`` float64
-    elements of rows at a time (one row at least), in one block buffer, and
-    each block's gradient replaces its logits rows.  ``grads`` must be
-    zeroed: the ``tok_emb`` gradient is written, not added, so the head
-    writes it before the embedding's scatter in ``_backward_batch`` adds to
-    it, and ``lnf.g`` and ``lnf.b`` are added."""
+    Logits it returns are a new array.  With targets, the logits are one
+    array of ``work``, a ``HeadWork`` (a new one when None), and
+    ``log_softmax``, the target gather and the loss gradient run on
+    ``HEAD_BLOCK`` float64 elements of rows at a time (one row at least),
+    in ``work``'s two blocks; each block's gradient replaces its logits
+    rows.  ``grads`` must be zeroed: the ``tok_emb`` gradient is written,
+    not added, so the head writes it before the embedding's scatter in
+    ``_backward_batch`` adds to it, and ``lnf.g`` and ``lnf.b`` are
+    added."""
     W = ckpt.weights
     hf, lnf_cache = _layer_norm(x, W["lnf.g"], W["lnf.b"])
-    logits = _linear(hf, W["tok_emb"].T)
     if targets is None:
-        return logits
-    rows = logits.reshape(-1, logits.shape[-1])  # a view: a block writes its rows
+        return _linear(hf, W["tok_emb"].T)
+    work = HeadWork() if work is None else work
+    vocab = W["tok_emb"].shape[0]
+    logits = work.logits(x.shape[:-1] + (vocab,), ckpt.dtype)
+    rows = logits.reshape(-1, vocab)  # a view: a block writes its rows
+    np.matmul(hf.reshape(len(rows), -1), W["tok_emb"].T, out=rows)
     ids = targets.reshape(-1)
-    step = max(1, HEAD_BLOCK // rows.shape[1])
-    block = np.empty((min(step, len(ids)), rows.shape[1]), dtype=np.float64)
+    step = max(1, HEAD_BLOCK // vocab)
+    block, tmp = work.blocks(min(step, len(ids)), vocab)
     logp = np.empty(len(ids), dtype=np.float64)
     for start in range(0, len(ids), step):
         part = slice(start, start + step)
-        logz = log_softmax(rows[part], out=block[:len(ids[part])])
-        at = (np.arange(len(logz)), ids[part])
+        n = len(ids[part])
+        logz = log_softmax(rows[part], out=block[:n], tmp=tmp[:n])
+        at = (np.arange(n), ids[part])
         logp[part] = logz[at]
         if grads is not None:  # the loss gradient, in place of the block's logits
             np.exp(logz, out=logz)
             logz[at] -= 1.0
-            np.divide(logz, ids.size, out=rows[part], casting="same_kind")
+            logz /= ids.size
+            np.copyto(rows[part], logz, casting="same_kind")
     logp = logp.reshape(targets.shape)
     if grads is None:
         return logp
@@ -609,6 +666,7 @@ def batch_loss(
     compute_grads: bool = True,
     positions: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    work: HeadWork | None = None,
 ):
     """Mean next-token NLL over unmasked target positions, which ``_head``
     scores and, with ``compute_grads``, differentiates.
@@ -624,7 +682,10 @@ def batch_loss(
     The gradients are the ``flat_views`` of a new zeroed buffer, or of
     ``out``, a 1-D array of ``param_count`` elements in the checkpoint's
     dtype, such as a buffer kept across steps, which is zeroed first:
-    nothing of an earlier call carries over.
+    nothing of an earlier call carries over.  ``work``, a ``HeadWork``
+    kept across calls, holds the head's logits and float64 blocks; without
+    one the head makes its own, which it frees before the backward pass.
+    Either way the loss and gradients are the same.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
@@ -656,13 +717,13 @@ def batch_loss(
     x = _forward_batch(ckpt, ids, ids.shape[1], positions=positions, records=records)[read]
     targets = ids[read[0], read[1] + 1]
     if not compute_grads:
-        return -float(_head(ckpt, x, targets).mean()), None
+        return -float(_head(ckpt, x, targets, work=work).mean()), None
     if out is None:
         out = np.zeros(size, dtype=ckpt.dtype)
     else:
         out.fill(0)
     grads = flat_views(ckpt.config, out)
-    logp, dx_read = _head(ckpt, x, targets, grads)
+    logp, dx_read = _head(ckpt, x, targets, grads, work)
     # Columns that are no target get no gradient from the head.
     dx = np.zeros(ids.shape + (ckpt.config.model_dim,), dtype=dx_read.dtype)
     dx[read] = dx_read

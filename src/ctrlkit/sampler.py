@@ -11,15 +11,16 @@ There is one decoding loop, ``generate_batch``: it decodes continuations
 of one prompt as rows in lockstep, each with its own sampling parameters and
 rng stream, through one K/V cache allocated for all of them.  The first pass
 prefills the prompt in every row; each later step is one model pass over the
-last ``context`` ids of every live row, one penalty and one argmax over all
-their logits, and one ``nucleus_distribution`` over the sampled rows, which
-cuts each row's sorted probabilities at one floor and runs the tie mask only
-on rows where more probabilities reach the floor than the nucleus keeps.
-Each sampled row then draws from its own rng through ``choose``:
-``Generator.choice``'s own arithmetic (the row's cumulative sum over its
-last value, searched for one ``rng.random()``) without its validation
-passes, one row's cdf at a time.  The sampled rows' indices, temperatures,
-p and rngs are built when the batch starts and again only when rows leave,
+last ``context`` ids of every live row, one penalty over all their logits,
+one argmax over the greedy rows (none when every row samples), and one
+``nucleus_distribution`` over the sampled rows, which cuts each row's sorted
+probabilities at one floor and runs the tie mask only on rows where more
+probabilities reach the floor than the nucleus keeps.  Each sampled row then
+draws from its own rng through ``choose``: ``Generator.choice``'s own
+arithmetic (the row's cumulative sum over its last value, searched for one
+``rng.random()``) without its validation passes, one row's cdf at a time.
+The greedy and sampled rows' indices and the sampled rows' temperatures, p
+and rngs are built when the batch starts and again only when rows leave,
 and stop ids are read from a boolean table over the vocabulary.  A row that
 reaches a stop id or its budget leaves the batch and the cache
 (``KVCache.keep``).  Positions are absolute sinusoids, so once the window
@@ -291,16 +292,19 @@ def generate_batch(
     kv = M.kv_cache(ckpt, len(live), columns)
     t, left = p, True
     while live.size:  # the first pass prefills the prompt in every row
-        if left:  # the batch starts, or rows left it: index its sampled rows anew
-            draw = np.flatnonzero(temperature > 0.0)
+        if left:  # the batch starts, or rows left it: index its rows anew
+            sampled = temperature > 0.0
+            draw, greedy = np.flatnonzero(sampled), np.flatnonzero(~sampled)
             pick = slice(None) if draw.size == live.size else draw
+            top = slice(None) if greedy.size == live.size else greedy
             draw_t, draw_p = temperature[draw], nucleus_p[draw]
             draw_rngs = [rngs[i] for i in live[draw].tolist()]
         logits = M.forward(ckpt, buf[:, max(0, t - cfg.context):t], kv)
         scores = apply_repetition_penalty(logits, buf[:, :t], penalty)
         if t == p and blocked:
             scores[blocked] = -np.inf
-        buf[:, t] = scores.argmax(-1)
+        if greedy.size:
+            buf[top, t] = scores[top].argmax(-1)
         if draw.size:
             buf[pick, t] = choose(nucleus_distribution(scores[pick], draw_t, draw_p), draw_rngs)
         t += 1

@@ -16,10 +16,13 @@ not before: an array taken from it earlier is not the one trained.  Next
 to it, the run allocates one flat gradient buffer, which every step's
 ``batch_loss(..., out=)`` zeroes, fills and returns as views, and ``AdamW``
 holds ``m`` and ``v`` flat and updates the whole model in a few array
-operations per block of ``ADAM_BLOCK`` elements.  A run therefore holds
-four float32 copies of the model (the weights, the gradients, ``m`` and
-``v``), plus one batch's activations while a step computes and one
-tensor's float64 squares while the clip norm sums them.
+operations per block of ``ADAM_BLOCK`` elements.  The run also keeps one
+``model.HeadWork``, which holds the LM head's logits rows and float64
+blocks from step to step and goes when ``train`` returns.  A run therefore
+holds four float32 copies of the model (the weights, the gradients, ``m``
+and ``v``), plus the head workspace, plus one float64 scratch of the
+largest tensor while the clip norm sums the squares, and one batch's
+activations while a step computes.
 
 Each step packs its own windows into shared rows (``_pack``): a row holds
 several short windows end to end, each with its own positions and
@@ -67,10 +70,15 @@ class TrainingError(RuntimeError):
 
 
 class TrainingDiverged(TrainingError):
-    def __init__(self, step: int, loss: float):
-        super().__init__(f"non-finite loss {loss} at step {step}")
+    """A step's loss, or with a finite loss its gradient norm ``norm``, is
+    not finite."""
+
+    def __init__(self, step: int, loss: float, norm: float | None = None):
+        what = f"loss {loss}" if norm is None else f"gradient norm {norm} (loss {loss})"
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step
         self.loss = loss
+        self.norm = norm
 
 
 @dataclass(frozen=True)
@@ -140,20 +148,41 @@ def lm_loss(ckpt: M.Checkpoint, window: Window) -> float:
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so the global norm is <= max_norm.
+    """Scale all gradients in place so the global norm is <= max_norm, and
+    return the norm before clipping.
 
-    Each tensor's squares are summed in float64, in one float64 copy of
-    the tensor that is squared in place and lives only while it is summed."""
-    total = 0.0
-    for g in grads.values():
-        squares = g.astype(np.float64)
-        total += float(np.square(squares, out=squares).sum())
-        del squares  # before the next tensor's copy is made
-    total = np.sqrt(total)
+    Each tensor's squares are summed in float64 and the sums are added in
+    tensor order.  Consecutive tensors are copied into one float64 scratch,
+    the size of the largest tensor plus one, each after a 0.0, as many as
+    fit; the group is squared in place and one ``np.add.reduceat`` sums
+    every tensor from its 0.0 on.  A segment's sum is its first element
+    plus the pairwise sum of the rest, so 0.0 plus the tensor's pairwise
+    sum: the bits of the tensor's own ``.sum()``.  The scratch goes before
+    the gradients are scaled."""
+    total = np.sqrt(_sum_of_squares(list(grads.values())))
     if total > max_norm:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
+    return total
+
+
+def _sum_of_squares(tensors: list[np.ndarray]) -> float:
+    """The float64 sum of squares of ``clip_global_norm``."""
+    scratch = np.empty(1 + max((g.size for g in tensors), default=0))
+    total, i = 0.0, 0
+    while i < len(tensors):  # one group of consecutive tensors
+        starts, end = [], 0
+        while i < len(tensors) and end + 1 + tensors[i].size <= scratch.size:
+            g = tensors[i]
+            starts.append(end)
+            scratch[end] = 0.0
+            end += 1 + g.size
+            scratch[end - g.size:end] = g.ravel()
+            i += 1
+        squares = np.square(scratch[:end], out=scratch[:end])
+        for s in np.add.reduceat(squares, starts).tolist():
+            total += s
     return total
 
 
@@ -270,9 +299,9 @@ def train(
     shuffle.  A batch with no target, such as the one-token tail window that
     ``pack_ids`` makes when a sequence is one longer than a multiple of the
     context, is skipped: it makes no update and counts as no step.
-    Non-finite loss aborts with the offending step.  The trainable
-    arrays of ``ckpt.weights`` are rebound to views of one flat buffer before
-    the first step.
+    A non-finite loss, or gradient norm, aborts with the offending step
+    before its update.  The trainable arrays of ``ckpt.weights`` are rebound
+    to views of one flat buffer before the first step.
     """
     if windows is None:
         if not docs:
@@ -288,6 +317,7 @@ def train(
         view[...] = ckpt.weights[name]
         ckpt.weights[name] = view
     grad_flat = np.empty_like(flat)
+    work = M.HeadWork()
     opt = AdamW(flat, tc)
     rng = np.random.default_rng(tc.seed)
     for epoch in range(1, tc.epochs + 1):
@@ -297,10 +327,13 @@ def train(
             ids, mask, positions = _pack(batch)
             if not mask[:, 1:].any():
                 continue
-            loss, grads = M.batch_loss(ckpt, ids, mask, positions=positions, out=grad_flat)
+            loss, grads = M.batch_loss(ckpt, ids, mask, positions=positions, out=grad_flat,
+                                       work=work)
             if not np.isfinite(loss):
                 raise TrainingDiverged(ckpt.step, loss)
-            clip_global_norm(grads, GRAD_CLIP_NORM)
+            norm = clip_global_norm(grads, GRAD_CLIP_NORM)
+            if not np.isfinite(norm):  # before the update writes it into the weights
+                raise TrainingDiverged(ckpt.step, loss, norm)
             opt.step(flat, grad_flat)
             ckpt.step += 1
         if on_epoch is not None:

@@ -549,6 +549,49 @@ class TestKVCacheReuse:
                 npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def _mixed_dtype_log_softmax(x, out=None):
+    """The log-softmax whose subtraction read the logits in their own dtype
+    and whose ``exp`` temporary was a new array: the bitwise oracle of the
+    one that copies the logits into float64 first."""
+    x = np.asarray(x)
+    shifted = np.subtract(x, x.max(axis=-1, keepdims=True), dtype=np.float64, out=out)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
+
+
+class TestLogSoftmaxOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(7,), (3, 50), (2, 3, 129), (4, 8193)],
+                             ids=["row", "rows", "stack", "long-rows"])
+    def test_bitwise_equal_to_the_mixed_dtype_formula(self, shape, dtype):
+        x = np.random.default_rng(len(shape)).normal(0.0, 4.0, size=shape).astype(dtype)
+        want = _mixed_dtype_log_softmax(x)
+        assert M.log_softmax(x).tobytes() == want.tobytes()
+        out, tmp = np.full(shape, np.nan), np.full(shape, np.nan)
+        assert M.log_softmax(x, out=out, tmp=tmp) is out
+        assert out.tobytes() == want.tobytes()
+
+    def test_strided_input(self):
+        x = np.random.default_rng(3).normal(size=(3, 9, 40)).astype(np.float32)[:, ::2, 1:]
+        assert M.log_softmax(x).tobytes() == _mixed_dtype_log_softmax(x).tobytes()
+
+
+class TestParamShapes:
+    def test_one_read_only_mapping_per_config(self):
+        cfg = M.toy_config()
+        shapes = M.param_shapes(cfg)
+        assert M.param_shapes(M.toy_config()) is shapes
+        with pytest.raises(TypeError):
+            shapes["tok_emb"] = (1, 1)
+        with pytest.raises(TypeError):
+            del shapes["lnf.g"]
+        fresh = M.param_shapes.__wrapped__(cfg)  # built anew, not from the cache
+        assert fresh is not shapes and dict(fresh) == dict(shapes)
+        assert list(shapes) == list(fresh)
+        assert len(shapes) == 1 + 16 * cfg.layers + 2
+        assert M.param_count(cfg) == 1616
+
+
 class TestParamCount:
     def test_toy_count_matches_hand_enumeration(self):
         # L=2, H=2, d=8, f=16, V=50:
@@ -975,10 +1018,10 @@ def test_head_buffers_are_freed_before_the_backward(monkeypatch):
     assert largest[0] < 30 * cfg.vocab_size * 4  # 30 targets of float32 logits
 
 
-def _full_array_head(ckpt, x, targets=None, grads=None):
+def _full_array_head(ckpt, x, targets=None, grads=None, work=None):
     """The head whose float64 work ran on every row at once and whose
     ``tok_emb`` gradient was a fresh product added to ``grads``: the
-    oracle of the blocked one."""
+    oracle of the blocked one.  ``work`` is ignored."""
     W = ckpt.weights
     hf, lnf_cache = M._layer_norm(x, W["lnf.g"], W["lnf.b"])
     logits = M._linear(hf, W["tok_emb"].T)
@@ -1117,6 +1160,56 @@ class TestBlockedHead:
         want = np.zeros((3, 2), dtype=dtype)
         want += product
         assert out.tobytes() == want.tobytes()
+
+
+class TestHeadWork:
+    """One ``HeadWork`` reused over calls of growing, then shrinking, row
+    counts gives the bits of a fresh one per call."""
+
+    CFG = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16, context=24,
+                        vocab_size=40)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [30, 3 * 40 + 5], ids=["vocab>block", "3-row-blocks"])
+    def test_reused_workspace_keeps_every_bit(self, block, dtype, monkeypatch):
+        monkeypatch.setattr(M, "HEAD_BLOCK", block)
+        ckpt = perturbed_checkpoint(self.CFG, dtype=dtype)
+        rng = np.random.default_rng(11)
+        work = M.HeadWork()
+        for rows, t in [(1, 3), (2, 9), (3, 24), (2, 5), (1, 2), (4, 17)]:
+            ids = rng.integers(0, self.CFG.vocab_size, size=(rows, t))
+            mask = np.ones_like(ids, dtype=bool)
+            mask[0, -1] = t < 3  # one row one target short, where it has more than one
+            loss, grads = M.batch_loss(ckpt, ids, mask, work=work)
+            want_loss, want_grads = M.batch_loss(ckpt, ids, mask)
+            assert loss.hex() == want_loss.hex()
+            for name in M.param_shapes(self.CFG):
+                assert grads[name].tobytes() == want_grads[name].tobytes(), name
+            scored, _ = M.batch_loss(ckpt, ids, mask, compute_grads=False, work=work)
+            assert scored.hex() == want_loss.hex()
+
+    def test_buffers_grow_to_the_largest_request_and_stay(self):
+        work = M.HeadWork()
+        a = work.logits((3, 5), np.float32)
+        assert a.shape == (3, 5) and a.dtype == np.float32 and a.flags.c_contiguous
+        assert np.shares_memory(work.logits((2, 5), np.float32), a)
+        assert not np.shares_memory(work.logits((4, 5), np.float32), a)
+        assert work.logits((2, 3), np.float64).dtype == np.float64
+        block, tmp = work.blocks(2, 7)
+        assert block.shape == tmp.shape == (2, 7) and not np.shares_memory(block, tmp)
+        again = work.blocks(1, 7)
+        assert np.shares_memory(again[0], block) and np.shares_memory(again[1], block)
+        assert not np.shares_memory(again[0], again[1])
+
+    def test_returned_logits_are_never_the_workspace(self):
+        ckpt = perturbed_checkpoint(self.CFG, dtype=np.float32)
+        ids = np.random.default_rng(12).integers(0, self.CFG.vocab_size, size=(2, 6))
+        work = M.HeadWork()
+        M.batch_loss(ckpt, ids, np.ones_like(ids, dtype=bool), work=work)
+        x = M._forward_batch(ckpt, ids, ids.shape[1])
+        logits = M._head(ckpt, x, work=work)
+        assert not np.shares_memory(logits, work.logits((1,), np.float32))
+        npt.assert_array_equal(logits, M._head(ckpt, x))
 
 
 def test_head_peak_is_the_logits_and_two_float64_blocks():

@@ -628,6 +628,12 @@ def batch_case(name, v):
                S.SamplingParams(nucleus_p=0.6, repetition_penalty=2.0, max_new_tokens=20,
                                 rng_seed=8)]
         return [v.occ_id("alpha")] + encode(v, "a1 a2 a3 a4 a5 a6 a7 a8 a9 a10"), sps, v.ecc_ids
+    if name == "all-sampled":  # no greedy row, so no step takes an argmax
+        sps = [S.SamplingParams(temperature=t, nucleus_p=p, repetition_penalty=r,
+                                max_new_tokens=n, rng_seed=seed)
+               for seed, (t, p, r, n) in enumerate([(1.0, 0.95, 1.2, 25), (0.5, 1.0, 1.0, 7),
+                                                    (0.9, 0.6, 1.5, 18), (0.8, 0.9, 1.0, 3)])]
+        return prompt, sps, v.ecc_ids
     if name == "zero-budget":
         sps = [S.SamplingParams(max_new_tokens=0, rng_seed=1),
                S.SamplingParams(max_new_tokens=5, rng_seed=2, **sampled),
@@ -641,8 +647,8 @@ class TestGenerateBatch:
     """Rows decoded in lockstep equal each row decoded alone, and each step
     is one model pass over every live row."""
 
-    CASES = ["different-stops", "window-slides", "greedy-and-sampled", "zero-budget",
-             "single-row"]
+    CASES = ["different-stops", "window-slides", "greedy-and-sampled", "all-sampled",
+             "zero-budget", "single-row"]
 
     @pytest.mark.parametrize("name", CASES)
     def test_rows_match_per_sequence_streams(self, two_genre, name):
@@ -662,6 +668,9 @@ class TestGenerateBatch:
         if name == "greedy-and-sampled":
             assert got[0].generated_ids[0] != got[4].generated_ids[0] == v.ecc_id("alpha")
             assert lengths[0] > 1 == lengths[4]
+        if name == "all-sampled":
+            assert all(sp.temperature > 0.0 for sp in sps)
+            assert len(set(lengths)) > 1  # rows leave on different steps
         if name == "zero-budget":
             assert lengths == [0, 5, 0] and got[0].stop_reason == S.STOP_MAX
             assert S.generate_batch(ckpt, prompt, sps[::2], stop_ids) == [got[0]] * 2

@@ -110,6 +110,44 @@ class TestLmLoss:
             trainer.lm_loss(ckpt, window)
 
 
+def _astype_clip(grads, max_norm):
+    """The per-tensor clip that the grouped one replaced: each tensor's
+    float64 copy squared and summed on its own.  The oracle."""
+    total = 0.0
+    for g in grads.values():
+        squares = g.astype(np.float64)
+        total += float(np.square(squares, out=squares).sum())
+    total = np.sqrt(total)
+    if total > max_norm:
+        for g in grads.values():
+            g *= max_norm / total
+    return total
+
+
+GROUPED_SIZES = [1, 7, 8, 9, 127, 128, 129, 8_191, 8_193]
+
+
+def _grouped_clip_cases(dtype, scale):
+    """(name, tensors) pairs: separate 1-D arrays of every size, 2-D arrays,
+    and views of one flat buffer, in several orders so that the groups
+    break at different tensors."""
+    rng = np.random.default_rng(int(scale * 1e6) + 17)
+
+    def draw(n):
+        # Wide magnitudes, so that another order of summation shows.
+        return (rng.normal(0.0, scale, n) * rng.exponential(1.0, n) ** 3).astype(dtype)
+
+    yield "separate", {f"t{n}": draw(n) for n in GROUPED_SIZES}
+    yield "reversed", {f"t{n}": draw(n) for n in reversed(GROUPED_SIZES)}
+    yield "2-d", {"a": draw(7 * 9).reshape(7, 9), "b": draw(8_193).reshape(3, 2_731),
+                  "c": draw(128).reshape(16, 8), "d": draw(129).reshape(1, 129)}
+    flat = draw(sum(GROUPED_SIZES) + 64 * 33)
+    cuts = np.cumsum([0, *GROUPED_SIZES, 64 * 33])
+    views = {f"v{i}": flat[a:b] for i, (a, b) in enumerate(zip(cuts, cuts[1:]))}
+    views["v9"] = views["v9"].reshape(64, 33)
+    yield "flat-views", views
+
+
 class TestClip:
     def test_global_norm_bounded_after_clip(self):
         rng = np.random.default_rng(0)
@@ -161,6 +199,20 @@ class TestClip:
         # A float64 copy and then its squares would be 2x the largest tensor;
         # one copy squared in place measured 1.0x.
         assert peak < 1.5 * largest
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [1e-2, 1e-6], ids=["clips", "does_not_clip"])
+    def test_groups_bitwise_equal_to_the_per_tensor_formula(self, scale, dtype):
+        for (name, grads), (_, ref) in zip(_grouped_clip_cases(dtype, scale),
+                                           _grouped_clip_cases(dtype, scale)):
+            total = trainer.clip_global_norm(grads, 1.0)
+            ref_total = _astype_clip(ref, 1.0)
+            assert (total > 1.0) == (scale == 1e-2), name
+            assert total.hex() == ref_total.hex(), name
+            assert _joined(grads.values()) == _joined(ref.values()), name
+
+    def test_no_tensors(self):
+        assert trainer.clip_global_norm({}, 1.0) == 0.0
 
 
 class TestTrain:
@@ -267,6 +319,72 @@ class TestTrain:
         loaded = M.load_checkpoint(out / "ckpt-epoch01" / "model.ckpt")
         assert loaded.step == 2
         assert {n: loaded.weights[n].tobytes() for n in M.param_shapes(cfg)} == saved[1]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_a_non_finite_gradient_aborts_before_the_update(self, bad, monkeypatch):
+        docs, v, _ = tiny_vocab_and_table(["c d e", "f g h"], vocab_size=20)
+        cfg = M.ModelConfig(layers=1, heads=2, model_dim=16, inner_dim=32,
+                            context=16, vocab_size=len(v))
+        ckpt = M.init_model(cfg, seed=0)
+        before = {n: ckpt.weights[n].tobytes() for n in M.param_shapes(cfg)}
+        batch_loss = M.batch_loss
+
+        def poisoned(*args, **kwargs):
+            loss, grads = batch_loss(*args, **kwargs)
+            grads["h0.ffn.w1"][1, 2] = bad
+            return loss, grads
+
+        monkeypatch.setattr(M, "batch_loss", poisoned)
+        saved = []
+        tc = trainer.TrainingConfig(batch_size=2, lr=1e-3, epochs=2, seed=0)
+        with pytest.raises(trainer.TrainingDiverged) as exc:  # one step ends epoch 1
+            trainer.train(ckpt, docs, v, tc, on_epoch=lambda e, ck: saved.append(e))
+        assert exc.value.step == 0 and math.isfinite(exc.value.loss)
+        assert exc.value.norm.hex() == np.float64(bad).hex()
+        assert "gradient norm" in str(exc.value) and "step 0" in str(exc.value)
+        assert saved == [] and ckpt.step == 0
+        assert {n: ckpt.weights[n].tobytes() for n in M.param_shapes(cfg)} == before
+
+    def test_the_head_workspace_is_allocated_once_and_freed(self, monkeypatch):
+        """A run's second step of the same shape takes its logits and
+        float64 blocks from the workspace the first step allocated, and the
+        workspace goes when ``train`` returns."""
+        cfg = M.ModelConfig(layers=1, heads=2, model_dim=8, inner_dim=16, context=16,
+                            vocab_size=4000)
+        rng = np.random.default_rng(0)
+        windows = _windows(rng, cfg.context, [range(cfg.context)] * 6)  # 30 targets a step
+        _, v, _ = tiny_vocab_and_table(["c d e f"])
+        tc = trainer.TrainingConfig(batch_size=2, lr=1e-3, epochs=1, seed=0)
+        logits = 30 * cfg.vocab_size * 4
+        blocks = 2 * (M.HEAD_BLOCK // cfg.vocab_size) * cfg.vocab_size * 8
+        rises, head = [], M._head
+
+        def tracing_head(*args, **kwargs):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            try:
+                return head(*args, **kwargs)
+            finally:
+                rises.append(tracemalloc.get_traced_memory()[1] - start)
+
+        monkeypatch.setattr(M, "_head", tracing_head)
+        ckpt = M.init_model(cfg, seed=0)
+        M.positional_encoding(cfg.context, cfg.model_dim, ckpt.dtype)  # the shared table
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trainer.train(ckpt, [], v, tc, windows=windows)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == 3
+        assert rises[0] > logits + blocks
+        # The gradient rows, the layer norm's backward, the scores and the
+        # 64 KiB buffers of numpy's broadcast loops remain.
+        assert max(rises[1:]) < 128 * 1024 < min(logits, blocks)
+        # Only the trained weights' flat buffer stays.
+        assert left < 4 * M.param_count(cfg) + 16 * 1024
 
     def test_memory_does_not_grow_with_epochs(self):
         docs, v, _ = tiny_vocab_and_table(
